@@ -1,26 +1,16 @@
 """SpMM execution-engine benchmark (CI ``perf-smoke`` job).
 
-Measures three kernel paths on the same compressed operands:
+Measures three ways to run the same compressed operands:
 
-* ``naive``   — the registry's legacy per-format kernels
+* ``naive``   — the registry's per-format reference kernels
   (:func:`repro.pipeline.registry.dispatch_spmm`), gather + einsum;
-* ``planned`` — :func:`repro.perf.engine.execute`: a precompiled
-  :class:`~repro.perf.engine.ExecutionPlan` per operand (gather indices,
-  padding geometry and scratch built once, BLAS-friendly panel or chunked
-  gathered kernels);
-* ``tuned``   — the planned path after :func:`repro.perf.tuner.tune`
-  picked the fastest backend for the workload (decision cached through an
-  :class:`~repro.pipeline.cache.ArtifactCache`).
-
-With ``--segmented`` it additionally measures a row-segmented plan
-(:func:`repro.perf.segment.build_segmented_plan`): the operand's
-N:M-conforming row blocks serve on the VNM sub-plan and the violating
-tail on CSR.  On this operand whole-matrix ``vnm`` compression is
-*unavailable* (the 2:4 row constraint fails somewhere), so the segmented
-plan is what ends the availability cliff — the benchmark fails when the
-vnm path stays unavailable with segmentation on, and in full mode when
-the segmented plan falls under ``REPRO_SEGMENT_MIN_RELATIVE`` (default
-0.5) of naive-CSR throughput.
+* ``planned`` — :func:`repro.perf.engine.execute`, the one execution
+  path: the operand's :class:`~repro.perf.engine.ExecutionPlan` runs its
+  exact CSR triplet through scipy.sparse's compiled CSR matmat;
+* ``floor``   — scipy.sparse CSR matmat on a ``csr_matrix`` built directly
+  from the operand's dense content, outside the engine: the fastest
+  kernel available offline, and the baseline every speed claim is quoted
+  against.  ``planned / floor`` is the engine's overhead over it.
 
 Correctness gates every timing: features are integer-valued so all fp64
 partial sums are exact, and every mode must be **bitwise** identical to
@@ -46,20 +36,20 @@ import json
 import os
 import statistics
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.core import VNMPattern
-from repro.perf import engine, tuner
-from repro.pipeline import ArtifactCache, registry
+from repro.perf import engine
+from repro.pipeline import registry
 from repro.sptc import CSRMatrix, HybridVNM
 from repro.sptc.spmm import dense_spmm
 
 PATTERN = VNMPattern(1, 2, 4)
-BACKENDS = ("csr", "vnm", "hybrid")
+BACKENDS = ("csr", "bsr", "vnm", "hybrid")
 
 
 def make_operand(n: int, density: float, seed: int = 0) -> HybridVNM:
@@ -71,7 +61,7 @@ def make_operand(n: int, density: float, seed: int = 0) -> HybridVNM:
 
 
 def timed_rounds(fn, rounds: int) -> list[float]:
-    fn()  # warm (plan build, scratch allocation, BLAS init)
+    fn()  # warm (plan scratch, BLAS init)
     times = []
     for _ in range(rounds):
         t0 = time.perf_counter()
@@ -90,10 +80,6 @@ def main() -> int:
                         help="timed repetitions per mode")
     parser.add_argument("--quick", action="store_true",
                         help="tiny smoke configuration; no speedup assertion")
-    parser.add_argument("--segmented", action="store_true",
-                        help="also measure a row-segmented plan (conforming "
-                             "rows on VNM, tail on CSR) and gate on the vnm "
-                             "path being served")
     parser.add_argument("--json-out", metavar="DIR", default=None,
                         help="write BENCH_spmm_engine.json into DIR")
     args = parser.parse_args()
@@ -119,134 +105,34 @@ def main() -> int:
             print(f"{name:<8} unavailable for this operand ({exc})")
             results[name] = {"unavailable": str(exc)}
             continue
+        floor_matrix = sp.csr_matrix(registry.densify(operand))
         naive = timed_rounds(lambda op=operand: registry.dispatch_spmm(op, b),
                              args.rounds)
-        plan = engine.plan_for(operand)
         planned = timed_rounds(lambda op=operand: engine.execute(op, b),
                                args.rounds)
-        out_naive = registry.dispatch_spmm(operand, b)
-        out_planned = engine.execute(operand, b)
-        exact = bool(np.array_equal(out_naive, reference)
-                     and np.array_equal(out_planned, reference))
+        floor = timed_rounds(lambda: floor_matrix @ b, args.rounds)
+        outputs = (registry.dispatch_spmm(operand, b), engine.execute(operand, b),
+                   floor_matrix @ b)
+        exact = all(np.array_equal(out, reference) for out in outputs)
         if not exact:
             print(f"FAIL: {name} outputs differ from the dense reference")
             ok = False
-        med_naive = statistics.median(naive)
-        med_planned = statistics.median(planned)
-        speedup = med_naive / med_planned if med_planned > 0 else float("inf")
+        med = {mode: statistics.median(times) for mode, times in
+               (("naive", naive), ("planned", planned), ("floor", floor))}
+        speedup = med["naive"] / med["planned"] if med["planned"] > 0 else float("inf")
+        over_floor = med["planned"] / med["floor"] if med["floor"] > 0 else float("inf")
         results[name] = {
-            "seconds": {"naive": naive, "planned": planned},
-            "median_seconds": {"naive": med_naive, "planned": med_planned},
+            "seconds": {"naive": naive, "planned": planned, "floor": floor},
+            "median_seconds": med,
             "speedup_planned_vs_naive": speedup,
-            "variant": plan.variant,
+            "planned_over_floor": over_floor,
+            "variant": engine.plan_for(operand).variant,
             "bitwise_vs_dense": exact,
         }
-        print(f"{name:<8} naive {med_naive * 1e3:8.3f} ms | planned "
-              f"{med_planned * 1e3:8.3f} ms ({plan.variant}) | "
-              f"{speedup:6.2f}x")
-
-    # Segmented plan: conforming row blocks on the VNM panel kernel, the
-    # violating tail on CSR — serving the operand the vnm backend rejects
-    # outright.  Relative throughput is judged against the naive CSR kernel
-    # (the fallback a vnm-less deployment would otherwise run end to end).
-    if args.segmented:
-        from repro.perf.segment import build_segmented_plan
-
-        min_relative = float(os.environ.get("REPRO_SEGMENT_MIN_RELATIVE", "0.5"))
-        csr_op = registry.degrade(hybrid, "csr")
-        seg_plan = build_segmented_plan(csr_op, pattern=PATTERN)
-        seg_times = timed_rounds(lambda: seg_plan.execute(csr_op, b), args.rounds)
-        out_seg = seg_plan.execute(csr_op, b)
-        seg_exact = bool(np.array_equal(out_seg, reference))
-        if not seg_exact:
-            print("FAIL: segmented output differs from the dense reference")
-            ok = False
-        summary = seg_plan.summary()
-        med_seg = statistics.median(seg_times)
-        med_naive_csr = results["csr"]["median_seconds"]["naive"]
-        relative = med_naive_csr / med_seg if med_seg > 0 else float("inf")
-        vnm_rows = summary["row_coverage"].get("vnm", {"rows": 0, "fraction": 0.0})
-        results["segmented"] = {
-            "seconds": seg_times,
-            "median_seconds": med_seg,
-            "relative_vs_naive_csr": relative,
-            "bitwise_vs_dense": seg_exact,
-            "n_segments": summary["n_segments"],
-            "n_groups": summary.get("n_groups"),
-            "row_coverage": summary["row_coverage"],
-            "segments": summary["segments"],
-        }
-        print(f"segmented         {med_seg * 1e3:8.3f} ms "
-              f"({summary['n_segments']} blocks / "
-              f"{summary.get('n_groups')} kernel groups; "
-              f"vnm rows {vnm_rows['rows']} = {vnm_rows['fraction']:.0%}) | "
-              f"{relative:6.2f}x vs naive csr")
-        if "unavailable" in results.get("vnm", {}):
-            # The headline: the whole-matrix vnm path was unavailable, but
-            # the segmented plan serves its conforming rows on VNM anyway.
-            results["vnm"]["segmented"] = {
-                "served": True,
-                "rows_on_vnm": vnm_rows["rows"],
-                "fraction_on_vnm": vnm_rows["fraction"],
-                "median_seconds": med_seg,
-                "relative_vs_naive_csr": relative,
-            }
-            if vnm_rows["rows"] <= 0:
-                print("FAIL: segmentation enabled but no rows serve on the "
-                      "vnm path — the availability cliff is still there")
-                ok = False
-            else:
-                print(f"vnm path recovered: {vnm_rows['rows']} rows "
-                      f"({vnm_rows['fraction']:.0%}) serve on VNM despite "
-                      f"whole-matrix compression being unavailable")
-        if not args.quick and relative < min_relative:
-            print(f"FAIL: segmented plan at {relative:.2f}x of naive CSR "
-                  f"throughput (threshold {min_relative:.2f}x)")
-            ok = False
-
-    # Tuned path: the autotuner picks the fastest backend for this workload
-    # and the decision round-trips through a cache (second lookup is a hit).
-    with tempfile.TemporaryDirectory() as tmp:
-        cache = ArtifactCache(tmp)
-        decision = tuner.tune(hybrid, args.h, cache=cache, repeats=args.rounds,
-                              include_segmented=args.segmented)
-        again = tuner.tune(hybrid, args.h, cache=cache, repeats=args.rounds,
-                           include_segmented=args.segmented)
-        if again.source != "cache" or again.backend != decision.backend:
-            print("FAIL: tuner decision did not round-trip through the cache")
-            ok = False
-        if decision.backend == "segmented":
-            # A segmented winner keeps the operand; replaying the decision
-            # compiles its plan into the engine cache, so execute() below
-            # routes per row block.
-            from repro.perf.segment import SegmentConfig, build_segmented_plan
-
-            tuned_op = hybrid
-            build_segmented_plan(
-                hybrid, config=SegmentConfig.from_dict(decision.segments or {})
-            )
-        else:
-            tuned_op = (hybrid if decision.backend == "hybrid"
-                        else registry.degrade(hybrid, decision.backend))
-        tuned = timed_rounds(lambda: engine.execute(tuned_op, b), args.rounds)
-        out_tuned = engine.execute(tuned_op, b)
-        if not np.array_equal(out_tuned, reference):
-            print("FAIL: tuned output differs from the dense reference")
-            ok = False
-    med_tuned = statistics.median(tuned)
-    med_naive_hybrid = results["hybrid"]["median_seconds"]["naive"]
-    tuned_speedup = med_naive_hybrid / med_tuned if med_tuned > 0 else float("inf")
-    results["tuned"] = {
-        "backend": decision.backend,
-        "dtype": decision.dtype,
-        "seconds": tuned,
-        "median_seconds": med_tuned,
-        "speedup_vs_naive_hybrid": tuned_speedup,
-        "cache_round_trip": again.source == "cache",
-    }
-    print(f"tuned    -> {decision.backend:<6} {med_tuned * 1e3:8.3f} ms "
-          f"({tuned_speedup:.2f}x vs naive hybrid; decision cached: "
-          f"{again.source == 'cache'})")
+        print(f"{name:<8} naive {med['naive'] * 1e3:8.3f} ms | planned "
+              f"{med['planned'] * 1e3:8.3f} ms | scipy floor "
+              f"{med['floor'] * 1e3:8.3f} ms | {speedup:6.2f}x vs naive, "
+              f"{over_floor:5.2f}x of floor")
 
     gate = results["hybrid"]["speedup_planned_vs_naive"]
     print(f"planned vs naive (hybrid)    : {gate:8.2f}x "
@@ -269,6 +155,7 @@ def main() -> int:
             "config": {"n": args.n, "h": args.h, "density": args.density,
                        "rounds": args.rounds, "quick": args.quick,
                        "pattern": str(PATTERN), "cpu_count": os.cpu_count()},
+            "baseline": "floor: scipy.sparse csr_matrix @ B on the same matrix",
             "backends": results,
             "min_speedup_threshold": None if args.quick else min_speedup,
             "passed": ok,

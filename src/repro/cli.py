@@ -6,16 +6,14 @@ Usage::
     python -m repro survey   INPUT.mtx [--h 128]
     python -m repro collection CLASS [--count N] [--seed S]
     python -m repro preprocess INPUT.mtx [...] --cache-dir DIR [--workers N]
-                          [--pool] [--profile] [--segmented]
+                          [--pool] [--profile]
     python -m repro serve INPUT.mtx --cache-dir DIR [--h 64] [--requests N]
                           [--micro-batch] [--max-retries N] [--deadline SECONDS]
                           [--breakers] [--breaker-threshold N] [--breaker-cooldown S]
                           [--max-queue-depth N] [--shed-deadline SECONDS]
-                          [--metrics-file M.json] [--trace-file T.json] [--segmented]
+                          [--metrics-file M.json] [--trace-file T.json]
                           [--telemetry-port P] [--slo SPEC] [--hold SECONDS]
     python -m repro top [--url http://127.0.0.1:9464] [--interval S] [--frames N]
-    python -m repro tune INPUT.mtx --cache-dir DIR [--h 64] [--repeats N]
-                          [--float32] [--segmented]
     python -m repro stats [--metrics-file M.json] [--cache-dir DIR]
                           [--trace-file T.json [--chrome-out C.json]]
     python -m repro doctor --cache-dir DIR [--selftest] [--shm-sweep]
@@ -40,15 +38,9 @@ scrapeable after the demo requests — see ``docs/telemetry.md``) and
 verifies the output against the dense reference,
 optionally exporting metrics/trace files; ``top`` polls a telemetry
 server's ``/metrics`` and renders a live qps / windowed-p95 / row-share /
-breaker / SLO-burn frame per interval; ``tune`` micro-benchmarks every
-backend kernel on the preprocessed operand and persists the winning
-(backend, dtype) decision in the cache — rerunning the same workload is a
-cache hit; ``--segmented`` (preprocess / serve / tune) compiles
-row-segmented execution plans — conforming row blocks on the SPTC path,
-the violating tail on a fallback sub-plan — and for ``tune`` adds those
-plans as candidates; ``stats`` pretty-prints a metrics
-export and/or cache-directory statistics (including persisted tuner
-decisions and segmented plan sidecars), and with ``--trace-file`` renders
+breaker / SLO-burn frame per interval; ``stats`` pretty-prints a metrics
+export and/or cache-directory statistics (including execution-plan
+sidecars), and with ``--trace-file`` renders
 a span-tree export (``--chrome-out`` converts it to Chrome trace-event
 JSON for chrome://tracing or Perfetto); ``doctor`` fsck-checks a cache
 directory, quarantining corrupt artefacts and cleaning half-written temp
@@ -156,7 +148,6 @@ def _build_plan(args):
         backend=args.backend,
         max_iter=args.max_iter,
         time_budget=args.time_budget,
-        segmented=getattr(args, "segmented", False),
     )
 
 
@@ -406,14 +397,6 @@ def _cmd_serve(args) -> int:
         logger.info(f"modelled per-request time {t_req * 1e6:.1f}us "
                     f"({t_csr / t_req:.2f}x vs CSR baseline); "
                     f"served {session.n_requests} request(s)")
-        segments = session.segment_summary()
-        if segments is not None:
-            coverage = ", ".join(
-                f"{name} {info['rows']} row(s) ({info['fraction']:.0%})"
-                for name, info in sorted(segments["row_coverage"].items())
-            )
-            logger.info(f"segmented plan: {segments['n_segments']} row block(s) "
-                        f"in {segments.get('n_groups', '?')} kernel group(s); {coverage}")
         stats = session.resilience
         if stats.retries or stats.downgrades or cache.stats.quarantined:
             logger.info(f"resilience: {stats.retries} retr(ies), "
@@ -455,10 +438,11 @@ def _scrape_json(url: str, timeout: float = 5.0):
         with urllib.request.urlopen(url, timeout=timeout) as resp:
             return json.load(resp)
     except urllib.error.HTTPError as exc:  # /healthz 503 still carries JSON
-        try:
-            return json.loads(exc.read().decode() or "{}")
-        except (ValueError, OSError):
-            return None
+        with exc:
+            try:
+                return json.loads(exc.read().decode() or "{}")
+            except (ValueError, OSError):
+                return None
     except (OSError, ValueError):
         return None
 
@@ -589,37 +573,6 @@ def _cmd_top(args) -> int:
     return 0
 
 
-def _cmd_tune(args) -> int:
-    from .perf import tuner
-    from .pipeline import ArtifactCache, preprocess
-
-    graph = graph_from_mtx(args.input)
-    cache = ArtifactCache(args.cache_dir)
-    result = preprocess(graph, _build_plan(args), cache=cache)
-    logger.info(
-        f"{args.input}: {'loaded cached artefact' if result.cached else 'preprocessed'} "
-        f"(pattern {result.pattern}, backend {result.backend})"
-    )
-    decision = tuner.tune(
-        result.operand, args.h, cache=cache,
-        repeats=args.repeats, include_float32=args.float32,
-        include_segmented=args.segmented,
-    )
-    origin = "cache hit" if decision.source == "cache" else "measured fresh"
-    logger.info(f"decision ({origin}): backend {decision.backend}, "
-                f"dtype {decision.dtype}, variant {decision.variant}, h={decision.h}")
-    if decision.segments:
-        seg_text = ", ".join(f"{k}={v}" for k, v in sorted(decision.segments.items()))
-        logger.info(f"  segmented plan config: {seg_text}")
-    for label, seconds in decision.timings:
-        logger.info(f"  {label:<12} {_fmt_seconds(seconds)}")
-    for name in decision.failed:
-        logger.info(f"  {name:<12} (unavailable for this operand)")
-    logger.info(f"persisted as {decision.key}.tune.json in {cache.cache_dir}; "
-                f"rerunning this tune is a cache hit")
-    return 0
-
-
 def _fmt_seconds(value: float) -> str:
     if value >= 1.0:
         return f"{value:.3f}s"
@@ -683,34 +636,9 @@ def _cmd_stats(args) -> int:
                     f"{total_bytes} bytes, {len(cache.quarantined())} quarantined")
         for p in artefacts:
             logger.info(f"  {p.stem}  {p.stat().st_size} bytes")
-        decisions = cache.decisions()
-        if decisions:
-            logger.info(f"tuner decisions: {len(decisions)}")
-            for key, payload in decisions:
-                logger.info(
-                    f"  {key}: backend {payload.get('backend')}, "
-                    f"dtype {payload.get('dtype')}, h={payload.get('h')}"
-                )
-        plans = sorted(cache.cache_dir.glob("*.plan.pkl"))
-        segmented_lines = []
-        for path in plans:
-            key = path.name.removesuffix(".plan.pkl")
-            plan = cache.load_plan(key)
-            if plan is None or getattr(plan, "backend", None) != "segmented":
-                continue
-            summary = plan.summary()
-            coverage = ", ".join(
-                f"{name} {info['fraction']:.0%}"
-                for name, info in sorted(summary["row_coverage"].items())
-            )
-            segmented_lines.append(
-                f"  {key}: {summary['n_segments']} row block(s), {coverage}"
-            )
+        plans = list(cache.cache_dir.glob("*.plan.pkl"))
         if plans:
-            logger.info(f"plan sidecars: {len(plans)} "
-                        f"({len(segmented_lines)} segmented)")
-            for line in segmented_lines:
-                logger.info(line)
+            logger.info(f"plan sidecars: {len(plans)}")
     return 0
 
 
@@ -845,11 +773,6 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--cache-dir", default=".repro-cache")
         sp.add_argument("--max-iter", type=int, default=10)
         sp.add_argument("--time-budget", type=float, default=None)
-        sp.add_argument("--segmented", action="store_true",
-                        help="compile a row-segmented execution plan: "
-                             "conforming row blocks on the SPTC path, the "
-                             "violating tail on a fallback sub-plan "
-                             "(repro.perf.segment)")
 
     pp = sub.add_parser("preprocess",
                         help="offline pipeline: reorder + compress into the artifact cache")
@@ -954,19 +877,6 @@ def build_parser() -> argparse.ArgumentParser:
     tp.add_argument("--no-clear", action="store_true",
                     help="append frames instead of clearing the screen")
     tp.set_defaults(fn=_cmd_top)
-
-    tn = sub.add_parser("tune",
-                        help="micro-benchmark backend kernels and cache the winner")
-    tn.add_argument("input")
-    add_plan_args(tn)
-    tn.add_argument("--h", type=int, default=64,
-                    help="feature width to tune for (default 64)")
-    tn.add_argument("--repeats", type=int, default=3,
-                    help="timing repeats per candidate (min is kept; default 3)")
-    tn.add_argument("--float32", action="store_true",
-                    help="also try the fp32 compute path where the precision "
-                         "model admits it")
-    tn.set_defaults(fn=_cmd_tune)
 
     st = sub.add_parser("stats",
                         help="pretty-print a metrics export and/or cache statistics")

@@ -37,7 +37,8 @@ def popcount64(x: np.ndarray | int) -> np.ndarray | int:
     v = v - ((v >> np.uint64(1)) & _M1)
     v = (v & _M2) + ((v >> np.uint64(2)) & _M2)
     v = (v + (v >> np.uint64(4))) & _M4
-    out = (v * _H01) >> np.uint64(56)
+    with np.errstate(over="ignore"):  # the byte-sum multiply wraps mod 2**64
+        out = (v * _H01) >> np.uint64(56)
     return int(out) if scalar else out.astype(np.uint8)
 
 
@@ -85,7 +86,8 @@ def lowest_set_bit(x: np.ndarray | int) -> np.ndarray | int:
     """Index of the lowest set bit (`__ffs` − 1); −1 for zero words."""
     scalar = np.isscalar(x)
     v = np.asarray(x, dtype=np.uint64)
-    isolated = v & (~v + np.uint64(1))
+    with np.errstate(over="ignore"):  # two's-complement negate wraps mod 2**64
+        isolated = v & (~v + np.uint64(1))
     # log2 of a power of two via popcount of (isolated - 1); substitute 1 for
     # zero words so the subtraction never wraps (their result is masked off).
     safe = np.where(v == 0, np.uint64(1), isolated)

@@ -177,7 +177,7 @@ def distributed_spmm(
             off_csr = CSRMatrix.from_coo(
                 rows[off] - p.start, cols[off], data[off], (p.size, graph.n)
             )
-            contrib = device.spmm_csr(off_csr, b) if device else off_csr.matmat(b)
+            contrib = device.spmm(off_csr, b) if device else off_csr.matmat(b)
             out[p.start : p.stop] += contrib
         if device is not None:
             devices.append(device)

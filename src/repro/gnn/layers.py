@@ -38,9 +38,9 @@ class Aggregator:
     def _run(self, op, x: np.ndarray) -> np.ndarray:
         if self.device is not None:
             return self.device.spmm(op, x, tag=self.tag)
-        # The planned engine path: per-operand precompiled gather indices
-        # and scratch, falling back to naive dispatch for operands it
-        # cannot plan (including ServingSession, which plans internally).
+        # The one engine path (scipy CSR / GEMM), falling back to the
+        # registry kernel for operands it cannot plan (including
+        # ServingSession, which plans internally).
         from ..perf.engine import execute
 
         return execute(op, x)
@@ -98,18 +98,14 @@ class Aggregator:
             live = metrics()
             if live:
                 report["metrics"] = live
-        # Which engine kernel variant is serving the operator (a session's
-        # plan lives on its underlying operand).
+        # Which host kernel is serving the operator (a session's plan
+        # lives on its underlying operand).
         from ..perf.engine import cached_plan
 
         target = getattr(self.operator, "operand", self.operator)
         plan = cached_plan(target) if target is not None else None
         if plan is not None:
             report["kernel_variant"] = plan.variant
-            # A segmented plan serves different row blocks on different
-            # kernels; surface the block layout and per-backend coverage.
-            if getattr(plan, "backend", None) == "segmented":
-                report["segments"] = plan.summary()
         # With a breaker board installed, its per-backend state rides along
         # — an operator may look healthy while its fast backend is cooling
         # down behind an open breaker.

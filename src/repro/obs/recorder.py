@@ -69,7 +69,6 @@ class RequestExemplar:
     backend: str | None = None
     variant: str | None = None
     operand_key: str | None = None
-    segments: int | None = None
     retries: int = 0
     downgrades: tuple = ()
     breaker_open: bool = False

@@ -73,8 +73,6 @@ def session_health(session=None, pool=None, router=None) -> dict:
         "open_breakers": open_backends,
         "pool_crash_looping": crash_looping,
     }
-    if session is not None and hasattr(session, "segment_summary"):
-        health["segments"] = session.segment_summary()
     if router is not None:
         shard_health = router.health()
         health["healthy"] = health["healthy"] and shard_health["healthy"]
@@ -201,8 +199,10 @@ class TelemetryServer:
 
     def stop(self) -> None:
         self._stop.set()
-        self._httpd.shutdown()
         if self._serve_thread is not None:
+            # shutdown() waits for serve_forever to exit, so a server that
+            # never started must skip it (it would block forever).
+            self._httpd.shutdown()
             self._serve_thread.join(timeout=5.0)
             self._serve_thread = None
         if self._sampler_thread is not None:

@@ -341,9 +341,17 @@ def reorder_many(
                 lost: list[int] = []
                 hung = False
                 futures = {}
-                for at in range(0, len(pending), chunk):
-                    indices = pending[at:at + chunk]
-                    futures[pool.submit(_job_chunk, [jobs[i] for i in indices])] = indices
+                chunks = [pending[at:at + chunk] for at in range(0, len(pending), chunk)]
+                for n_submitted, indices in enumerate(chunks):
+                    try:
+                        futures[pool.submit(_job_chunk, [jobs[i] for i in indices])] = indices
+                    except BrokenProcessPool:
+                        # A worker from an earlier chunk already died and
+                        # broke the pool: this chunk and every chunk not yet
+                        # submitted are lost with it.
+                        for rest in chunks[n_submitted:]:
+                            lost.extend(rest)
+                        break
                 for fut, indices in futures.items():
                     try:
                         outcomes = fut.result(timeout=job_timeout)

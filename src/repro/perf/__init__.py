@@ -1,20 +1,14 @@
 """repro.perf — the hot-path performance layer.
 
-Five pieces, each consumed by the existing stack rather than replacing it:
+Four pieces, each consumed by the existing stack rather than replacing it:
 
-* :mod:`repro.perf.engine` — precompiled SpMM :class:`ExecutionPlan`\\ s
-  (gather indices, padding geometry, scratch panels, opt-in fp32) behind
-  :func:`repro.perf.engine.execute`, the planned kernel path
-  :class:`~repro.pipeline.serving.ServingSession` and
-  :class:`~repro.gnn.layers.Aggregator` run on;
-* :mod:`repro.perf.tuner` — the cached kernel autotuner
-  (:func:`repro.perf.tuner.tune`, ``repro tune``) persisting
-  :class:`TunerDecision`\\ s content-addressed in the artefact cache;
-* :mod:`repro.perf.segment` — per-row-block :class:`SegmentedPlan`\\ s:
-  a :class:`RowSegmenter` splits the row space by N:M conformance so
-  conforming blocks run the SPTC path and the sparse tail a fallback
-  sub-plan, each through its own ``run_kernel`` envelope;
-
+* :mod:`repro.perf.engine` — the one SpMM execution path: an
+  :class:`ExecutionPlan` per operand runs its exact CSR triplet through
+  scipy.sparse's compiled CSR matmat (ndarrays: a BLAS GEMM) behind
+  :func:`repro.perf.engine.execute`, which
+  :class:`~repro.pipeline.serving.ServingSession`,
+  :class:`~repro.gnn.layers.Aggregator` and
+  :class:`~repro.sptc.device.EmulatedDevice` all run on;
 * :mod:`repro.perf.shm` — zero-copy shared-memory transport for batch
   reordering: workers attach read-only views of the packed ``uint64``
   words instead of receiving pickled copies
@@ -35,14 +29,6 @@ scaling benchmark (`benchmarks/bench_parallel_scaling.py`).
 from .batching import BatchPolicy, MicroBatcher
 from .engine import ExecutionPlan, build_plan, plan_for
 from .pool import PoolStats, RestartWindow, SupervisionPolicy, WorkerPool
-from .segment import (
-    RowSegment,
-    RowSegmenter,
-    SegmentConfig,
-    SegmentSpec,
-    SegmentedPlan,
-    build_segmented_plan,
-)
 from .shm import (
     SEGMENT_PREFIX,
     MatrixHandle,
@@ -54,7 +40,6 @@ from .shm import (
     live_segments,
     sweep_leaked_segments,
 )
-from .tuner import TunerDecision, tune
 
 __all__ = [
     "BatchPolicy",
@@ -62,14 +47,6 @@ __all__ = [
     "ExecutionPlan",
     "build_plan",
     "plan_for",
-    "RowSegment",
-    "RowSegmenter",
-    "SegmentConfig",
-    "SegmentSpec",
-    "SegmentedPlan",
-    "build_segmented_plan",
-    "TunerDecision",
-    "tune",
     "PoolStats",
     "RestartWindow",
     "SupervisionPolicy",

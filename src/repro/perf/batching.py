@@ -252,21 +252,11 @@ class MicroBatcher:
         )
 
     # -- internals ---------------------------------------------------------
-    def _max_columns(self) -> int:
-        """The effective column cap: the policy's, tightened by a tuner
-        decision on the session — coalescing past ``max_batch_columns``
-        would leave the shape regime the autotuner measured."""
-        cap = self.policy.max_columns
-        tuned = getattr(self._session, "tuned", None)
-        if tuned is not None and getattr(tuned, "max_batch_columns", 0) > 0:
-            cap = min(cap, tuned.max_batch_columns)
-        return cap
-
     def _full_locked(self) -> bool:
         if len(self._pending) >= self.policy.max_requests:
             return True
         cols = 0
-        max_columns = self._max_columns()
+        max_columns = self.policy.max_columns
         for item in self._pending:
             cols += item.x.shape[1]
             if cols >= max_columns:
@@ -277,7 +267,7 @@ class MicroBatcher:
         """Pop the next batch under the shape caps; leftovers stay queued."""
         batch: list[_Pending] = []
         cols = 0
-        max_columns = self._max_columns()
+        max_columns = self.policy.max_columns
         while self._pending and len(batch) < self.policy.max_requests:
             nxt = self._pending[0]
             if batch and cols + nxt.x.shape[1] > max_columns:
@@ -318,8 +308,7 @@ class MicroBatcher:
         if session._metrics is not None:
             session._m_requests.inc()
             session._m_latency.observe(time.perf_counter() - item.t0)
-            for counter, rows in session._path_rows_counters():
-                counter.inc(rows)
+            session._path_rows_counter().inc(session.shape[0])
         recorder = getattr(session, "recorder", None)
         if recorder is not None:
             recorder.observe(

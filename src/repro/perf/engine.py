@@ -1,50 +1,36 @@
-"""Precompiled SpMM execution plans — the kernel execution engine.
+"""The one SpMM execution path: a scipy CSR plan for every operand.
 
-The serving hot path used to re-derive its access structure on *every*
-call: ``NMCompressed.spmm`` rebuilds ``seg_base``/``gather`` per request,
-``VNMCompressed.spmm`` re-gathers its tile columns and scatters with
-``np.add.at``, and both materialize an ``(n_rows, slots, h)`` rank-3
-gather intermediate through ``einsum``.  An :class:`ExecutionPlan` moves
-all of that to plan-build time, once per operand:
+Where aggregation *would* run on an A100 — sparse tensor cores for V:N:M,
+CUDA cores for CSR — is decided by the compressed format and the cost
+model (:func:`repro.pipeline.registry.model_spmm_time`), not by which host
+kernel computes the numbers.  So every built-in format executes the same
+way here: an :class:`ExecutionPlan` holds the operand's exact CSR triplet
+(:meth:`to_coo` of the compressed format; the arrays themselves for a
+:class:`~repro.sptc.csr.CSRMatrix`) and runs it with scipy.sparse's
+compiled CSR matmat.  ndarray operands (the ``dense`` fallback rung and
+the reference) run a BLAS GEMM.
 
-* **gather/scatter indices** (``seg_base + meta`` for N:M, the tile-column
-  gather for V:N:M, reduceat row boundaries for CSR/BSR/V:N:M) are
-  precomputed and stored on the plan;
-* **padding geometry** is resolved up front — aligned operands
-  (``n_cols % M == 0``, the common post-reorder case) never touch a padded
-  copy of B;
-* **scratch buffers** (dense panels, fp32 casts) are built lazily on first
-  execute and *dropped on pickling*, so plans persist compactly next to
-  their operand in the :class:`~repro.pipeline.cache.ArtifactCache` and
-  rebuild their scratch on first use after a load.
-
-Two kernel variants per format:
-
-* ``"panel"`` — scatter the compressed values into a dense row panel once
-  and serve every request as one BLAS GEMM (column-chunked above
-  ``REPRO_ENGINE_COL_CHUNK``).  Chosen when the panel fits the
-  ``REPRO_ENGINE_PANEL_BUDGET`` byte budget; on this emulation substrate it
-  is the SPTC analogue of shipping a specialized kernel per operand.
-* ``"gathered"`` — stay on the compressed operand: chunk the slot axis,
-  gather B rows per chunk (bounded intermediate, never the full rank-3
-  tensor), contract with batched ``matmul`` and reduce rows with
-  ``np.add.reduceat`` instead of ``np.add.at``.
-
-Both variants are numerically exact in float64.  ``dtype=np.float32``
-selects an opt-in fp32 compute path (cast scratch cached on the plan);
-:func:`fp32_within_bound` guards it with the :mod:`repro.sptc.precision`
-row-scaled error model before a session enables it.
+The triplet and the scipy matrix over it are **scratch**: built on first
+execute and dropped on pickling.  A plan's persistent state is only its
+backend name and shape, so plan builds are O(1) (no plan build densifies
+or walks the non-zeros), plans persist as tiny ``<key>.plan.pkl``
+sidecars next to their operand in the
+:class:`~repro.pipeline.cache.ArtifactCache`, and a loaded plan can never
+disagree with the operand it serves.  ``dtype=np.float32`` selects an
+opt-in fp32 compute path over a cached cast; :func:`fp32_within_bound`
+guards it with the :mod:`repro.sptc.precision` row-scaled error model.
 
 :func:`execute` is the integration point: it resolves the operand's plan
 through a per-process id-keyed cache (``weakref.finalize`` eviction) and
 runs it through :func:`repro.pipeline.registry.run_kernel`'s kernel
-override, so fault injection and the ``BackendExecutionError`` taxonomy
-cover planned execution exactly like the naive kernels.
+override, so fault injection, breakers and the ``BackendExecutionError``
+taxonomy cover planned execution exactly like the registry kernels.
+Operands without an exact triplet (SELL, TC-GNN tiles, serving sessions,
+third-party formats) run their registry kernel.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
 
 import numpy as np
@@ -57,12 +43,6 @@ from ..sptc.venom import VNMCompressed
 
 __all__ = [
     "ExecutionPlan",
-    "NMPlan",
-    "VNMPlan",
-    "HybridPlan",
-    "BSRPlan",
-    "CSRPlan",
-    "DensePlan",
     "build_plan",
     "plan_for",
     "cached_plan",
@@ -70,33 +50,25 @@ __all__ = [
     "clear_plan_cache",
     "execute",
     "fp32_within_bound",
-    "engine_enabled",
-    "panel_budget_bytes",
 ]
 
-# Dense-panel scratch budget: above this many bytes for the densified
-# operand the plan stays on the compressed ("gathered") variant.
-DEFAULT_PANEL_BUDGET = 256 * 1024 * 1024
-# B-column chunk for the panel GEMM and slot chunk for gathered kernels.
-DEFAULT_COL_CHUNK = 4096
-DEFAULT_SLOT_CHUNK = 256
+# Operand type → registry backend name, for every format with an exact
+# CSR triplet.  Subclasses resolve through isinstance.
+_PLANNABLE: tuple[tuple[type, str], ...] = (
+    (CSRMatrix, "csr"),
+    (NMCompressed, "nm"),
+    (VNMCompressed, "vnm"),
+    (HybridVNM, "hybrid"),
+    (BSRMatrix, "bsr"),
+    (np.ndarray, "dense"),
+)
 
 
-def panel_budget_bytes() -> int:
-    return int(os.environ.get("REPRO_ENGINE_PANEL_BUDGET", DEFAULT_PANEL_BUDGET))
-
-
-def engine_enabled() -> bool:
-    """Planned execution is on by default; ``REPRO_ENGINE=0`` forces naive."""
-    return os.environ.get("REPRO_ENGINE", "1").lower() not in ("0", "false", "no")
-
-
-def _col_chunk() -> int:
-    return int(os.environ.get("REPRO_ENGINE_COL_CHUNK", DEFAULT_COL_CHUNK))
-
-
-def _slot_chunk() -> int:
-    return int(os.environ.get("REPRO_ENGINE_SLOT_CHUNK", DEFAULT_SLOT_CHUNK))
+def _backend_of(operand) -> str:
+    for operand_type, backend in _PLANNABLE:
+        if isinstance(operand, operand_type):
+            return backend
+    raise TypeError(f"no execution plan for operand type {type(operand).__name__}")
 
 
 def _counters():
@@ -109,444 +81,78 @@ def _counters():
     )
 
 
-def _chunked_gemm(panel: np.ndarray, b: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out = panel @ b`` with B column-chunking to bound working-set size."""
-    chunk = _col_chunk()
-    h = b.shape[1]
-    if h <= chunk:
-        np.matmul(panel, b, out=out)
-        return out
-    for c0 in range(0, h, chunk):
-        c1 = min(c0 + chunk, h)
-        np.matmul(panel, b[:, c0:c1], out=out[:, c0:c1])
-    return out
-
-
 class ExecutionPlan:
-    """Base class: shared pickling contract and dtype-aware panel caching.
+    """How one operand executes: scipy CSR matmat, or a GEMM for ndarrays.
 
-    Everything reusable-but-rebuildable lives in attributes prefixed with
-    ``_`` (scratch); ``__getstate__`` drops them so pickled plans stay small
-    and a loaded plan lazily rebuilds scratch on first execute.  Plans hold
-    **no reference to their operand** — the operand is passed to
-    :meth:`execute`, so one plan can outlive cache round-trips and be
-    adopted by an equal operand loaded elsewhere (:func:`adopt_plan`).
-    Plans assume the operand's numeric content is immutable, which holds
-    for everything the pipeline produces.
+    Everything rebuildable lives in attributes prefixed with ``_``
+    (scratch); ``__getstate__`` drops them.  Plans hold **no reference to
+    their operand** — the operand is passed to :meth:`execute`, so a plan
+    can outlive cache round-trips and be adopted by an equal operand
+    loaded elsewhere (:func:`adopt_plan`).  Plans assume the operand's
+    numeric content is immutable, which holds for everything the pipeline
+    produces.
     """
 
-    backend = ""
-
-    def __init__(self, shape: tuple[int, int], variant: str):
+    def __init__(self, backend: str, shape: tuple[int, int]):
+        self.backend = backend
         self.shape = (int(shape[0]), int(shape[1]))
-        self.variant = variant
 
-    # -- pickling ----------------------------------------------------------
+    @property
+    def variant(self) -> str:
+        """The host kernel: ``"gemm"`` for ndarrays, ``"csr"`` otherwise."""
+        return "gemm" if self.backend == "dense" else "csr"
+
     def __getstate__(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if not k.startswith("_")}
 
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
 
-    # -- scratch helpers ---------------------------------------------------
-    def _dense_panel(self, operand) -> np.ndarray:
-        panel = getattr(self, "_panel", None)
-        if panel is None:
-            panel = np.ascontiguousarray(self._build_panel(operand))
-            self._panel = panel
-        return panel
+    def _operator(self, operand):
+        """The float64 matrix the kernel multiplies (built once, cached)."""
+        if self.backend == "dense":
+            return np.asarray(operand, dtype=np.float64)
+        matrix = getattr(self, "_matrix", None)
+        if matrix is None:
+            import scipy.sparse as sp
 
-    def _dense_panel32(self, operand) -> np.ndarray:
-        panel32 = getattr(self, "_panel32", None)
-        if panel32 is None:
-            panel32 = self._dense_panel(operand).astype(np.float32)
-            self._panel32 = panel32
-        return panel32
+            if isinstance(operand, CSRMatrix):
+                triplet = (operand.data, operand.indices, operand.indptr)
+            else:
+                rows, cols, vals = operand.to_coo()
+                triplet = (vals, (rows, cols))
+            matrix = sp.csr_matrix(triplet, shape=self.shape)
+            self._matrix = matrix
+        return matrix
 
-    def _build_panel(self, operand) -> np.ndarray:  # pragma: no cover - abstract
-        raise NotImplementedError
+    def _operator32(self, operand):
+        cast = getattr(self, "_matrix32", None)
+        if cast is None:
+            cast = self._operator(operand).astype(np.float32)
+            self._matrix32 = cast
+        return cast
 
-    def _check(self, operand, b: np.ndarray) -> np.ndarray:
+    def execute(self, operand, b: np.ndarray, *, dtype=None) -> np.ndarray:
+        """One SpMM ``operand @ b`` (float64 result either way)."""
         b = np.asarray(b, dtype=np.float64)
         if b.shape[0] != self.shape[1]:
             raise ValueError("inner dimension mismatch")
-        if operand.shape != self.shape:
+        if tuple(operand.shape) != self.shape:
             raise ValueError(
                 f"plan shape {self.shape} does not match operand shape {operand.shape}"
             )
-        return b
-
-    def _panel_execute(self, operand, b: np.ndarray, dtype,
-                       out: np.ndarray | None = None) -> np.ndarray:
         if dtype == np.float32:
-            panel = self._dense_panel32(operand)
-            b32 = b.astype(np.float32)
-            out32 = np.empty((self.shape[0], b.shape[1]), dtype=np.float32)
-            return self._finish(_chunked_gemm(panel, b32, out32).astype(np.float64), out)
-        panel = self._dense_panel(operand)
-        if out is None:
-            out = np.empty((self.shape[0], b.shape[1]), dtype=np.float64)
-        return _chunked_gemm(panel, b, out)
-
-    @staticmethod
-    def _finish(result: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-        """Deliver ``result`` into the caller's ``out`` buffer when given."""
-        if out is None:
-            return result
-        out[...] = result
-        return out
-
-    def execute(self, operand, b: np.ndarray, *, dtype=None,
-                out: np.ndarray | None = None) -> np.ndarray:
-        """Run one SpMM through the precompiled access structure.
-
-        ``out`` (optional, float64, shape ``(n_rows, h)``) receives the
-        result in place — the GEMM variants write straight into it, which
-        lets :class:`~repro.perf.segment.SegmentedPlan` stitch sub-plan
-        outputs without a per-segment allocation.
-        """
-        raise NotImplementedError
+            out = self._operator32(operand) @ b.astype(np.float32)
+            return np.asarray(out, dtype=np.float64)
+        return np.asarray(self._operator(operand) @ b)
 
     def __repr__(self) -> str:
-        return (
-            f"{type(self).__name__}(backend={self.backend!r}, "
-            f"shape={self.shape}, variant={self.variant!r})"
-        )
+        return f"ExecutionPlan(backend={self.backend!r}, shape={self.shape})"
 
 
-class NMPlan(ExecutionPlan):
-    """Plan over :class:`NMCompressed`: precomputed ``seg_base + meta`` gather.
-
-    ``gather`` maps every value slot to its padded B row; ``aligned`` means
-    ``n_cols == n_segs * m`` so the gathered variant reads B directly with
-    no zero-padded copy.
-    """
-
-    backend = "nm"
-
-    def __init__(self, operand: NMCompressed, variant: str):
-        super().__init__(operand.shape, variant)
-        n, m = operand.pattern.n, operand.pattern.m
-        n_segs = operand.n_segs
-        seg_base = np.repeat(np.arange(n_segs, dtype=np.int64) * m, n)
-        self.gather = seg_base[None, :] + operand.meta.astype(np.int64)
-        self.padded_cols = n_segs * m
-        self.aligned = self.shape[1] == self.padded_cols
-
-    def scatter_dense(self, operand: NMCompressed) -> np.ndarray:
-        """Fresh dense scatter via the precomputed gather (decompress core).
-
-        In-segment positions are pairwise distinct (an :class:`NMCompressed`
-        invariant), so one ``put_along_axis`` reconstructs exactly.
-        """
-        out = np.zeros((self.shape[0], self.padded_cols), dtype=np.float64)
-        np.put_along_axis(out, self.gather, operand.values, axis=1)
-        return out
-
-    def _build_panel(self, operand: NMCompressed) -> np.ndarray:
-        return self.scatter_dense(operand)[:, : self.shape[1]]
-
-    def _values32(self, operand: NMCompressed) -> np.ndarray:
-        v32 = getattr(self, "_v32", None)
-        if v32 is None:
-            v32 = operand.values.astype(np.float32)
-            self._v32 = v32
-        return v32
-
-    def execute(self, operand: NMCompressed, b: np.ndarray, *, dtype=None,
-                out: np.ndarray | None = None) -> np.ndarray:
-        b = self._check(operand, b)
-        if self.variant == "panel":
-            return self._panel_execute(operand, b, dtype, out)
-        # Gathered: slot-chunked take + batched matmul; the (rows, chunk, h)
-        # intermediate is bounded by the chunk, never the full slot axis.
-        if self.aligned:
-            bsrc = b
-        else:
-            bsrc = np.zeros((self.padded_cols, b.shape[1]), dtype=np.float64)
-            bsrc[: b.shape[0]] = b
-        fp32 = dtype == np.float32
-        values = self._values32(operand) if fp32 else operand.values
-        if fp32:
-            bsrc = bsrc.astype(np.float32)
-        n_rows, n_slots = self.gather.shape
-        acc = np.zeros((n_rows, b.shape[1]), dtype=bsrc.dtype)
-        # Bound the (rows, chunk, h) gather intermediate to ~8M elements.
-        chunk = min(max((8 << 20) // max(n_rows * b.shape[1], 1), 1), _slot_chunk())
-        for j0 in range(0, n_slots, chunk):
-            j1 = min(j0 + chunk, n_slots)
-            gb = bsrc[self.gather[:, j0:j1]]  # (rows, jc, h)
-            acc += np.matmul(values[:, None, j0:j1], gb)[:, 0]
-        return self._finish(acc.astype(np.float64) if fp32 else acc, out)
-
-
-class VNMPlan(ExecutionPlan):
-    """Plan over :class:`VNMCompressed`: tile-column gather + reduceat rows.
-
-    ``gather_cols`` resolves each value slot's global B row once;
-    ``starts``/``nonempty`` are the reduceat boundaries replacing the
-    per-call ``np.add.at`` scatter of the naive kernel.
-    """
-
-    backend = "vnm"
-
-    def __init__(self, operand: VNMCompressed, variant: str):
-        super().__init__(operand.shape, variant)
-        v = operand.pattern.v
-        self.v = v
-        self.n_tiles = operand.n_tiles
-        self.n_tile_rows = operand.n_tile_rows
-        if self.n_tiles:
-            self.gather_cols = np.take_along_axis(
-                operand.col_ids[:, None, :].repeat(v, axis=1),
-                operand.meta.astype(np.int64), axis=2,
-            )  # (n_tiles, v, n)
-        else:
-            self.gather_cols = np.zeros((0, v, operand.pattern.n), dtype=np.int64)
-        self.tile_rows = np.repeat(
-            np.arange(self.n_tile_rows, dtype=np.int64), np.diff(operand.tile_ptr)
-        )
-        nonempty = np.diff(operand.tile_ptr) > 0
-        self.nonempty = nonempty
-        self.starts = operand.tile_ptr[:-1][nonempty]
-        self.padded_rows = max(self.shape[1], int(operand.col_ids.max(initial=0)) + 1)
-        self.aligned = self.padded_rows == self.shape[1]
-
-    def scatter_dense(self, operand: VNMCompressed) -> np.ndarray:
-        out = np.zeros((self.n_tile_rows * self.v, self.padded_rows), dtype=np.float64)
-        if self.n_tiles:
-            rows = (
-                self.tile_rows[:, None, None] * self.v
-                + np.arange(self.v)[None, :, None]
-            )
-            # Padding slots can duplicate a live position (compress_csr fills
-            # them with min(slot, k-1)), so scatter with add, never assign.
-            np.add.at(out, (rows, self.gather_cols), operand.values)
-        return out[: self.shape[0], : self.shape[1]]
-
-    def _build_panel(self, operand: VNMCompressed) -> np.ndarray:
-        return self.scatter_dense(operand)
-
-    def _values32(self, operand: VNMCompressed) -> np.ndarray:
-        v32 = getattr(self, "_v32", None)
-        if v32 is None:
-            v32 = operand.values.astype(np.float32)
-            self._v32 = v32
-        return v32
-
-    def execute(self, operand: VNMCompressed, b: np.ndarray, *, dtype=None,
-                out: np.ndarray | None = None) -> np.ndarray:
-        b = self._check(operand, b)
-        h = b.shape[1]
-        if self.variant == "panel":
-            return self._panel_execute(operand, b, dtype, out)
-        if self.n_tiles == 0:
-            return self._finish(np.zeros((self.shape[0], h), dtype=np.float64), out)
-        if self.aligned:
-            bsrc = b
-        else:
-            bsrc = np.zeros((self.padded_rows, h), dtype=np.float64)
-            bsrc[: b.shape[0]] = b
-        fp32 = dtype == np.float32
-        values = self._values32(operand) if fp32 else operand.values
-        if fp32:
-            bsrc = bsrc.astype(np.float32)
-        t, v, n = self.gather_cols.shape
-        contrib = np.empty((t, v, h), dtype=bsrc.dtype)
-        # Bound the (tc, v, n, h) gather intermediate to ~8M elements.
-        chunk = max((8 << 20) // max(v * n * h, 1), 1)
-        for t0 in range(0, t, chunk):
-            t1 = min(t0 + chunk, t)
-            gb = bsrc[self.gather_cols[t0:t1]]  # (tc, v, n, h)
-            np.matmul(
-                values[t0:t1].reshape(-1, 1, n), gb.reshape(-1, n, h),
-                out=contrib[t0:t1].reshape(-1, 1, h),
-            )
-        acc = np.zeros((self.n_tile_rows, v, h), dtype=contrib.dtype)
-        if self.starts.size:
-            acc[self.nonempty] = np.add.reduceat(contrib, self.starts, axis=0)
-        acc = acc.reshape(self.n_tile_rows * v, h)[: self.shape[0]]
-        return self._finish(acc.astype(np.float64) if fp32 else acc, out)
-
-
-class HybridPlan(ExecutionPlan):
-    """Plan over :class:`HybridVNM`: V:N:M main plan plus the CSR residual.
-
-    The panel variant folds the residual into the dense panel, so one GEMM
-    serves the whole operand; the gathered variant runs the main plan and
-    adds the residual's CSR ``matmat`` (always float64 — the residual is a
-    handful of rows and stays on the exact path).
-    """
-
-    backend = "hybrid"
-
-    def __init__(self, operand: HybridVNM, variant: str):
-        super().__init__(operand.shape, variant)
-        self.main = VNMPlan(operand.main, variant)
-        self.has_residual = operand.residual is not None
-
-    def _build_panel(self, operand: HybridVNM) -> np.ndarray:
-        panel = self.main.scatter_dense(operand.main)
-        if operand.residual is not None:
-            panel = panel + operand.residual.to_dense()
-        return panel
-
-    def execute(self, operand: HybridVNM, b: np.ndarray, *, dtype=None,
-                out: np.ndarray | None = None) -> np.ndarray:
-        b = self._check(operand, b)
-        if self.variant == "panel":
-            return self._panel_execute(operand, b, dtype, out)
-        res = self.main.execute(operand.main, b, dtype=dtype)
-        if operand.residual is not None:
-            res = res + operand.residual.matmat(b)
-        return self._finish(res, out)
-
-
-class BSRPlan(ExecutionPlan):
-    """Plan over :class:`BSRMatrix`: block-row reduceat replaces ``add.at``."""
-
-    backend = "bsr"
-
-    def __init__(self, operand: BSRMatrix, variant: str):
-        super().__init__(operand.shape, variant)
-        self.block = operand.block
-        self.nbr = operand.brow_ptr.shape[0] - 1
-        self.nbc = (self.shape[1] + self.block - 1) // self.block
-        nonempty = np.diff(operand.brow_ptr) > 0
-        self.nonempty = nonempty
-        self.starts = operand.brow_ptr[:-1][nonempty]
-        self.aligned = self.shape[1] == self.nbc * self.block
-
-    def _build_panel(self, operand: BSRMatrix) -> np.ndarray:
-        return operand.to_dense()
-
-    def execute(self, operand: BSRMatrix, b: np.ndarray, *, dtype=None,
-                out: np.ndarray | None = None) -> np.ndarray:
-        b = self._check(operand, b)
-        if self.variant == "panel":
-            return self._panel_execute(operand, b, dtype, out)
-        block, h = self.block, b.shape[1]
-        if self.aligned:
-            bsrc = b
-        else:
-            bsrc = np.zeros((self.nbc * block, h), dtype=np.float64)
-            bsrc[: b.shape[0]] = b
-        fp32 = dtype == np.float32
-        blocks = operand.blocks
-        if fp32:
-            b32 = getattr(self, "_blocks32", None)
-            if b32 is None:
-                b32 = blocks.astype(np.float32)
-                self._blocks32 = b32
-            blocks = b32
-            bsrc = bsrc.astype(np.float32)
-        panels = bsrc.reshape(self.nbc, block, h)
-        acc = np.zeros((self.nbr, block, h), dtype=bsrc.dtype)
-        if operand.n_blocks:
-            contrib = np.matmul(blocks, panels[operand.bcol_ind])
-            acc[self.nonempty] = np.add.reduceat(contrib, self.starts, axis=0)
-        acc = acc.reshape(self.nbr * block, h)[: self.shape[0]]
-        return self._finish(acc.astype(np.float64) if fp32 else acc, out)
-
-
-class CSRPlan(ExecutionPlan):
-    """Plan over :class:`CSRMatrix`.
-
-    ``"panel"`` (dense GEMM under the budget) extends the matmat dense fast
-    path well past its conservative 4M-cell cutoff; ``"gathered"`` keeps the
-    row-gather structure but precomputes the reduceat boundaries and serves
-    the fp32 path with a cached data cast.
-    """
-
-    backend = "csr"
-
-    def __init__(self, operand: CSRMatrix, variant: str):
-        super().__init__(operand.shape, variant)
-        nonempty = np.diff(operand.indptr) > 0
-        self.nonempty = nonempty
-        self.starts = operand.indptr[:-1][nonempty]
-
-    def _build_panel(self, operand: CSRMatrix) -> np.ndarray:
-        return operand.to_dense()
-
-    def execute(self, operand: CSRMatrix, b: np.ndarray, *, dtype=None,
-                out: np.ndarray | None = None) -> np.ndarray:
-        b = self._check(operand, b)
-        if self.variant == "panel":
-            return self._panel_execute(operand, b, dtype, out)
-        fp32 = dtype == np.float32
-        data = operand.data
-        if fp32:
-            d32 = getattr(self, "_data32", None)
-            if d32 is None:
-                d32 = data.astype(np.float32)
-                self._data32 = d32
-            data = d32
-            b = b.astype(np.float32)
-        prod = data[:, None] * b[operand.indices]
-        acc = np.zeros((self.shape[0], b.shape[1]), dtype=b.dtype)
-        if self.starts.size:
-            acc[self.nonempty] = np.add.reduceat(prod, self.starts, axis=0)
-        return self._finish(acc.astype(np.float64) if fp32 else acc, out)
-
-
-class DensePlan(ExecutionPlan):
-    """Plan over a dense ndarray: GEMM, with a cached fp32 cast."""
-
-    backend = "dense"
-
-    def __init__(self, operand: np.ndarray, variant: str):
-        super().__init__(operand.shape, "panel")
-
-    def _build_panel(self, operand: np.ndarray) -> np.ndarray:
-        return np.asarray(operand, dtype=np.float64)
-
-    def execute(self, operand: np.ndarray, b: np.ndarray, *, dtype=None,
-                out: np.ndarray | None = None) -> np.ndarray:
-        b = self._check(operand, b)
-        return self._panel_execute(operand, b, dtype, out)
-
-
-_PLAN_TYPES: tuple[tuple[type, type], ...] = (
-    (NMCompressed, NMPlan),
-    (VNMCompressed, VNMPlan),
-    (HybridVNM, HybridPlan),
-    (BSRMatrix, BSRPlan),
-    (CSRMatrix, CSRPlan),
-    (np.ndarray, DensePlan),
-)
-
-
-def _default_variant(operand) -> str:
-    dense_bytes = int(operand.shape[0]) * int(operand.shape[1]) * 8
-    return "panel" if dense_bytes <= panel_budget_bytes() else "gathered"
-
-
-def build_plan(operand, *, variant: str | None = None, pattern=None,
-               segment_config=None) -> ExecutionPlan:
-    """Build a fresh plan for ``operand``; ``TypeError`` when unplannable.
-
-    ``variant`` forces ``"panel"`` or ``"gathered"``; by default the panel
-    variant is chosen whenever the densified operand fits
-    ``REPRO_ENGINE_PANEL_BUDGET`` bytes.  ``variant="segmented"`` builds a
-    per-row-block :class:`~repro.perf.segment.SegmentedPlan` instead
-    (``pattern``/``segment_config`` parameterize the row segmenter and are
-    only meaningful there).
-    """
-    forced = os.environ.get("REPRO_ENGINE_VARIANT")
-    variant = variant or forced or _default_variant(operand)
-    if variant == "segmented":
-        from .segment import build_segmented_plan
-
-        return build_segmented_plan(operand, pattern=pattern, config=segment_config)
-    if pattern is not None or segment_config is not None:
-        raise ValueError("pattern/segment_config require variant='segmented'")
-    if variant not in ("panel", "gathered"):
-        raise ValueError(f"unknown plan variant {variant!r}")
-    for operand_type, plan_type in _PLAN_TYPES:
-        if isinstance(operand, operand_type):
-            return plan_type(operand, variant)
-    raise TypeError(f"no execution plan for operand type {type(operand).__name__}")
+def build_plan(operand) -> ExecutionPlan:
+    """A fresh plan for ``operand``; ``TypeError`` when unplannable."""
+    return ExecutionPlan(_backend_of(operand), operand.shape)
 
 
 # id-keyed plan cache: operand dataclasses define __eq__ (unhashable) but
@@ -555,23 +161,19 @@ def build_plan(operand, *, variant: str | None = None, pattern=None,
 _PLAN_CACHE: dict[int, ExecutionPlan] = {}
 
 
-def plan_for(operand, *, variant: str | None = None, pattern=None,
-             segment_config=None) -> ExecutionPlan:
+def plan_for(operand) -> ExecutionPlan:
     """The cached plan for ``operand``, building (and caching) on first use."""
     builds, hits = _counters()
     if isinstance(operand, np.ndarray):
-        # ndarrays don't support weak references; dense plans are cheap to
-        # rebuild (the array itself *is* the panel), so skip the cache.
+        # ndarrays don't support weak references; their plan holds no
+        # scratch worth keeping (the array itself is the operator).
         builds.inc()
-        return build_plan(operand, variant=variant, pattern=pattern,
-                          segment_config=segment_config)
-    oid = id(operand)
-    plan = _PLAN_CACHE.get(oid)
-    if plan is not None and (variant is None or plan.variant == variant):
+        return build_plan(operand)
+    plan = _PLAN_CACHE.get(id(operand))
+    if plan is not None:
         hits.inc()
         return plan
-    plan = build_plan(operand, variant=variant, pattern=pattern,
-                      segment_config=segment_config)
+    plan = build_plan(operand)
     builds.inc()
     _cache_plan(operand, plan)
     return plan
@@ -595,35 +197,18 @@ def adopt_plan(operand, plan: ExecutionPlan) -> ExecutionPlan:
     """Seed the plan cache with a plan built elsewhere (e.g. loaded from the
     :class:`~repro.pipeline.cache.ArtifactCache` next to its operand).
 
-    Raises ``ValueError`` when the plan cannot belong to this operand.
+    Raises ``ValueError`` when the plan cannot belong to this operand and
+    ``TypeError`` when the operand is unplannable.
     """
+    backend = _backend_of(operand)
+    if not isinstance(plan, ExecutionPlan) or plan.backend != backend:
+        raise ValueError(
+            f"{plan!r} cannot serve operand type {type(operand).__name__}"
+        )
     if tuple(plan.shape) != tuple(operand.shape):
         raise ValueError(
             f"plan shape {plan.shape} does not match operand shape {operand.shape}"
         )
-    if plan.backend == "segmented":
-        # Segmented plans serve any registered operand of their source
-        # backend (the sub-operands are rebuilt from it lazily).
-        from ..pipeline import registry
-
-        source = registry.backend_for(operand).name
-        if plan.spec.source_backend != source:
-            raise ValueError(
-                f"segmented plan built for backend {plan.spec.source_backend!r} "
-                f"cannot serve operand backend {source!r}"
-            )
-        _cache_plan(operand, plan)
-        return plan
-    for operand_type, plan_type in _PLAN_TYPES:
-        if isinstance(operand, operand_type):
-            if not isinstance(plan, plan_type):
-                raise ValueError(
-                    f"{type(plan).__name__} cannot serve operand type "
-                    f"{type(operand).__name__}"
-                )
-            break
-    else:
-        raise TypeError(f"no execution plan for operand type {type(operand).__name__}")
     _cache_plan(operand, plan)
     return plan
 
@@ -638,16 +223,14 @@ def clear_plan_cache() -> int:
 def execute(operand, b: np.ndarray, *, dtype=None) -> np.ndarray:
     """One planned SpMM through the registry's kernel choke point.
 
-    Unplannable operands (SELL, TC-GNN tiles, serving sessions, third-party
-    formats) fall back to the backend's naive kernel; either way the call
-    goes through :func:`~repro.pipeline.registry.run_kernel`, so fault
-    injection and ``BackendExecutionError`` wrapping apply uniformly.
+    Unplannable operands fall back to the backend's registry kernel;
+    either way the call goes through
+    :func:`~repro.pipeline.registry.run_kernel`, so fault injection and
+    ``BackendExecutionError`` wrapping apply uniformly.
     """
     from ..pipeline import registry
 
     backend = registry.backend_for(operand)
-    if not engine_enabled():
-        return registry.run_kernel(backend, operand, b)
     try:
         plan = plan_for(operand)
     except TypeError:

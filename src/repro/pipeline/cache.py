@@ -98,12 +98,10 @@ class CacheStats:
     misses: int = 0
     stores: int = 0
     quarantined: int = 0
-    # Sidecar accounting: execution-plan (<key>.plan.pkl) and autotuner
-    # decision (<key>.tune.json) lookups next to the artefacts.
+    # Sidecar accounting: execution-plan (<key>.plan.pkl) lookups next to
+    # the artefacts.
     plan_hits: int = 0
     plan_misses: int = 0
-    decision_hits: int = 0
-    decision_misses: int = 0
 
 
 class ArtifactCache:
@@ -213,47 +211,42 @@ class ArtifactCache:
             self._m_store.observe(time.perf_counter() - t0)
         return path
 
-    # -- sidecars: execution plans and autotuner decisions -----------------
+    # -- sidecars: execution plans ------------------------------------------
     def plan_path(self, key: str) -> Path:
         return self.cache_dir / f"{key}.plan.pkl"
 
-    def decision_path(self, key: str) -> Path:
-        return self.cache_dir / f"{key}.tune.json"
+    # The envelope's version: sidecars written by an older plan layout
+    # (bare pickled plans, or envelopes below this version) are
+    # quarantined on load and rebuilt from the operand.
+    _PLAN_SIDECAR_VERSION = 3
 
-    def _store_atomic(self, path: Path, payload: bytes) -> Path:
+    def store_plan(self, key: str, plan) -> Path:
+        """Persist an execution plan next to its artefact (atomic write).
+
+        Plans drop their scratch on pickling (see :mod:`repro.perf.engine`),
+        so the sidecar holds only the plan's backend and shape.
+        """
+        import pickle
+
+        envelope = {"sidecar_version": self._PLAN_SIDECAR_VERSION, "plan": plan}
+        path = self.plan_path(key)
         tmp = Path(f"{path}.tmp")
         try:
-            tmp.write_bytes(payload)
+            tmp.write_bytes(pickle.dumps(envelope))
             os.replace(tmp, path)
         finally:
             tmp.unlink(missing_ok=True)
         return path
 
-    # Version 1 sidecars were a bare pickled plan; version 2 wraps the plan
-    # in an envelope dict so segmented plans (and future metadata) travel
-    # alongside.  load_plan reads both.
-    _PLAN_SIDECAR_VERSION = 2
-
-    def store_plan(self, key: str, plan) -> Path:
-        """Persist an execution plan next to its artefact (atomic write).
-
-        Plans drop their scratch buffers on pickling (see
-        :mod:`repro.perf.engine`), so the sidecar stays index-sized.
-        """
-        import pickle
-
-        envelope = {"sidecar_version": self._PLAN_SIDECAR_VERSION, "plan": plan}
-        return self._store_atomic(self.plan_path(key), pickle.dumps(envelope))
-
     def load_plan(self, key: str):
         """The persisted plan for ``key``, or ``None``.
 
-        Accepts both the v2 envelope and the bare-plan v1 layout.  An
-        unreadable plan sidecar is quarantined and answered as a miss —
-        the caller rebuilds the plan from the operand, so a damaged sidecar
-        never blocks serving.  The cache directory is trusted local state
-        (same trust level as the ``.npz`` artefacts it sits beside), which
-        is what makes pickle acceptable here.
+        An unreadable sidecar, or one from another sidecar version, is
+        quarantined and answered as a miss — the caller rebuilds the plan
+        from the operand, so a damaged or stale sidecar never blocks
+        serving.  The cache directory is trusted local state (same trust
+        level as the ``.npz`` artefacts it sits beside), which is what
+        makes pickle acceptable here.
         """
         import pickle
 
@@ -262,9 +255,10 @@ class ArtifactCache:
             self.stats.plan_misses += 1
             return None
         try:
-            plan = pickle.loads(path.read_bytes())
-            if isinstance(plan, dict):
-                plan = plan["plan"]
+            envelope = pickle.loads(path.read_bytes())
+            if envelope["sidecar_version"] != self._PLAN_SIDECAR_VERSION:
+                raise ValueError("plan sidecar version mismatch")
+            plan = envelope["plan"]
         except Exception:  # noqa: BLE001 - any unpickling damage is a miss
             self._quarantine(path)
             self.stats.plan_misses += 1
@@ -272,43 +266,12 @@ class ArtifactCache:
         self.stats.plan_hits += 1
         return plan
 
-    def store_decision(self, key: str, decision: dict) -> Path:
-        """Persist one autotuner decision as ``<key>.tune.json`` (atomic)."""
-        payload = json.dumps(decision, sort_keys=True, indent=2).encode()
-        return self._store_atomic(self.decision_path(key), payload)
-
-    def load_decision(self, key: str) -> dict | None:
-        """The persisted tuner decision for ``key``, or ``None`` (miss)."""
-        path = self.decision_path(key)
-        if not path.exists():
-            self.stats.decision_misses += 1
-            return None
-        try:
-            decision = json.loads(path.read_text())
-        except (ValueError, OSError):
-            self._quarantine(path)
-            self.stats.decision_misses += 1
-            return None
-        self.stats.decision_hits += 1
-        return decision
-
-    def decisions(self) -> list[tuple[str, dict]]:
-        """Every readable persisted tuner decision as ``(key, payload)``."""
-        out = []
-        for path in sorted(self.cache_dir.glob("*.tune.json")):
-            try:
-                out.append((path.name.removesuffix(".tune.json"), json.loads(path.read_text())))
-            except (ValueError, OSError):
-                continue
-        return out
-
     def invalidate(self, key: str) -> bool:
         """Drop one artefact (and its sidecars); returns whether it existed."""
         path = self.path(key)
         existed = path.exists()
         path.unlink(missing_ok=True)
         self.plan_path(key).unlink(missing_ok=True)
-        self.decision_path(key).unlink(missing_ok=True)
         return existed
 
     def clear(self) -> int:
@@ -317,9 +280,8 @@ class ArtifactCache:
         for path in self.cache_dir.glob("*.npz"):
             path.unlink(missing_ok=True)
             removed += 1
-        for pattern in ("*.plan.pkl", "*.tune.json"):
-            for path in self.cache_dir.glob(pattern):
-                path.unlink(missing_ok=True)
+        for path in self.cache_dir.glob("*.plan.pkl"):
+            path.unlink(missing_ok=True)
         return removed
 
     def fsck(self, *, quarantine: bool = True) -> dict:
@@ -336,7 +298,7 @@ class ArtifactCache:
             "checked": 0, "ok": [], "corrupt": [], "tmp_removed": [],
             "plan_corrupt": [],
         }
-        for pattern in ("*.npz.tmp", "*.plan.pkl.tmp", "*.tune.json.tmp"):
+        for pattern in ("*.npz.tmp", "*.plan.pkl.tmp"):
             for tmp in sorted(self.cache_dir.glob(pattern)):
                 tmp.unlink(missing_ok=True)
                 report["tmp_removed"].append(tmp.name)

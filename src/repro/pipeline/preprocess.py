@@ -54,15 +54,10 @@ class PreprocessPlan:
     normalized: bool = False
     add_self_loops: bool = False
     reorder_kwargs: dict = field(default_factory=dict)
-    # Compile the operand's execution plan as a row-segmented plan
-    # (repro.perf.segment): conforming row blocks on the SPTC path, the
-    # violating tail on a CSR sub-plan.  Affects the plan sidecar only —
-    # the artefact itself is identical either way.
-    segmented: bool = False
 
     def key_fields(self) -> dict:
         """The plan fields that determine the artifact — the cache-key input."""
-        fields = {
+        return {
             "pattern": str(self.pattern) if self.pattern is not None else "auto",
             "backend": self.backend,
             "max_iter": self.max_iter,
@@ -72,20 +67,17 @@ class PreprocessPlan:
             "add_self_loops": self.add_self_loops,
             "reorder_kwargs": sorted(self.reorder_kwargs.items()),
         }
-        # Only present when set, so pre-segmentation cache keys stay valid.
-        if self.segmented:
-            fields["segmented"] = True
-        return fields
 
 
 @dataclass
 class PreprocessResult:
     """Everything serving needs: the operand, its basis, and provenance.
 
-    ``plan`` carries the operand's precompiled
+    ``plan`` carries the operand's
     :class:`~repro.perf.engine.ExecutionPlan` (built here, or loaded from
-    the artefact cache's ``<key>.plan.pkl`` sidecar) so serving starts
-    with warm gather indices; ``None`` when the backend is unplannable.
+    the artefact cache's ``<key>.plan.pkl`` sidecar), adopted into the
+    engine's plan cache by serving; ``None`` when the backend is
+    unplannable.
     """
 
     pattern: VNMPattern
@@ -128,7 +120,7 @@ def _operator_csr(graph: Graph | BitMatrix, perm: Permutation, plan: PreprocessP
     return CSRMatrix.from_scipy(reordered.to_scipy())
 
 
-def _plan_operand(operand, key, cache, *, stored: bool, segmented: bool = False):
+def _plan_operand(operand, key, cache, *, stored: bool):
     """Build (or load) the operand's execution plan; persist it as a sidecar.
 
     On a cache hit (``stored=True`` means the artefact was just written;
@@ -136,33 +128,18 @@ def _plan_operand(operand, key, cache, *, stored: bool, segmented: bool = False)
     first and adopted into the engine's per-operand cache — a stale or
     mismatched sidecar falls back to a fresh build, which is then persisted
     so the next load hits.  Unplannable operands return ``None``.
-
-    ``segmented=True`` compiles a row-segmented plan instead (and rejects a
-    non-segmented sidecar, and vice versa, so the two plan kinds never
-    masquerade as one another across runs).
     """
     from ..perf import engine
 
     if cache is not None and key is not None and not stored:
         sidecar = cache.load_plan(key)
-        if sidecar is not None and (sidecar.backend == "segmented") == segmented:
+        if sidecar is not None:
             try:
-                engine.adopt_plan(operand, sidecar)
-                return sidecar
+                return engine.adopt_plan(operand, sidecar)
             except (TypeError, ValueError):
                 pass  # geometry drifted from the artefact: rebuild below
     try:
-        if segmented:
-            from ..perf.segment import build_segmented_plan
-
-            try:
-                built = build_segmented_plan(operand)
-            except ValueError:
-                # Pattern-less operand: fall back to the regular plan so a
-                # segmented preprocess of e.g. a csr backend still serves.
-                built = engine.plan_for(operand)
-        else:
-            built = engine.plan_for(operand)
+        built = engine.plan_for(operand)
     except TypeError:
         return None
     if cache is not None and key is not None:
@@ -236,8 +213,7 @@ def preprocess(
                 return PreprocessResult(
                     pattern=operand.pattern, permutation=perm, operand=operand,
                     backend=plan.backend, cached=True, cache_key=key,
-                    plan=_plan_operand(operand, key, cache, stored=False,
-                                       segmented=plan.segmented),
+                    plan=_plan_operand(operand, key, cache, stored=False),
                 )
 
         pattern, perm, summary = _search_or_reorder(bm, plan)
@@ -257,8 +233,7 @@ def preprocess(
         return PreprocessResult(
             pattern=pattern, permutation=perm, operand=operand,
             backend=plan.backend, cached=False, cache_key=key, summary=summary,
-            plan=_plan_operand(operand, key, cache, stored=True,
-                               segmented=plan.segmented),
+            plan=_plan_operand(operand, key, cache, stored=True),
         )
 
 
@@ -301,8 +276,7 @@ def preprocess_many(
                         results[i] = PreprocessResult(
                             pattern=operand.pattern, permutation=perm, operand=operand,
                             backend=plan.backend, cached=True, cache_key=key,
-                            plan=_plan_operand(operand, key, cache, stored=False,
-                                       segmented=plan.segmented),
+                            plan=_plan_operand(operand, key, cache, stored=False),
                         )
                         continue
                 pending.append(i)
@@ -348,8 +322,7 @@ def preprocess_many(
                 results[i] = PreprocessResult(
                     pattern=plan.pattern, permutation=perm, operand=operand,
                     backend=plan.backend, cached=False, cache_key=keys[i],
-                    plan=_plan_operand(operand, keys[i], cache, stored=True,
-                                       segmented=plan.segmented),
+                    plan=_plan_operand(operand, keys[i], cache, stored=True),
                     summary={
                         "pattern": summ.pattern,
                         "iterations": summ.iterations,

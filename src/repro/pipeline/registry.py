@@ -144,9 +144,9 @@ def run_kernel(
     :func:`dispatch_spmm` and the emulated device route through it), so the
     fault-injection hook and the error taxonomy cover every SpMM call site.
     ``kernel`` substitutes an alternative implementation for this one call —
-    :func:`repro.perf.engine.execute` passes its precompiled plan here, so
-    planned execution stays inside the same fault-injection and error-
-    wrapping envelope as the naive kernels.
+    :func:`repro.perf.engine.execute` passes its plan here, so planned
+    execution stays inside the same fault-injection and error-wrapping
+    envelope as the registry kernels.
     The ``serving`` pseudo-backend is exempt from wrapping: a
     :class:`~repro.pipeline.serving.ServingSession` runs its own retry /
     degradation cycle and already raises taxonomy (or validation) errors.

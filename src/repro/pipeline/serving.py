@@ -79,14 +79,12 @@ class ServingSession:
     deadline is rejected immediately with
     :class:`~repro.pipeline.resilience.OverloadError` instead of queueing.
 
-    ``engine`` (default ``True``) routes kernels through
-    :func:`repro.perf.engine.execute` — precompiled execution plans with
-    reusable scratch — instead of the naive dispatch; results are
-    bit-identical.  ``precision="float32"`` opts into the engine's fp32
-    compute path, taken only when :func:`repro.perf.engine.
-    fp32_within_bound` admits the operand (otherwise the session stays on
-    float64 and logs a warning).  :meth:`tune` picks backend and dtype
-    empirically and records the decision on :attr:`tuned`.
+    Kernels run through :func:`repro.perf.engine.execute`, the one SpMM
+    execution path (with a ``device``, through the device, which charges
+    its clock and then runs the same path).  ``precision="float32"`` opts
+    into the engine's fp32 compute path, taken only when
+    :func:`repro.perf.engine.fp32_within_bound` admits the operand
+    (otherwise the session stays on float64 and logs a warning).
 
     ``recorder`` (a :class:`repro.obs.FlightRecorder`) captures per-request
     exemplars: sampled requests carry a real span tree, every failure is
@@ -116,7 +114,6 @@ class ServingSession:
         metrics=None,
         batch_policy=None,
         admission=None,
-        engine: bool = True,
         precision: str = "float64",
         recorder=None,
         latency_window=None,
@@ -149,10 +146,8 @@ class ServingSession:
             f"{self.original_backend}:{operand.shape[0]}x{operand.shape[1]}"
         )
         self._path_key = None
-        self._path_counters: list = []
-        self._engine = engine
+        self._path_counter = None
         self._dtype = None
-        self.tuned = None
         if precision not in ("float64", "float32"):
             raise ValueError(f"precision must be 'float64' or 'float32', got {precision!r}")
         self.precision = "float64"
@@ -282,8 +277,7 @@ class ServingSession:
         if self._metrics is not None:
             self._m_requests.inc()
             self._m_latency.observe(time.perf_counter() - t0)
-            for counter, rows in self._path_rows_counters():
-                counter.inc(rows)
+            self._path_rows_counter().inc(self.shape[0])
         if probe is not None:
             probe.finish("ok", backend=self.backend_name,
                          **self._request_outcome(retries0, downgrades0))
@@ -291,7 +285,7 @@ class ServingSession:
 
     def _request_outcome(self, retries0: int, downgrades0: int) -> dict:
         """Exemplar fields describing what one request went through."""
-        plan = perf_engine.cached_plan(self.operand) if self._engine else None
+        plan = perf_engine.cached_plan(self.operand)
         return {
             "variant": getattr(plan, "variant", None),
             "retries": self.resilience.retries - retries0,
@@ -300,40 +294,23 @@ class ServingSession:
             ),
         }
 
-    def _path_rows_counters(self) -> list:
-        """Cached ``(counter, rows)`` pairs for ``serve_path_rows_total``.
+    def _path_rows_counter(self):
+        """The ``serve_path_rows_total`` series of the serving backend.
 
-        Plain plans put every operand row on the session's backend; a
-        segmented plan splits rows by its ``row_coverage``.  Rebuilt only
-        when the plan (or a sticky per-group downgrade) changes, so the
-        per-request cost is one key compare plus the counter adds.
+        Cached per backend, so the per-request cost is one compare plus
+        the counter add; a sticky downgrade moves the rows to the new
+        backend's series.
         """
-        plan = perf_engine.cached_plan(self.operand) if self._engine else None
-        if plan is not None and getattr(plan, "backend", None) == "segmented":
-            subs = getattr(plan, "_subs", None) or ()
-            key = (id(plan), sum(len(s.downgraded_from) for s in subs))
-            if key == self._path_key:
-                return self._path_counters
-            coverage = {
-                backend: entry["rows"]
-                for backend, entry in plan.summary()["row_coverage"].items()
-            }
-        else:
-            key = ("plain", self.backend_name)
-            if key == self._path_key:
-                return self._path_counters
-            coverage = {self.backend_name: self.shape[0]}
-        self._path_key = key
-        self._path_counters = [
-            (self._metrics.counter(
+        backend = self.backend_name
+        if backend != self._path_key:
+            self._path_key = backend
+            self._path_counter = self._metrics.counter(
                 "serve_path_rows_total",
                 help="operand rows routed per kernel path, accumulated "
                      "per request",
                 backend=backend, **self._shard_labels,
-            ), float(rows))
-            for backend, rows in sorted(coverage.items())
-        ]
-        return self._path_counters
+            )
+        return self._path_counter
 
     def _serve_cycle(self, x: np.ndarray) -> np.ndarray:
         """Permute in, execute with recovery, permute back."""
@@ -362,18 +339,12 @@ class ServingSession:
                 "fp32 row-scaled error bound (or has no plan); staying on float64"
             )
 
-    def _kernel(self, operand, x: np.ndarray) -> np.ndarray:
-        """One kernel launch: planned engine path, or naive dispatch."""
-        if self._engine:
-            return perf_engine.execute(operand, x, dtype=self._dtype)
-        return registry.dispatch_spmm(operand, x)
-
     def _execute(self, operand, x: np.ndarray) -> np.ndarray:
         """One kernel attempt on ``operand`` (device clock or local model)."""
         if self.device is not None:
             return self.device.spmm(operand, x, tag=self.tag)
         if self._metrics is None:
-            out = self._kernel(operand, x)
+            out = perf_engine.execute(operand, x, dtype=self._dtype)
             self.modelled_seconds += registry.model_spmm_time(
                 self.cost_model, operand, x.shape[1]
             )
@@ -381,7 +352,7 @@ class ServingSession:
         # Metrics on: measure the kernel and feed the cost model's
         # calibration so predicted-vs-measured residuals stay observable.
         t0 = time.perf_counter()
-        out = self._kernel(operand, x)
+        out = perf_engine.execute(operand, x, dtype=self._dtype)
         measured = time.perf_counter() - t0
         predicted = registry.model_spmm_time(self.cost_model, operand, x.shape[1])
         self.modelled_seconds += predicted
@@ -525,72 +496,6 @@ class ServingSession:
     def __exit__(self, *exc) -> bool:
         self.close()
         return False
-
-    # -- autotuning (repro.perf.tuner) -------------------------------------
-    def tune(self, h: int = 64, *, cache=None, backends=None, repeats: int = 3,
-             seed: int = 0, include_float32: bool = False,
-             include_segmented: bool = False):
-        """Tune this session's kernel for feature width ``h`` and apply it.
-
-        Runs (or loads, when ``cache`` already holds the decision for this
-        operand/width) the :func:`repro.perf.tuner.tune` micro-benchmark
-        and applies the winning backend/dtype via :meth:`apply_decision`.
-        ``include_segmented`` adds row-segmented plan candidates
-        (:mod:`repro.perf.segment`) to the bake-off.  Returns the
-        :class:`~repro.perf.tuner.TunerDecision`.
-        """
-        from ..perf import tuner as perf_tuner
-
-        decision = perf_tuner.tune(
-            self.operand, h, cache=cache, backends=backends,
-            repeats=repeats, seed=seed, include_float32=include_float32,
-            include_segmented=include_segmented,
-        )
-        self.apply_decision(decision)
-        return decision
-
-    def apply_decision(self, decision) -> None:
-        """Switch to a tuner decision's backend and dtype (exact rebuild).
-
-        The operand swap goes through :func:`repro.pipeline.registry.
-        degrade` — densify + recompress — so the numeric content is
-        unchanged; only the kernel serving it is.  A ``"segmented"``
-        decision keeps the operand and instead compiles its row-segmented
-        plan (from ``decision.segments``) into the engine's plan cache, so
-        subsequent requests route per row block.  The decision stays on
-        :attr:`tuned` for the micro-batcher to consult.
-        """
-        if decision.backend == "segmented":
-            from ..perf.segment import SegmentConfig, build_segmented_plan
-
-            config = SegmentConfig.from_dict(decision.segments or {})
-            build_segmented_plan(self.operand, config=config)
-        elif decision.backend != self.backend_name:
-            self.operand = registry.degrade(self.operand, decision.backend)
-        self._dtype = np.float32 if decision.dtype == "float32" else None
-        self.precision = decision.dtype
-        self.tuned = decision
-        obs_events.emit(
-            "serve.tuned", backend=decision.backend, dtype=decision.dtype,
-            h=decision.h, source=decision.source,
-        )
-        logger.info(
-            "session tuned to backend %r (dtype=%s, h=%d, %s)",
-            decision.backend, decision.dtype, decision.h, decision.source,
-        )
-
-    def segment_summary(self) -> dict | None:
-        """Row-block layout of the serving plan, when it is segmented.
-
-        Returns :meth:`repro.perf.segment.SegmentedPlan.summary` — per-block
-        backend/variant, per-backend row coverage, downgrade count — or
-        ``None`` when the session serves through an ordinary single-kernel
-        plan.
-        """
-        plan = perf_engine.cached_plan(self.operand)
-        if plan is not None and getattr(plan, "backend", None) == "segmented":
-            return plan.summary()
-        return None
 
     # Aggregator (and any dispatch_spmm caller) treats a session like an
     # operand, so mm/mm_t spell out the symmetric-operator convention.

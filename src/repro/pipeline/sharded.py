@@ -120,7 +120,7 @@ class ShardSet:
     the reordered operator; ``permutation`` is the *whole-operand* basis
     map (shard sessions serve in the reordered basis — the router permutes
     once per request, not once per shard).  ``plans`` carries each shard's
-    precompiled execution plan (or ``None`` for unplannable backends),
+    execution plan (or ``None`` for unplannable backends),
     already adopted into the engine's plan cache.
     """
 
@@ -307,8 +307,8 @@ class _Replica:
         self.in_flight = 0
         self.served = 0
         self.failures = 0
-        # Sessions are not thread-safe (the engine plan's scratch is
-        # per-operand): the lane serializes a replica's own queue, but a
+        # Sessions are not thread-safe (retry, downgrade and counter state
+        # is per-session): the lane serializes a replica's own queue, but a
         # failover from another replica's lane calls this session from a
         # foreign thread — the lock makes that path safe and stays
         # uncontended in normal operation.  (Process workers serialize on
@@ -344,7 +344,7 @@ class ShardRouter:
     ``router_in_flight{shard}``, ``router_shed_total{reason}``,
     ``router_failovers_total{shard}``, ``router_replicas{shard}``,
     ``router_latency_seconds``).  ``session_kwargs`` forwards to every
-    shard :class:`ServingSession` (retry policy, recorder, engine, ...).
+    shard :class:`ServingSession` (retry policy, recorder, precision, ...).
     ``devices`` optionally pins one compute device per shard (e.g. an
     :class:`~repro.sptc.device.EmulatedDevice` each): sub-requests then
     charge their kernel time to their shard's own virtual clock, so the
@@ -460,12 +460,10 @@ class ShardRouter:
             return self._make_process_replica(shard_index, replica_index,
                                               operand)
         if replica_index > 0:
-            # Replicas must NOT share the operand object: the engine's plan
-            # cache is keyed by operand identity and plans carry mutable
-            # scratch buffers, so two replicas executing the same operand
-            # concurrently would race on scratch and merge garbage.  A
-            # private copy gives each replica its own plan + scratch — and
-            # makes replication real parallel capacity, not lock convoy.
+            # Replicas get a private copy of the operand: the engine's plan
+            # cache is keyed by operand identity, so each replica builds
+            # its own plan and scratch instead of contending on one — and
+            # replication is real parallel capacity, not lock convoy.
             operand = copy.deepcopy(operand)
         kwargs = dict(self._session_kwargs)
         if self._devices is not None:

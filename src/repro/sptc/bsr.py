@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .csr import CSRMatrix
+from .csr import CSRMatrix, coo_to_dense
 
 __all__ = ["BSRMatrix"]
 
@@ -59,16 +59,17 @@ class BSRMatrix:
     def from_csr(cls, csr: CSRMatrix, block: int) -> "BSRMatrix":
         return cls.from_dense(csr.to_dense(), block)
 
+    def to_coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, cols, values)`` of the non-zeros inside the stored blocks."""
+        brow = np.repeat(np.arange(self.brow_ptr.shape[0] - 1, dtype=np.int64),
+                         np.diff(self.brow_ptr))
+        k, i, j = np.nonzero(self.blocks)
+        rows = brow[k] * self.block + i
+        cols = self.bcol_ind[k] * self.block + j
+        return rows, cols, self.blocks[k, i, j]
+
     def to_dense(self) -> np.ndarray:
-        block = self.block
-        nbr = self.brow_ptr.shape[0] - 1
-        nbc = (self.shape[1] + block - 1) // block
-        out = np.zeros((nbr * block, nbc * block), dtype=np.float64)
-        for bi in range(nbr):
-            for k in range(self.brow_ptr[bi], self.brow_ptr[bi + 1]):
-                bj = self.bcol_ind[k]
-                out[bi * block : (bi + 1) * block, bj * block : (bj + 1) * block] = self.blocks[k]
-        return out[: self.shape[0], : self.shape[1]]
+        return coo_to_dense(self.shape, *self.to_coo())
 
     @property
     def n_blocks(self) -> int:

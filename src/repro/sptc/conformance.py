@@ -1,13 +1,11 @@
 """Shared N:M / V:N:M conformance scans over CSR coordinates.
 
-Two places need the same (row, M-segment) top-N analysis of a sparse
-matrix: :func:`repro.sptc.hybrid.split_csr_to_pattern` (to decide which
-entries overflow into the CSR residual) and the row segmenter in
-:mod:`repro.perf.segment` (to decide which row-blocks can be served on a
-pure V:N:M sub-plan at all).  The scan lives here once —
-:func:`topn_keep_mask` is the magnitude-ranked keep decision, and the
-``*_violations`` profilers turn it into the per-row / per-tile-row
-conformance picture the segmenter partitions on.
+The (row, M-segment) top-N analysis of a sparse matrix lives here once:
+:func:`topn_keep_mask` is the magnitude-ranked keep decision
+:func:`repro.sptc.hybrid.split_csr_to_pattern` uses to decide which
+entries overflow into the CSR residual, and the ``*_violations``
+profilers turn it into the per-row / per-tile-row conformance picture
+(which row blocks could run on a pure V:N:M operand at all).
 
 Everything is vectorized over the COO triplets (lexsort + segmented
 cumulative counts); nothing densifies the matrix.
@@ -111,8 +109,7 @@ def conforming_tile_rows(csr, pattern: VNMPattern) -> np.ndarray:
     both V:N:M constraints with the entries exactly as stored (no split).
 
     A contiguous run of ``True`` bands compresses losslessly to a pure
-    :class:`~repro.sptc.venom.VNMCompressed` operand — the property the
-    row segmenter partitions on.
+    :class:`~repro.sptc.venom.VNMCompressed` operand.
     """
     v = pattern.v
     n_rows = csr.shape[0]

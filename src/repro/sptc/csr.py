@@ -10,7 +10,15 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["CSRMatrix"]
+__all__ = ["CSRMatrix", "coo_to_dense"]
+
+
+def coo_to_dense(shape: tuple[int, int], rows: np.ndarray, cols: np.ndarray,
+                 vals: np.ndarray) -> np.ndarray:
+    """Dense matrix of COO triplets; duplicate coordinates add up."""
+    out = np.zeros(shape, dtype=np.float64)
+    np.add.at(out, (rows, cols), vals)
+    return out
 
 
 class CSRMatrix:

@@ -1,10 +1,12 @@
-"""Emulated GPU device: functional execution plus a virtual clock.
+"""Emulated GPU device: a virtual clock beside the host's one SpMM path.
 
-An :class:`EmulatedDevice` runs the numerically-exact kernels from
-:mod:`repro.sptc.spmm` while advancing a virtual clock by the cost-model time
-of each launch, so experiments measure "A100 time" deterministically.  The
-multi-GPU experiments (§5.2) instantiate several devices and take the
-makespan.
+An :class:`EmulatedDevice` is a pure clock observer.  Every launch charges
+the cost-model time of the kernel the A100 would run — sparse tensor cores
+for V:N:M, CUDA cores for CSR, as the operand's registered backend says —
+and the numbers themselves come from the same host path as every other
+caller (:func:`repro.perf.engine.execute`), so experiments measure "A100
+time" deterministically without a device-only kernel.  The multi-GPU
+experiments (§5.2) instantiate several devices and take the makespan.
 """
 
 from __future__ import annotations
@@ -14,12 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .costmodel import CostModel, SpmmWorkload
-from .csr import CSRMatrix
-from .hybrid import HybridVNM
-from .nm_format import NMCompressed
-from .spmm import csr_spmm, nm_spmm, venom_spmm
-from .venom import VNMCompressed
+from .costmodel import CostModel
 
 __all__ = ["EmulatedDevice", "KernelRecord", "use_device", "active_device"]
 
@@ -76,41 +73,25 @@ class EmulatedDevice:
         return sum(r.seconds for r in self.records if r.tag == tag)
 
     # -- kernels ---------------------------------------------------------------
-    def spmm_csr(self, a: CSRMatrix, b: np.ndarray, *, tag: str = "spmm") -> np.ndarray:
-        wl = SpmmWorkload.from_csr(a, b.shape[1])
-        self._launch("csr_spmm", self.cost_model.time_csr_spmm(wl), tag)
-        return csr_spmm(a, b)
-
-    def spmm_venom(self, a: VNMCompressed, b: np.ndarray, *, tag: str = "spmm") -> np.ndarray:
-        self._launch("venom_spmm", self.cost_model.time_venom_spmm(a, b.shape[1]), tag)
-        return venom_spmm(a, b)
-
-    def spmm_nm(self, a: NMCompressed, b: np.ndarray, *, tag: str = "spmm") -> np.ndarray:
-        self._launch("nm_spmm", self.cost_model.time_nm_spmm(a, b.shape[1]), tag)
-        return nm_spmm(a, b)
-
-    def spmm_hybrid(self, a: HybridVNM, b: np.ndarray, *, tag: str = "spmm") -> np.ndarray:
-        self._launch("hybrid_spmm", a.model_time(self.cost_model, b.shape[1]), tag)
-        return a.spmm(b)
-
     def spmm(self, a, b: np.ndarray, *, tag: str = "spmm") -> np.ndarray:
-        """Launch the SpMM backend registered for ``a``'s format.
+        """Charge ``a``'s modelled SpMM time, then execute it on the host path.
 
-        One registry lookup supplies the kernel, the cost-model entry, and
-        the record label — any format registered via
+        One registry lookup supplies the cost-model entry and the record
+        label — any format registered via
         :func:`repro.pipeline.registry.register_backend` (including
         third-party ones) runs on the virtual clock without device changes.
+        Execution goes through :func:`repro.perf.engine.execute`, so faults,
+        breakers and the error taxonomy apply as on the host.
         """
-        from ..pipeline.registry import backend_for, run_kernel  # lazy: registry imports kernels
+        from ..perf import engine  # lazy: the engine imports the formats
+        from ..pipeline.registry import backend_for
 
         backend = backend_for(a)
         seconds = 0.0
         if backend.model_time is not None:
             seconds = backend.model_time(self.cost_model, a, b.shape[1])
         self._launch(backend.kernel_name or backend.name, seconds, tag)
-        # run_kernel classes kernel failures as BackendExecutionError and
-        # honours the fault-injection hooks, same as host-side dispatch.
-        return run_kernel(backend, a, b)
+        return engine.execute(a, b)
 
     def gemm(self, a: np.ndarray, b: np.ndarray, *, tensor_core: bool = True, tag: str = "gemm") -> np.ndarray:
         m, k = a.shape

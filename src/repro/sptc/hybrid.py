@@ -18,7 +18,7 @@ import numpy as np
 from ..core.patterns import VNMPattern
 from .conformance import topn_keep_mask
 from .costmodel import CostModel, SpmmWorkload
-from .csr import CSRMatrix
+from .csr import CSRMatrix, coo_to_dense
 from .venom import VNMCompressed
 
 __all__ = ["HybridVNM", "split_to_pattern", "split_csr_to_pattern"]
@@ -67,7 +67,7 @@ def split_csr_to_pattern(csr: CSRMatrix, pattern: VNMPattern) -> tuple[CSRMatrix
     keep[o1] = keep1
 
     # Horizontal: among kept entries, keep top-N magnitude per (row, seg).
-    # Shared with the row segmenter (repro.perf.segment) via conformance.
+    # Shared with the conformance profilers in repro.sptc.conformance.
     final_keep = topn_keep_mask(rows, cols, data, n=n, m=m, n_segs=n_segs, keep=keep)
 
     conforming = CSRMatrix.from_coo(rows[final_keep], cols[final_keep], data[final_keep], csr.shape)
@@ -148,11 +148,16 @@ class HybridVNM:
         total = int((self.main.values != 0).sum()) + self.residual_nnz
         return self.residual_nnz / total if total else 0.0
 
+    def to_coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, cols, values)``: the V:N:M part's triplets, then the residual's."""
+        if self.residual is None:
+            return self.main.to_coo()
+        parts = zip(self.main.to_coo(), self.residual.to_coo())
+        rows, cols, vals = (np.concatenate(pair) for pair in parts)
+        return rows, cols, vals
+
     def decompress(self) -> np.ndarray:
-        out = self.main.decompress()
-        if self.residual is not None:
-            out = out + self.residual.to_dense()
-        return out
+        return coo_to_dense(self.shape, *self.to_coo())
 
     def spmm(self, b: np.ndarray) -> np.ndarray:
         out = self.main.spmm(b)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.patterns import NMPattern
+from .csr import coo_to_dense
 
 __all__ = ["NMCompressed", "NMFormatError"]
 
@@ -72,14 +73,21 @@ class NMCompressed:
     def n_segs(self) -> int:
         return self.meta.shape[1] // self.pattern.n
 
-    def decompress(self) -> np.ndarray:
-        # The execution plan already holds the seg_base + meta gather
-        # indices; reuse them instead of recomputing the scatter geometry
-        # (the plan is cached per operand, so repeated decompression —
-        # degradation ladders, densify() — pays the index build once).
-        from ..perf.engine import plan_for
+    def to_coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, cols, values)`` of the stored non-zeros, row-major.
 
-        return plan_for(self).scatter_dense(self)[:, : self.shape[1]]
+        Slot ``(r, s*N + j)`` sits at column ``s*M + meta[r, s*N + j]``;
+        zero-valued padding slots are dropped.
+        """
+        n, m = self.pattern.n, self.pattern.m
+        seg_base = np.repeat(np.arange(self.n_segs, dtype=np.int64) * m, n)
+        cols = seg_base[None, :] + self.meta.astype(np.int64)
+        rows = np.broadcast_to(np.arange(self.shape[0], dtype=np.int64)[:, None], cols.shape)
+        live = self.values != 0.0
+        return rows[live], cols[live], self.values[live]
+
+    def decompress(self) -> np.ndarray:
+        return coo_to_dense(self.shape, *self.to_coo())
 
     def storage_bytes(self, value_bytes: int = 2, meta_bits: int = 2) -> int:
         """Modelled operand footprint (fp16 values + 2-bit metadata, as on A100)."""

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..core.patterns import VNMPattern
+from .csr import coo_to_dense
 
 __all__ = ["VNMCompressed", "VNMFormatError"]
 
@@ -220,18 +221,26 @@ class VNMCompressed:
         )
 
     # -- numerics --------------------------------------------------------------
-    def decompress(self) -> np.ndarray:
+    def to_coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, cols, values)`` of the stored non-zeros, tile-major.
+
+        Value ``(t, r, j)`` sits at row ``tile_row(t)*V + r`` and column
+        ``col_ids[t, meta[t, r, j]]``.  Padding slots hold zero values at
+        possibly duplicated positions and are dropped, so the live
+        coordinates are distinct.
+        """
         v = self.pattern.v
-        out = np.zeros((self.n_tile_rows * v, max(self.shape[1], int(self.col_ids.max(initial=0)) + 1)), dtype=np.float64)
-        tile_rows = np.repeat(np.arange(self.n_tile_rows), np.diff(self.tile_ptr))
         cols = np.take_along_axis(
             self.col_ids[:, None, :].repeat(v, axis=1), self.meta.astype(np.int64), axis=2
         )  # (n_tiles, v, n)
-        rows = tile_rows[:, None, None] * v + np.arange(v)[None, :, None]
-        # Padding slots hold zero values at possibly duplicated positions; add
-        # (instead of assign) is safe because live positions are distinct.
-        np.add.at(out, (rows, cols), self.values)
-        return out[: self.shape[0], : self.shape[1]]
+        tile_rows = np.repeat(np.arange(self.n_tile_rows, dtype=np.int64), np.diff(self.tile_ptr))
+        rows = np.broadcast_to(tile_rows[:, None, None] * v + np.arange(v)[None, :, None],
+                               cols.shape)
+        live = self.values != 0.0
+        return rows[live], cols[live], self.values[live]
+
+    def decompress(self) -> np.ndarray:
+        return coo_to_dense(self.shape, *self.to_coo())
 
     def spmm(self, b: np.ndarray) -> np.ndarray:
         """Structured SpMM ``A @ B`` reading only compressed data.

@@ -30,7 +30,8 @@ def _get(url: str):
         with urllib.request.urlopen(url, timeout=5) as resp:
             return resp.status, resp.read().decode()
     except urllib.error.HTTPError as exc:
-        return exc.code, exc.read().decode()
+        with exc:
+            return exc.code, exc.read().decode()
 
 
 class TestEndpoints:
@@ -129,9 +130,12 @@ class TestSampler:
         slo = SLO(name="lat", kind="latency", threshold=0.01)
         ev = SLOEvaluator([slo], windows)
         srv = TelemetryServer(reg, windows=windows, evaluator=ev)
-        srv.sample()
-        assert len(windows) == 1
-        assert reg.get("slo_burn_rate", slo="lat", window="fast") is not None
+        try:
+            srv.sample()
+            assert len(windows) == 1
+            assert reg.get("slo_burn_rate", slo="lat", window="fast") is not None
+        finally:
+            srv.stop()  # never started: releases the bound socket
 
     def test_start_takes_baseline_snapshot(self, reg):
         windows = MetricWindows(reg)

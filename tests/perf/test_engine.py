@@ -1,8 +1,8 @@
-"""Execution engine: plan exactness, pickling, caching, fault composition.
+"""Execution engine: the one SpMM path, pickling, caching, fault composition.
 
 Feature matrices are integer-valued throughout the exactness tests, so all
 float64 partial sums are exact regardless of accumulation order and every
-kernel variant must match the dense reference **bitwise**, not just
+execution path must match the dense reference **bitwise**, not just
 approximately.
 """
 
@@ -14,10 +14,11 @@ import pytest
 
 from repro.core import VNMPattern
 from repro.core.patterns import NMPattern
+from repro.obs import metrics as obs_metrics
 from repro.perf import engine
-from repro.pipeline import faults, registry
+from repro.pipeline import ArtifactCache, PreprocessPlan, faults, preprocess, registry
 from repro.pipeline.resilience import BackendExecutionError
-from repro.sptc import CSRMatrix, HybridVNM
+from repro.sptc import CSRMatrix, EmulatedDevice, HybridVNM
 from repro.sptc.bsr import BSRMatrix
 from repro.sptc.nm_format import NMCompressed
 from repro.sptc.sell import SellCSigma
@@ -46,84 +47,108 @@ def sprinkled(n_rows, n_cols, rng, density=0.15):
     return mask * rng.integers(1, 8, size=(n_rows, n_cols)).astype(np.float64)
 
 
+_RNG = np.random.default_rng(7)
+A_CONF = conforming(48, 48, _RNG)
+A_ANY = sprinkled(48, 48, _RNG)
+# The dense matrix each backend's operand is compressed from: the
+# reference every path is checked against, independent of the formats'
+# own index arithmetic.
+SOURCE = {"dense": A_ANY, "csr": A_ANY, "bsr": A_ANY, "nm": A_CONF, "vnm": A_CONF,
+          "hybrid": A_ANY}
+
+
 @pytest.fixture(scope="module")
 def operands():
-    rng = np.random.default_rng(7)
-    a_conf = conforming(48, 48, rng)
-    a_any = sprinkled(48, 48, rng)
     return {
-        "dense": np.asarray(a_any, dtype=np.float64),
-        "csr": CSRMatrix.from_dense(a_any),
-        "bsr": BSRMatrix.from_dense(a_any, 4),
-        "nm": NMCompressed.compress(a_conf, NM),
-        "vnm": VNMCompressed.compress(a_conf, VNM),
-        "hybrid": HybridVNM.compress(a_any, VNM),
+        "dense": np.asarray(A_ANY, dtype=np.float64),
+        "csr": CSRMatrix.from_dense(A_ANY),
+        "bsr": BSRMatrix.from_dense(A_ANY, 4),
+        "nm": NMCompressed.compress(A_CONF, NM),
+        "vnm": VNMCompressed.compress(A_CONF, VNM),
+        "hybrid": HybridVNM.compress(A_ANY, VNM),
     }
 
 
-def dense_of(operand):
-    if isinstance(operand, np.ndarray):
-        return operand
-    if hasattr(operand, "decompress"):
-        return operand.decompress()
-    return operand.to_dense()
+def plan_counter_total() -> float:
+    reg = obs_metrics.default_registry()
+    return (reg.counter("engine_plan_builds_total").value
+            + reg.counter("engine_plan_cache_hits_total").value)
 
 
 BACKENDS = ("dense", "csr", "bsr", "nm", "vnm", "hybrid")
-VARIANTS = ("panel", "gathered")
 
 
 class TestExactness:
     @pytest.mark.parametrize("name", BACKENDS)
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_bitwise_vs_dense(self, operands, name, variant):
+    @pytest.mark.parametrize("device", [False, True], ids=["host", "device"])
+    def test_bitwise_vs_dense(self, operands, name, device):
+        """backend × (device on/off): one path, bit-equal to ``dense @ x``."""
         op = operands[name]
-        plan = engine.build_plan(op, variant=variant)
-        b = np.random.default_rng(3).integers(0, 1 << 10, size=(48, 16)).astype(np.float64)
-        reference = dense_spmm(dense_of(op), b)
-        assert np.array_equal(plan.execute(op, b), reference)
+        b = np.random.default_rng(3).integers(-(1 << 10), 1 << 10, size=(48, 16))
+        b = b.astype(np.float64)
+        before = plan_counter_total()
+        if device:
+            dev = EmulatedDevice()
+            out = dev.spmm(op, b)
+            (rec,) = dev.records
+            assert rec.name == registry.backend_for(op).kernel_name
+            assert rec.seconds == registry.model_spmm_time(dev.cost_model, op, 16)
+        else:
+            out = engine.execute(op, b)
+        assert np.array_equal(out, SOURCE[name] @ b)
+        assert plan_counter_total() > before  # the engine served the launch
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_float_features_allclose(self, operands, name):
         op = operands[name]
         b = np.random.default_rng(4).standard_normal((48, 8))
-        reference = dense_spmm(dense_of(op), b)
-        for variant in VARIANTS:
-            out = engine.build_plan(op, variant=variant).execute(op, b)
-            assert np.allclose(out, reference, rtol=1e-12, atol=1e-12)
+        reference = dense_spmm(SOURCE[name], b)
+        out = engine.build_plan(op).execute(op, b)
+        assert np.allclose(out, reference, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("n_cols", [42, 100])
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_ragged_columns(self, n_cols, variant):
-        # n_cols % M != 0: padding geometry must not leak phantom columns.
+    def test_ragged_columns(self, n_cols):
+        # n_cols % M != 0: padding slots must not leak phantom columns.
         rng = np.random.default_rng(n_cols)
-        op = NMCompressed.compress(conforming(20, n_cols, rng), NM)
+        a = conforming(20, n_cols, rng)
         b = rng.integers(0, 256, size=(n_cols, 6)).astype(np.float64)
-        reference = dense_spmm(op.decompress(), b)
-        out = engine.build_plan(op, variant=variant).execute(op, b)
-        assert np.array_equal(out, reference)
+        for op in (NMCompressed.compress(a, NM), VNMCompressed.compress(a, VNM),
+                   BSRMatrix.from_dense(a, 8)):
+            assert np.array_equal(engine.build_plan(op).execute(op, b), a @ b)
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_batched_wide_features(self, operands, name):
-        # Column widths past REPRO_ENGINE_COL_CHUNK exercise the chunked GEMM.
         op = operands[name]
         b = np.random.default_rng(5).integers(0, 64, size=(48, 24)).astype(np.float64)
-        reference = dense_spmm(dense_of(op), b)
-        plan = engine.build_plan(op, variant="panel")
-        assert np.array_equal(plan.execute(op, b), reference)
+        reference = dense_spmm(SOURCE[name], b)
+        assert np.array_equal(engine.build_plan(op).execute(op, b), reference)
 
     def test_shape_mismatch_raises(self, operands):
         plan = engine.build_plan(operands["csr"])
         with pytest.raises(ValueError):
             plan.execute(operands["csr"], np.ones((7, 3)))
 
+    def test_large_sparse_operands_never_densify(self):
+        # A dense copy of this operand would need 320 GB: building and
+        # executing its plans must stay proportional to nnz.
+        n = 200_000
+        rng = np.random.default_rng(12)
+        rows = rng.integers(0, n, size=2000)
+        cols = rng.integers(0, n, size=2000)
+        csr = CSRMatrix.from_coo(np.concatenate([rows, cols]), np.concatenate([cols, rows]),
+                                 None, (n, n))
+        b = rng.integers(0, 8, size=(n, 2)).astype(np.float64)
+        reference = csr.to_scipy() @ b
+        for op in (csr, VNMCompressed.compress_csr(csr, VNMPattern(1, 2, 32)),
+                   HybridVNM.compress_csr(csr, VNM)):
+            assert np.array_equal(engine.execute(op, b), reference)
+
 
 class TestFloat32:
     @pytest.mark.parametrize("name", BACKENDS)
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_fp32_close_to_fp64(self, operands, name, variant):
+    def test_fp32_close_to_fp64(self, operands, name):
         op = operands[name]
-        plan = engine.build_plan(op, variant=variant)
+        plan = engine.build_plan(op)
         b = np.random.default_rng(6).standard_normal((48, 8))
         exact = plan.execute(op, b)
         approx = plan.execute(op, b, dtype=np.float32)
@@ -138,11 +163,11 @@ class TestPickling:
     @pytest.mark.parametrize("name", BACKENDS)
     def test_roundtrip_drops_scratch(self, operands, name):
         op = operands[name]
-        plan = engine.build_plan(op, variant="panel")
+        plan = engine.build_plan(op)
         b = np.random.default_rng(8).integers(0, 64, size=(48, 4)).astype(np.float64)
         before = plan.execute(op, b)  # builds scratch
         state = plan.__getstate__()
-        assert not any(k.startswith("_") for k in state)
+        assert set(state) == {"backend", "shape"}
         loaded = pickle.loads(pickle.dumps(plan))
         assert np.array_equal(loaded.execute(op, b), before)
 
@@ -172,11 +197,9 @@ class TestPlanCache:
         with pytest.raises(ValueError):
             engine.adopt_plan(CSRMatrix.from_dense(np.eye(5)), plan)  # shape
         with pytest.raises(ValueError):
-            engine.adopt_plan(operands["nm"], plan)  # wrong plan type
-
-    def test_unknown_variant_rejected(self, operands):
-        with pytest.raises(ValueError):
-            engine.build_plan(operands["csr"], variant="warp")
+            engine.adopt_plan(operands["nm"], plan)  # wrong backend
+        with pytest.raises(TypeError):
+            engine.adopt_plan(object(), plan)  # unplannable operand
 
 
 class TestExecuteIntegration:
@@ -187,12 +210,6 @@ class TestExecuteIntegration:
         b = rng.integers(0, 64, size=(24, 4)).astype(np.float64)
         assert np.array_equal(engine.execute(sell, b), dense_spmm(a, b))
 
-    def test_engine_env_kill_switch(self, operands, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "0")
-        op = operands["csr"]
-        b = np.random.default_rng(10).integers(0, 64, size=(48, 4)).astype(np.float64)
-        assert np.array_equal(engine.execute(op, b), registry.dispatch_spmm(op, b))
-
     def test_fault_injection_covers_planned_path(self, operands):
         op = operands["nm"]
         b = np.random.default_rng(11).integers(0, 64, size=(48, 4)).astype(np.float64)
@@ -200,11 +217,9 @@ class TestExecuteIntegration:
             with pytest.raises(BackendExecutionError):
                 engine.execute(op, b)
             # The injected failure is consumed; the next launch heals.
-            assert np.array_equal(engine.execute(op, b), dense_spmm(dense_of(op), b))
+            assert np.array_equal(engine.execute(op, b), dense_spmm(A_CONF, b))
 
     def test_counters_flow_to_default_registry(self, operands):
-        from repro.obs import metrics as obs_metrics
-
         engine.clear_plan_cache()
         op = CSRMatrix.from_dense(np.eye(12))
         engine.plan_for(op)
@@ -212,3 +227,75 @@ class TestExecuteIntegration:
         snapshot = obs_metrics.default_registry().snapshot()
         assert "engine_plan_builds_total" in snapshot
         assert "engine_plan_cache_hits_total" in snapshot
+
+
+def make_operand(seed=0, n=48, density=0.15):
+    rng = np.random.default_rng(seed)
+    a = (rng.random((n, n)) < density) * rng.integers(1, 8, size=(n, n)).astype(np.float64)
+    return HybridVNM.compress(a, VNM)
+
+
+@pytest.fixture
+def cache(tmp_path):
+    return ArtifactCache(tmp_path / "cache")
+
+
+class TestEnginePlanSidecars:
+    def test_plan_store_load_roundtrip(self, cache):
+        op = make_operand()
+        plan = engine.build_plan(op)
+        cache.store_plan("k1", plan)
+        loaded = cache.load_plan("k1")
+        assert type(loaded) is type(plan)
+        b = np.random.default_rng(6).integers(0, 64, size=(48, 4)).astype(np.float64)
+        assert np.array_equal(loaded.execute(op, b), plan.execute(op, b))
+        assert cache.stats.plan_hits == 1
+
+    def test_corrupt_plan_is_quarantined_miss(self, cache):
+        cache.plan_path("bad").write_bytes(b"not a pickle")
+        assert cache.load_plan("bad") is None
+        assert cache.stats.plan_misses == 1
+        assert not cache.plan_path("bad").exists()
+
+    def test_older_sidecar_layouts_are_quarantined_miss(self, cache):
+        # A bare pickled plan (the first layout) and an envelope of an
+        # older version both answer as a miss, never as a crash.
+        cache.plan_path("v1").write_bytes(pickle.dumps(engine.build_plan(make_operand())))
+        cache.plan_path("v2").write_bytes(pickle.dumps(
+            {"sidecar_version": 2, "plan": engine.build_plan(make_operand())}))
+        assert cache.load_plan("v1") is None
+        assert cache.load_plan("v2") is None
+        assert cache.stats.plan_misses == 2
+        assert cache.stats.quarantined == 2
+
+    def test_preprocess_rebuilds_over_an_old_sidecar(self, cache):
+        rng = np.random.default_rng(13)
+        a = rng.random((40, 40)) < 0.1
+        from repro.core import BitMatrix
+
+        bm = BitMatrix.from_dense((a | a.T).astype(np.uint8))
+        plan = PreprocessPlan(pattern=VNM, max_iter=2)
+        first = preprocess(bm, plan, cache=cache)
+        cache.plan_path(first.cache_key).write_bytes(b"\x80\x04junk from an old layout")
+        again = preprocess(bm, plan, cache=cache)
+        assert again.cached and again.plan is not None
+        assert cache.stats.quarantined == 1
+        assert cache.load_plan(first.cache_key) is not None  # rebuilt and re-stored
+        x = rng.integers(0, 64, size=(40, 3)).astype(np.float64)
+        assert np.array_equal(engine.execute(again.operand, x), again.operand.decompress() @ x)
+
+    def test_fsck_reports_corrupt_plan_sidecars(self, cache):
+        cache.store_plan("ok", engine.build_plan(make_operand()))
+        cache.plan_path("bad").write_bytes(b"junk")
+        report = cache.fsck()
+        assert report["plan_corrupt"] == ["bad"]
+        assert cache.plan_path("ok").exists()
+
+    def test_invalidate_and_clear_remove_sidecars(self, cache):
+        op = make_operand()
+        cache.store_plan("k", engine.build_plan(op))
+        cache.invalidate("k")
+        assert not cache.plan_path("k").exists()
+        cache.store_plan("k2", engine.build_plan(op))
+        cache.clear()
+        assert not cache.plan_path("k2").exists()

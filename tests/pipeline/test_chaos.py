@@ -344,6 +344,63 @@ class TestShardChaos:
         record(999, "shard-scripted", scripted, inv)
 
 
+# Device corpus: seed 5 scripts no kernel faults (pure clock accounting),
+# 8 hammers the primary backend past the breaker threshold, 0 and 3 mix
+# faults across several ladder rungs.
+DEVICE_SEEDS = (0, 3, 5, 8)
+
+
+class TestDeviceChaos:
+    """The device-attached path under kernel faults.
+
+    Every shard charges a pinned :class:`~repro.sptc.EmulatedDevice`, which
+    observes the clock and executes through the engine.  Faults must still
+    resolve each request bit-identically or as a taxonomy error, never a
+    hang, and every launch must land on the shard's virtual clock under a
+    registered kernel name.
+    """
+
+    @pytest.mark.parametrize("seed", DEVICE_SEEDS)
+    def test_invariants_hold(self, seed):
+        from repro.pipeline import ShardRouter, registry, shard_result
+        from repro.sptc import EmulatedDevice
+
+        n_shards = 2
+        schedule = ChaosSchedule.draw(seed)
+        scripted = ChaosSchedule.draw(seed)
+        inv = ChaosInvariants()
+        bm = make_bm(seed=seed)
+        result = preprocess(bm, PreprocessPlan(pattern=PATTERN))
+        devices = [EmulatedDevice(device_id=i) for i in range(n_shards)]
+        ref = bm.to_dense().astype(np.float64)
+        kernel_names = {registry.get_backend(name).kernel_name
+                        for name in registry.available_backends()}
+
+        config = BreakerConfig(failure_threshold=2, cooldown=0.02)
+        with breaker_scope(config):
+            with ShardRouter(shard_result(result, n_shards=n_shards),
+                             devices=devices, retry_policy=FAST,
+                             deadline=30.0) as router:
+                with inject(schedule):
+                    xs = [int_features(bm.n_cols, seed=400 + i) for i in range(6)]
+                    futures = [(x, router.submit(x)) for x in xs]
+                    for i, (x, fut) in enumerate(futures):
+                        inv.observe_future(fut, ref @ x, timeout=30.0,
+                                           label=f"seed{seed}/devreq{i}")
+
+                time.sleep(config.cooldown + 0.01)
+                inv.require(np.array_equal(router.spmm(xs[0]), ref @ xs[0]),
+                            f"seed{seed}: post-fault request not bit-identical")
+        for dev in devices:
+            inv.require(dev.records and dev.clock > 0.0,
+                        f"seed{seed}: device {dev.device_id} charged nothing")
+            unknown = {r.name for r in dev.records} - kernel_names
+            inv.require(not unknown,
+                        f"seed{seed}: device {dev.device_id} recorded "
+                        f"unregistered kernels {unknown}")
+        record(seed, "device", scripted, inv)
+
+
 PROC_SEEDS = (2, 5, 7, 14)
 
 

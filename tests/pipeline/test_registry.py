@@ -84,25 +84,6 @@ class TestDispatchAgreement:
         for name, op in ops.items():
             assert np.array_equal(spmm(op, b), legacy[name](op)), name
 
-    def test_device_dispatch_matches_typed_methods(self, conforming):
-        """EmulatedDevice.spmm (registry lookup) = the per-format methods."""
-        wp, b = conforming
-        ops = all_operands(wp)
-        typed = {
-            "csr": EmulatedDevice().spmm_csr,
-            "vnm": EmulatedDevice().spmm_venom,
-            "nm": EmulatedDevice().spmm_nm,
-            "hybrid": EmulatedDevice().spmm_hybrid,
-        }
-        for name, launch in typed.items():
-            dev = EmulatedDevice()
-            out = dev.spmm(ops[name], b)
-            ref_dev = EmulatedDevice()
-            ref = launch.__func__(ref_dev, ops[name], b)
-            assert np.array_equal(out, ref), name
-            assert dev.records[0].name == ref_dev.records[0].name
-            assert dev.clock == pytest.approx(ref_dev.clock)
-
     def test_dispatch_rejects_unknown(self):
         with pytest.raises(TypeError):
             registry.dispatch_spmm(object(), np.zeros((2, 2)))

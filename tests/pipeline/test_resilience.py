@@ -248,7 +248,7 @@ class TestKernelRetryAndDegradation:
         bm, session = session_for(make_bm())
         agg = session.aggregator()
         baseline = agg.health()
-        assert baseline.pop("kernel_variant", None) in ("panel", "gathered", None)
+        assert baseline.pop("kernel_variant", None) in ("csr", None)
         assert baseline == {
             "backend": "hybrid", "degraded": False, "retries": 0, "downgrades": ()}
         with inject(FaultPlan(kernel_failures={"hybrid": 100})):

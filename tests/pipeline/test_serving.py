@@ -181,32 +181,18 @@ class TestPathRowCounters:
         c = reg.get("serve_path_rows_total", backend="hybrid")
         assert c is not None and c.value == 2.0 * g.n
 
-    def test_segmented_plan_splits_rows_per_coverage(self):
-        import numpy as _np
-
-        from repro.perf.segment import build_segmented_plan
-        from repro.sptc import CSRMatrix
-
-        # Conforming 2:4 rows except three violators -> split coverage.
-        a = _np.zeros((64, 64))
-        for i in range(64):
-            for s in range(16):
-                a[i, s * 4] = i + 1.0
-                a[i, s * 4 + 2] = 2.0
-        for i in (20, 21, 40):
-            a[i, 1] = 3.0
-        csr = CSRMatrix.from_dense(a)
-        plan = build_segmented_plan(csr, pattern=PATTERN)
-        cov = plan.summary()["row_coverage"]
-        assert len(cov) >= 2  # the premise: rows split across kernel paths
+    def test_sticky_downgrade_moves_rows_to_fallback_backend(self, served):
+        g, result = served
         reg = MetricsRegistry()
-        session = ServingSession(csr, metrics=reg)
-        x = int_features(64, h=5, seed=3)
-        out = session.spmm(x)
-        assert np.array_equal(out, a @ x)
-        for backend, entry in cov.items():
-            c = reg.get("serve_path_rows_total", backend=backend)
-            assert c is not None and c.value == float(entry["rows"])
+        session = ServingSession.from_result(result, metrics=reg, retry_policy=FAST)
+        x = int_features(g.n)
+        with inject(FaultPlan(kernel_failures={"hybrid": 100})):
+            session.spmm(x)
+        session.spmm(x)
+        fallback = session.backend_name
+        assert fallback != "hybrid"
+        c = reg.get("serve_path_rows_total", backend=fallback)
+        assert c is not None and c.value == 2.0 * g.n
 
 
 class TestWindowedAdmission:

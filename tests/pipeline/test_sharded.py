@@ -83,6 +83,22 @@ class TestBitwiseEquivalence:
         with ShardRouter(shards) as router:
             assert np.array_equal(router.spmm(x), ref)
 
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    @pytest.mark.parametrize("n_shards", [1, 2, 4])
+    def test_device_attached_matches_dense_reference(self, hybrid_result,
+                                                     executor, n_shards):
+        from repro.sptc.device import EmulatedDevice
+
+        bm = make_bm()
+        x = int_features(bm.shape[0], h=6, seed=4)
+        ref = bm.to_dense().astype(np.float64) @ x
+        devices = [EmulatedDevice(device_id=i) for i in range(n_shards)]
+        with ShardRouter(shard_result(hybrid_result, n_shards=n_shards),
+                         devices=devices, executor=executor) as router:
+            assert np.array_equal(router.spmm(x), ref)
+        if executor == "thread":  # process workers charge their own copies
+            assert all(dev.records for dev in devices)
+
     def test_async_and_submit_paths_identical(self, hybrid_result):
         import asyncio
 
@@ -345,7 +361,8 @@ class TestHealthAndObservability:
                     rep.alive = False  # 2 of 3: majority
                 with pytest.raises(urllib.error.HTTPError) as err:
                     urllib.request.urlopen(f"{plane.url}/healthz")
-                assert err.value.code == 503
+                with err.value:
+                    assert err.value.code == 503
             finally:
                 plane.stop()
 

@@ -98,26 +98,15 @@ class TestPipelineCommands:
         assert "bitwise-equal to dense reference: True" in text
         assert "False" not in text
 
-    def test_tune_round_trips_through_cache(self, mtx_file, tmp_path, capsys):
+    def test_stats_counts_plan_sidecars(self, mtx_file, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
-        code = main(["tune", mtx_file, "--pattern", "2:4",
-                     "--cache-dir", cache_dir, "--h", "16", "--repeats", "1",
-                     "--max-iter", "3"])
-        text = capsys.readouterr().out
-        assert code == 0
-        assert "measured fresh" in text
-        # Same workload again: the persisted decision answers, identically.
-        code = main(["tune", mtx_file, "--pattern", "2:4",
-                     "--cache-dir", cache_dir, "--h", "16", "--repeats", "1",
-                     "--max-iter", "3"])
-        text = capsys.readouterr().out
-        assert code == 0
-        assert "cache hit" in text
-        # And `repro stats` surfaces the decision.
+        assert main(["preprocess", mtx_file, "--pattern", "2:4",
+                     "--cache-dir", cache_dir, "--max-iter", "3"]) == 0
+        capsys.readouterr()
         code = main(["stats", "--cache-dir", cache_dir])
         text = capsys.readouterr().out
         assert code == 0
-        assert "tuner decisions: 1" in text
+        assert "plan sidecars: 1" in text
 
 
 class TestTelemetryCommands:

@@ -141,6 +141,31 @@ class TestPersistentPool:
         for a, b in zip(inline, pooled):
             assert np.array_equal(a.order, b.order)
 
+    def test_broken_pool_on_submit_resubmits_lost_chunks(self):
+        """A submit that raises BrokenProcessPool (a worker of an earlier
+        chunk already died) loses that chunk and every later one; they go
+        through the restart/resubmit budget instead of escaping raw."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        class BreaksOnSecondSubmit(WorkerPool):
+            def __init__(self, n_workers):
+                super().__init__(n_workers)
+                self.calls = 0
+
+            def submit(self, fn, /, *args, **kwargs):
+                self.calls += 1
+                if self.calls == 2:
+                    raise BrokenProcessPool("worker died before submit")
+                return super().submit(fn, *args, **kwargs)
+
+        mats = batch(4)
+        inline = reorder_many(mats, PATTERN, n_workers=1)
+        with BreaksOnSecondSubmit(2) as pool:
+            recovered = reorder_many(mats, PATTERN, pool=pool, chunk_size=1)
+            assert pool.stats.restarts == 1
+        for a, b in zip(inline, recovered):
+            assert np.array_equal(a.order, b.order)
+
     def test_caller_owned_pool_stays_open(self):
         pool = WorkerPool(2)
         try:
