@@ -76,27 +76,42 @@ def plan_counter_total() -> float:
 
 
 BACKENDS = ("dense", "csr", "bsr", "nm", "vnm", "hybrid")
+# Two feature layouts reach the kernel: a contiguous row-major panel, and a
+# strided column gather out of a wider table whose other columns are NaN
+# (a non-contiguous view; a stray read of a neighbouring column breaks
+# bitwise equality).
+LAYOUTS = ("panel", "gathered")
+
+
+def features(b: np.ndarray, layout: str) -> np.ndarray:
+    if layout == "panel":
+        return np.ascontiguousarray(b)
+    wide = np.full((b.shape[0], 2 * b.shape[1]), np.nan)
+    wide[:, ::2] = b
+    return wide[:, ::2]
 
 
 class TestExactness:
     @pytest.mark.parametrize("name", BACKENDS)
-    @pytest.mark.parametrize("device", [False, True], ids=["host", "device"])
-    def test_bitwise_vs_dense(self, operands, name, device):
-        """backend × (device on/off): one path, bit-equal to ``dense @ x``."""
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_bitwise_vs_dense(self, operands, name, layout):
+        """backend × layout × (device off/on): one path, bit-equal to ``dense @ x``."""
         op = operands[name]
-        b = np.random.default_rng(3).integers(-(1 << 10), 1 << 10, size=(48, 16))
-        b = b.astype(np.float64)
-        before = plan_counter_total()
-        if device:
-            dev = EmulatedDevice()
-            out = dev.spmm(op, b)
-            (rec,) = dev.records
-            assert rec.name == registry.backend_for(op).kernel_name
-            assert rec.seconds == registry.model_spmm_time(dev.cost_model, op, 16)
-        else:
-            out = engine.execute(op, b)
-        assert np.array_equal(out, SOURCE[name] @ b)
-        assert plan_counter_total() > before  # the engine served the launch
+        raw = np.random.default_rng(3).integers(-(1 << 10), 1 << 10, size=(48, 16))
+        raw = raw.astype(np.float64)
+        b = features(raw, layout)
+        for device in (False, True):
+            before = plan_counter_total()
+            if device:
+                dev = EmulatedDevice()
+                out = dev.spmm(op, b)
+                (rec,) = dev.records
+                assert rec.name == registry.backend_for(op).kernel_name
+                assert rec.seconds == registry.model_spmm_time(dev.cost_model, op, 16)
+            else:
+                out = engine.execute(op, b)
+            assert np.array_equal(out, SOURCE[name] @ raw), f"device={device}"
+            assert plan_counter_total() > before  # the engine served the launch
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_float_features_allclose(self, operands, name):
@@ -107,14 +122,16 @@ class TestExactness:
         assert np.allclose(out, reference, rtol=1e-12, atol=1e-12)
 
     @pytest.mark.parametrize("n_cols", [42, 100])
-    def test_ragged_columns(self, n_cols):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_ragged_columns(self, n_cols, layout):
         # n_cols % M != 0: padding slots must not leak phantom columns.
         rng = np.random.default_rng(n_cols)
         a = conforming(20, n_cols, rng)
-        b = rng.integers(0, 256, size=(n_cols, 6)).astype(np.float64)
+        raw = rng.integers(0, 256, size=(n_cols, 6)).astype(np.float64)
+        b = features(raw, layout)
         for op in (NMCompressed.compress(a, NM), VNMCompressed.compress(a, VNM),
                    BSRMatrix.from_dense(a, 8)):
-            assert np.array_equal(engine.build_plan(op).execute(op, b), a @ b)
+            assert np.array_equal(engine.build_plan(op).execute(op, b), a @ raw)
 
     @pytest.mark.parametrize("name", BACKENDS)
     def test_batched_wide_features(self, operands, name):
@@ -146,10 +163,11 @@ class TestExactness:
 
 class TestFloat32:
     @pytest.mark.parametrize("name", BACKENDS)
-    def test_fp32_close_to_fp64(self, operands, name):
+    @pytest.mark.parametrize("layout", LAYOUTS)
+    def test_fp32_close_to_fp64(self, operands, name, layout):
         op = operands[name]
         plan = engine.build_plan(op)
-        b = np.random.default_rng(6).standard_normal((48, 8))
+        b = features(np.random.default_rng(6).standard_normal((48, 8)), layout)
         exact = plan.execute(op, b)
         approx = plan.execute(op, b, dtype=np.float32)
         assert approx.dtype == np.float64  # cast back at the boundary
