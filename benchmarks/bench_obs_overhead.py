@@ -117,11 +117,13 @@ def main() -> int:
 
     # Optional (CI perf-smoke job): the same contract must hold with the
     # repro.perf machinery engaged — a warm WorkerPool + shared-memory
-    # reorder_many under a live tracer, and micro-batched serving under
-    # metrics, both numerically identical to their direct counterparts.
+    # reorder_many under a live tracer, and router-submitted serving (an
+    # unsharded deployment: 1 shard x 2 replicas) under metrics, both
+    # numerically identical to their direct counterparts.
     if os.environ.get("REPRO_OBS_WITH_POOL") == "1":
         from repro.parallel import reorder_many
         from repro.perf import WorkerPool, live_segments
+        from repro.pipeline import ShardRouter, shard_result
 
         mats = [g.bitmatrix() for _ in range(4)]
         direct = reorder_many(mats, VNMPattern(1, 2, 4), n_workers=1, max_iter=2)
@@ -135,14 +137,13 @@ def main() -> int:
         assert any(c.name == "reorder" for c in root.children), (
             "worker traces were not grafted back")
 
-        batched = ServingSession.from_result(result, metrics=MetricsRegistry())
-        with batched:
-            futures = [batched.submit(features) for _ in range(3)]
-            batched.flush()
+        with ShardRouter(shard_result(result, n_shards=1), replicas=2,
+                         metrics=MetricsRegistry()) as router:
+            futures = [router.submit(features) for _ in range(3)]
             outs = [f.result() for f in futures]
         expect = disabled.spmm(features)
         assert all(np.array_equal(out, expect) for out in outs)
-        print("OK: pooled reorder and micro-batched serving preserve "
+        print("OK: pooled reorder and router-submitted serving preserve "
               "tracing, metrics, and numerics")
 
     return 0 if ok else 1

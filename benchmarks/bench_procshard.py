@@ -179,7 +179,6 @@ def main() -> int:
 
     session = ServingSession.from_result(result)
     single_outs = [session.spmm(x) for x in xs]
-    session.close()
     ok = all(np.array_equal(o, r) for o, r in zip(single_outs, refs))
     if not ok:
         print("FAIL: single session is not bit-identical to dense")

@@ -5,7 +5,7 @@ must be (nearly) free.  With no breaker board installed, ``run_kernel``
 pays one ``active_breakers() is None`` check per dispatch; with a board
 installed and every breaker closed, a request adds one ``before_call`` +
 one ``record_success`` dict-and-lock hop; admission control adds one
-``admit()`` per micro-batched submit.  This script measures those residues
+``admit()`` per request at the router door.  This script measures those residues
 directly — against an empty loop, so loop overhead cancels — and fails
 (exit 1) when either the disabled residue or the enabled breaker+admission
 bookkeeping exceeds ``REPRO_RESILIENCE_MAX_OVERHEAD`` (default 2%) of the
@@ -141,7 +141,7 @@ def main() -> int:
         hist.observe(t_off)
     policy = AdmissionPolicy(max_queue_depth=64, deadline=30.0)
     residue_admit = _residue_seconds(
-        lambda: policy.admit(depth=3, latency=hist, batch_size=4), iters)
+        lambda: policy.admit(depth=3, latency=hist), iters)
 
     # What run_kernel pays per dispatch when no board is installed.
     residue_off = _residue_seconds(lambda: guard.active_breakers() is None, iters)

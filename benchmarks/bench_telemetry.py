@@ -6,7 +6,7 @@ hot SpMM path (nearly) unchanged.  Per request the recorder adds one
 ``begin`` (a lock-protected sequence bump and a modulo) plus one
 ``finish`` — and for the common *unsampled ok* request the record call is
 a single early-returning branch; the windowed-admission view adds one
-bucket-delta quantile per ``submit``.  Sampler ticks and HTTP scrapes run
+bucket-delta quantile per admission check at the router door.  Sampler ticks and HTTP scrapes run
 on their own threads and never touch the request path.
 
 This script measures those residues directly — against an empty loop, so
@@ -129,8 +129,7 @@ def main() -> int:
     recorder = FlightRecorder(capacity=256, sample_every=16)
     latency_window = windows.histogram_view("spmm_latency_seconds", 60.0)
     instrumented = ServingSession.from_result(
-        result, metrics=metrics, recorder=recorder,
-        latency_window=latency_window)
+        result, metrics=metrics, recorder=recorder)
     out = instrumented.spmm(features)
     assert np.array_equal(out, reference), (
         "instrumented request is not bit-identical to the bare one")
@@ -151,7 +150,7 @@ def main() -> int:
 
     residue_recorder = _residue_seconds(recorder_cycle, iters)
 
-    # What the admission policy pays per submit for the *windowed* latency
+    # What the router's admission pays per request for the *windowed* latency
     # signal: one bucket-delta p95 over the recorded snapshots.
     residue_window = _residue_seconds(
         lambda: (latency_window.count, latency_window.quantile(0.95)), iters)

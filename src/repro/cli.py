@@ -8,7 +8,8 @@ Usage::
     python -m repro preprocess INPUT.mtx [...] --cache-dir DIR [--workers N]
                           [--pool] [--profile]
     python -m repro serve INPUT.mtx --cache-dir DIR [--h 64] [--requests N]
-                          [--micro-batch] [--max-retries N] [--deadline SECONDS]
+                          [--shards N] [--replicas R] [--executor thread|process]
+                          [--max-retries N] [--deadline SECONDS]
                           [--breakers] [--breaker-threshold N] [--breaker-cooldown S]
                           [--max-queue-depth N] [--shed-deadline SECONDS]
                           [--metrics-file M.json] [--trace-file T.json]
@@ -26,9 +27,10 @@ pipeline (autoselect → reorder → compress) into a content-addressed
 artifact cache, fanning batches out over ``--workers`` processes
 (``--pool`` keeps a warm shared-memory worker pool, ``--profile`` prints
 the run's span tree); ``serve`` answers SpMM requests from those artefacts
-(retrying/degrading per ``--max-retries`` / ``--deadline``,
-``--micro-batch`` coalescing requests through the bounded queue,
-``--breakers`` guarding every kernel call with per-backend circuit
+through the :class:`~repro.pipeline.sharded.ShardRouter` front door
+(``--shards`` row shards × ``--replicas`` replicas per shard on
+``--executor`` lanes; retrying/degrading per ``--max-retries`` /
+``--deadline``, ``--breakers`` guarding every kernel call with per-backend circuit
 breakers, ``--max-queue-depth`` / ``--shed-deadline`` shedding overload at
 admission — see ``docs/resilience.md``, ``--telemetry-port`` starting the
 live telemetry plane — ``/metrics``, ``/healthz``, ``/readyz``,
@@ -47,8 +49,8 @@ directory, quarantining corrupt artefacts and cleaning half-written temp
 files, with ``--selftest`` runs a tiny operand through every
 compressible backend under a scoped breaker board, and with
 ``--shm-sweep`` reclaims shared-memory segments orphaned by killed
-workers (``serve --shards N --executor process`` runs each shard replica
-as a forked worker over a zero-copy shm ring — see ``docs/sharding.md``).
+workers (``serve --executor process`` runs each shard replica as a forked
+worker over a zero-copy shm ring — see ``docs/sharding.md``).
 
 Output goes through the ``repro`` logger hierarchy (see
 :func:`repro.obs.logging_setup`); ``-v/--verbose`` raises it to DEBUG and
@@ -223,13 +225,14 @@ def _cmd_shard(args) -> int:
 
 
 def _cmd_serve(args) -> int:
-    from .pipeline import ArtifactCache, RetryPolicy, ServingSession, preprocess
+    from .pipeline import ArtifactCache, RetryPolicy, preprocess, registry
     from .pipeline.guard import (
         AdmissionPolicy,
         BreakerConfig,
         active_breakers,
         enable_breakers,
     )
+    from .pipeline.sharded import ShardRouter, shard_result
 
     # The telemetry plane needs a live registry even without --metrics-file.
     metrics = (MetricsRegistry()
@@ -238,9 +241,8 @@ def _cmd_serve(args) -> int:
 
     telemetry = None
     recorder = None
-    latency_window = None
     windows = None
-    holder: dict = {}  # the session/router, once built, for /healthz
+    holder: dict = {}  # the router, once built, for /healthz
     if args.telemetry_port is not None:
         from .obs import (
             SLO,
@@ -257,20 +259,22 @@ def _cmd_serve(args) -> int:
         except ValueError as exc:
             logger.error(f"bad --slo spec: {exc}")
             return 2
+        # The router's load shedding consults these rolling windows' p95;
+        # the baseline sample makes the held plane's windows cover the
+        # demo requests.
         windows = MetricWindows(metrics)
+        windows.record()
         recorder = FlightRecorder()
         evaluator = SLOEvaluator(slos, windows) if slos else None
-        # Load shedding consults the rolling p95, not the lifetime one.
-        latency_window = windows.histogram_view("spmm_latency_seconds", 60.0)
+        # Bound now (a busy port fails before any work), served once the
+        # demo requests are done: a scrape that connects early waits for
+        # their results instead of racing them.
         telemetry = TelemetryServer(
             metrics, port=args.telemetry_port, windows=windows,
             evaluator=evaluator, recorder=recorder,
-            health=lambda: session_health(holder.get("session"),
-                                          router=holder.get("router")),
-        ).start()
+            health=lambda: session_health(router=holder.get("router")),
+        )
         set_recorder(recorder)  # crash_dump / SIGUSR1 find it
-        logger.info(f"telemetry: {telemetry.url}/metrics  /healthz  /readyz  "
-                    f"/debug/requests  (try `repro top --url {telemetry.url}`)")
 
     if args.breakers:
         # The board shares the serve run's registry so breaker gauges and
@@ -286,41 +290,28 @@ def _cmd_serve(args) -> int:
     graph = graph_from_mtx(args.input)
     cache = ArtifactCache(args.cache_dir, metrics=metrics)
 
-    def run() -> tuple[ServingSession, bool]:
+    def run():
         result = preprocess(graph, _build_plan(args), cache=cache)
         logger.info(
             f"{args.input}: {'loaded cached artefact' if result.cached else 'preprocessed'} "
             f"(pattern {result.pattern}, backend {result.backend})"
         )
         policy = RetryPolicy(max_attempts=args.max_retries + 1, deadline=args.deadline)
-        session = None
-        if args.shards > 1:
-            from .pipeline.sharded import ShardRouter, shard_result
-
-            shards = shard_result(result, n_shards=args.shards, cache=cache)
-            cached = sum(1 for s in shards.specs if s.cached)
-            logger.info(
-                f"sharded: {shards.n_shards} shard(s) x {args.replicas} "
-                f"replica(s), align {shards.align}, "
-                f"rows {[s.size for s in shards.specs]}, "
-                f"{cached} shard artefact(s) cache-hit"
-            )
-            server = ShardRouter(
-                shards, metrics=metrics, windows=windows,
-                replicas=args.replicas, retry_policy=policy,
-                admission=admission, deadline=args.deadline,
-                recorder=recorder, executor=args.executor, cache=cache,
-            )
-            holder["router"] = server
-        else:
-            session = ServingSession.from_result(
-                result, retry_policy=policy, metrics=metrics, admission=admission,
-                recorder=recorder, latency_window=latency_window,
-            )
-            holder["session"] = session
-            server = session
-        if telemetry is not None:
-            telemetry.set_ready()  # /readyz flips once the session can serve
+        shards = shard_result(result, n_shards=args.shards, cache=cache)
+        cached = sum(1 for s in shards.specs if s.cached)
+        logger.info(
+            f"router: {shards.n_shards} shard(s) x {args.replicas} "
+            f"replica(s) on {args.executor} lanes, align {shards.align}, "
+            f"rows {[s.size for s in shards.specs]}, "
+            f"{cached} shard artefact(s) cache-hit"
+        )
+        router = ShardRouter(
+            shards, metrics=metrics, windows=windows,
+            replicas=args.replicas, retry_policy=policy,
+            admission=admission, deadline=args.deadline,
+            recorder=recorder, executor=args.executor, cache=cache,
+        )
+        holder["router"] = router
 
         # Integer-valued features keep every partial sum exact, so the served
         # output must match the dense reference bitwise, not just approximately.
@@ -331,37 +322,30 @@ def _cmd_serve(args) -> int:
             rng.integers(0, 1 << 10, size=(graph.n, args.h)).astype(np.float64)
             for _ in range(args.requests)
         ]
-        if args.micro_batch or args.shards > 1:
-            # Coalesced/pipelined path: enqueue everything, then verify
-            # each per-request output against the dense reference.  The
-            # router's submit path is its throughput mode — consecutive
-            # requests overlap across shard lanes.
-            futures = [server.submit(features) for features in batches]
-            if session is not None:
-                session.flush()
-            outputs = [fut.result() for fut in futures]
-            if session is not None:
-                session.close()
-        else:
-            outputs = [server.spmm(features) for features in batches]
+        # Submit everything, then verify each output: consecutive requests
+        # overlap across shard lanes and replicas.
+        futures = [router.submit(features) for features in batches]
+        outputs = [fut.result() for fut in futures]
         for i, (features, out) in enumerate(zip(batches, outputs)):
             reference = reference_op @ features
             bitwise = bool(np.array_equal(out, reference))
             ok &= bitwise
             logger.info(f"request {i}: output {out.shape}, "
                         f"bitwise-equal to dense reference: {bitwise}")
-        if args.micro_batch and session is not None and session.batcher is None:
-            logger.info(f"served {args.requests} request(s) micro-batched")
-        return session, ok
+        return result, ok
 
     try:
         if args.trace_file:
             with use_tracer() as tracer:
-                session, ok = run()
+                result, ok = run()
         else:
             tracer = None
-            session, ok = run()
+            result, ok = run()
 
+        if telemetry is not None:
+            telemetry.start().set_ready()
+            logger.info(f"telemetry: {telemetry.url}/metrics  /healthz  /readyz  "
+                        f"/debug/requests  (try `repro top --url {telemetry.url}`)")
         if telemetry is not None and args.hold:
             logger.info(f"holding for {args.hold:g}s for scrapes "
                         f"(`repro top --url {telemetry.url}`; ctrl-c to stop)")
@@ -376,34 +360,28 @@ def _cmd_serve(args) -> int:
             telemetry.set_ready(False)
             telemetry.stop()
             set_recorder(None)
+        router = holder.get("router")
+        if router is not None:
+            router.close()
 
-    router = holder.get("router")
-    if router is not None:
-        health = router.health()
-        for entry in router.shard_load():
-            logger.info(
-                f"shard {entry['shard']}: rows {entry['rows'][0]}-{entry['rows'][1]}, "
-                f"{entry['alive']}/{entry['replicas']} replica(s) alive, "
-                f"{entry['served']} served, {entry['failures']} failure(s)"
-            )
-        logger.info(f"router: {router.n_requests} request(s) merged, "
-                    f"{router.n_failovers} failover(s), {router.n_shed} shed; "
-                    f"healthy={health['healthy']} degraded={health['degraded']}")
-        router.close()
-    else:
-        cm = session.cost_model
-        t_csr = cm.time_csr_spmm(SpmmWorkload.from_csr(graph.csr(), args.h))
-        t_req = session.model_request_seconds(args.h)
-        logger.info(f"modelled per-request time {t_req * 1e6:.1f}us "
-                    f"({t_csr / t_req:.2f}x vs CSR baseline); "
-                    f"served {session.n_requests} request(s)")
-        stats = session.resilience
-        if stats.retries or stats.downgrades or cache.stats.quarantined:
-            logger.info(f"resilience: {stats.retries} retr(ies), "
-                        f"{cache.stats.quarantined} quarantined artefact(s)")
-            for event in stats.downgrades:
-                logger.info(f"  downgraded {event.from_backend} -> {event.to_backend}: "
-                            f"{event.reason}")
+    health = router.health()
+    for entry in router.shard_load():
+        logger.info(
+            f"shard {entry['shard']}: rows {entry['rows'][0]}-{entry['rows'][1]}, "
+            f"{entry['alive']}/{entry['replicas']} replica(s) alive, "
+            f"{entry['served']} served, {entry['failures']} failure(s)"
+        )
+    verdict = ("healthy" if health["healthy"] else "UNHEALTHY") + (
+        ", degraded" if health["degraded"] else "")
+    logger.info(f"router: {router.n_requests} request(s) merged, "
+                f"{router.n_failovers} failover(s), {router.n_shed} shed; {verdict}")
+    cm = CostModel()
+    t_csr = cm.time_csr_spmm(SpmmWorkload.from_csr(graph.csr(), args.h))
+    t_req = registry.model_spmm_time(cm, result.operand, args.h)
+    logger.info(f"modelled per-request time {t_req * 1e6:.1f}us "
+                f"({t_csr / t_req:.2f}x vs CSR baseline)")
+    if cache.stats.quarantined:
+        logger.info(f"resilience: {cache.stats.quarantined} quarantined artefact(s)")
     board = active_breakers()
     if board is not None:
         snapshot = board.snapshot()
@@ -457,14 +435,16 @@ def _top_frame(samples: dict, health: dict | None) -> str:
         return None
 
     lines = []
-    qps = first("serve_requests_rate", window="60s")
-    p95 = first("spmm_latency_seconds_p95", window="60s")
-    depth = first("serve_queue_depth")
+    # The header is the request as the router door sees it; the per-shard
+    # sub-request series are the shard table's business.
+    qps = first("router_requests_rate", window="60s")
+    p95 = first("router_latency_seconds_p95", window="60s")
+    in_flight = samples.get("router_in_flight")
     head = [f"qps(60s) {qps:8.1f}" if qps is not None else "qps(60s)      n/a"]
     head.append(f"p95(60s) {_fmt_seconds(p95)}" if p95 is not None
                 else "p95(60s) n/a")
-    if depth is not None:
-        head.append(f"queue {int(depth)}")
+    if in_flight:
+        head.append(f"inflight {int(sum(v for _, v in in_flight))}")
     if health is not None:
         if not health.get("healthy"):
             detail = ", ".join(health.get("open_breakers", []))
@@ -795,10 +775,6 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--h", type=int, default=64)
     sv.add_argument("--requests", type=int, default=3)
     sv.add_argument("--seed", type=int, default=0)
-    sv.add_argument("--micro-batch", action="store_true",
-                    help="serve requests through the coalescing micro-batch "
-                         "queue (ServingSession.submit) instead of one spmm "
-                         "call per request")
     sv.add_argument("--max-retries", type=int, default=2,
                     help="kernel retries per request before degrading (default 2)")
     sv.add_argument("--deadline", type=float, default=None,
@@ -813,8 +789,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="seconds an open breaker rejects calls before its "
                          "half-open probe (default 5.0, or REPRO_BREAKER_COOLDOWN)")
     sv.add_argument("--max-queue-depth", type=int, default=None,
-                    help="admission control: shed micro-batch submissions "
-                         "beyond this queue depth (OverloadError)")
+                    help="admission control: shed requests queued beyond "
+                         "this depth at the router door (OverloadError)")
     sv.add_argument("--shed-deadline", type=float, default=None,
                     help="admission control: shed requests whose estimated "
                          "completion (live p95) exceeds this many seconds")
@@ -837,16 +813,15 @@ def build_parser() -> argparse.ArgumentParser:
                     help="after serving, keep the telemetry server up this "
                          "long for scrapes / `repro top`")
     sv.add_argument("--shards", type=int, default=1,
-                    help="serve through the sharded fan-out router: partition "
-                         "the operand into this many v-aligned row shards, "
-                         "one session per shard (docs/sharding.md; default 1 "
-                         "= single session)")
+                    help="partition the operand into this many v-aligned "
+                         "row shards behind the fan-out router "
+                         "(docs/sharding.md; default 1 = the whole operand)")
     sv.add_argument("--replicas", type=int, default=1,
-                    help="replicas per shard for failover and hot-shard "
-                         "throughput (needs --shards > 1; default 1)")
+                    help="replicas per shard: concurrent requests, failover "
+                         "and hot-shard throughput (default 1)")
     sv.add_argument("--executor", choices=["thread", "process"],
                     default="thread",
-                    help="shard replica back-end (needs --shards > 1): "
+                    help="shard replica back-end: "
                          "'thread' = in-process session lanes; 'process' = "
                          "one forked worker per replica over a zero-copy "
                          "shm ring — GIL-free shard parallelism "

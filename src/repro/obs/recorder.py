@@ -73,7 +73,6 @@ class RequestExemplar:
     downgrades: tuple = ()
     breaker_open: bool = False
     shed_reason: str | None = None
-    batched: bool = False
     error: str | None = None
     sampled: bool = False
     span_tree: dict | None = None
@@ -206,8 +205,8 @@ class FlightRecorder:
                 error: BaseException | str | None = None, **fields) -> None:
         """Record one already-measured request (no probe, no tracing).
 
-        The micro-batcher's path: it owns its request clocks and batches
-        never trace per request, so it reports outcomes directly.
+        The path for outcomes measured elsewhere: the router's shed
+        exemplars and process-shard round-trips report them directly.
         """
         seq = next(self._seq)
         self.n_requests += 1

@@ -45,7 +45,7 @@ __all__ = ["TelemetryServer", "session_health"]
 logger = logging.getLogger("repro.obs.server")
 
 
-def session_health(session=None, pool=None, router=None) -> dict:
+def session_health(pool=None, router=None) -> dict:
     """Liveness verdict for a serving process: breakers, pool, shards.
 
     ``healthy`` is False iff any registered circuit breaker is open, the
@@ -55,8 +55,8 @@ def session_health(session=None, pool=None, router=None) -> dict:
     ``degraded``: ``/healthz`` keeps answering 200 so the deployment is
     not pulled from rotation while most rows still serve.  Half-open
     breakers (probing) leave the process healthy — traffic is flowing,
-    just carefully.  Importable without a session (a bare telemetry plane
-    is always healthy).
+    just carefully.  With neither argument, a bare telemetry plane is
+    healthy unless a breaker is open.
     """
     # Late import: obs must stay importable below the pipeline layer.
     from ..pipeline.guard import active_breakers
@@ -138,7 +138,7 @@ class TelemetryServer:
     ``metrics`` is required; windows/evaluator/recorder/health are each
     optional and their endpoints degrade gracefully when absent.  ``health``
     is a zero-argument callable returning the ``/healthz`` payload
-    (typically ``lambda: session_health(session, pool)``); without one the
+    (typically ``lambda: session_health(router=router)``); without one the
     process always reports healthy.
     """
 

@@ -1,6 +1,6 @@
 """repro.perf — the hot-path performance layer.
 
-Four pieces, each consumed by the existing stack rather than replacing it:
+Three pieces, each consumed by the existing stack rather than replacing it:
 
 * :mod:`repro.perf.engine` — the one SpMM execution path: an
   :class:`ExecutionPlan` per operand runs its exact CSR triplet through
@@ -17,16 +17,12 @@ Four pieces, each consumed by the existing stack rather than replacing it:
   process pool with an explicit lifecycle, reused across
   ``reorder_many`` / ``preprocess_many`` calls (CLI ``--pool``), supervised
   by a :class:`SupervisionPolicy` (job timeouts, hung-worker kills,
-  windowed crash-loop caps);
-* :mod:`repro.perf.batching` — :class:`MicroBatcher` + :class:`BatchPolicy`,
-  the bounded coalescing queue behind
-  :meth:`repro.pipeline.serving.ServingSession.submit`.
+  windowed crash-loop caps).
 
 See ``docs/performance.md`` for lifecycle rules, platform caveats and the
 scaling benchmark (`benchmarks/bench_parallel_scaling.py`).
 """
 
-from .batching import BatchPolicy, MicroBatcher
 from .engine import ExecutionPlan, build_plan, plan_for
 from .pool import PoolStats, RestartWindow, SupervisionPolicy, WorkerPool
 from .shm import (
@@ -42,8 +38,6 @@ from .shm import (
 )
 
 __all__ = [
-    "BatchPolicy",
-    "MicroBatcher",
     "ExecutionPlan",
     "build_plan",
     "plan_for",

@@ -25,8 +25,8 @@ processes outright — ``shutdown`` alone would wait on them forever) and
 the job resubmitted, and a windowed restart cap turns a crash-looping pool
 into a :class:`~repro.pipeline.resilience.WorkerCrashError` instead of an
 infinite kill/respawn cycle.  All lifecycle transitions are guarded by an
-``RLock``: the micro-batcher's flush timer (or any other thread) can drive
-submissions concurrently with the owning thread's restarts.
+``RLock``: any other thread can drive submissions concurrently with the
+owning thread's restarts.
 """
 
 from __future__ import annotations

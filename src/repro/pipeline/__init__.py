@@ -9,9 +9,10 @@
 * :mod:`repro.pipeline.cache` — content-addressed artifact cache so the
   reorder search runs once per (graph, plan); checksummed, atomically
   written, with corrupt-entry quarantine.
-* :mod:`repro.pipeline.serving` — the permute-in / SpMM / permute-back
-  request cycle, consumable by :class:`repro.gnn.layers.Aggregator`, with
-  retry/backoff/deadline and backend fallback.
+* :mod:`repro.pipeline.serving` — the shard executor: the permute-in /
+  SpMM / permute-back request cycle, consumable by
+  :class:`repro.gnn.layers.Aggregator`, with retry/backoff/deadline and
+  backend fallback.
 * :mod:`repro.pipeline.resilience` — the shared error taxonomy
   (:class:`PipelineError` and friends) and :class:`RetryPolicy`.
 * :mod:`repro.pipeline.guard` — proactive serving guards: per-backend
@@ -21,11 +22,12 @@
   (:class:`FaultPlan` + :func:`inject`) for testing every recovery path,
   plus the seeded chaos harness (:class:`ChaosSchedule` +
   :class:`ChaosInvariants`).
-* :mod:`repro.pipeline.sharded` — the sharded serving fabric: v-aligned
-  row partitioning of one preprocessed operand into per-shard cached
-  artefacts (:func:`build_shards`) and the fan-out/merge
-  :class:`ShardRouter` with replica failover, hot-shard replication, and
-  online rebalance.
+* :mod:`repro.pipeline.sharded` — the one request door and the sharded
+  serving fabric: v-aligned row partitioning of one preprocessed operand
+  into per-shard cached artefacts (:func:`build_shards`) and the
+  fan-out/merge :class:`ShardRouter` — validation, admission, deadlines,
+  ``submit``/close, health, replica failover, hot-shard replication, and
+  online rebalance (an unsharded deployment is a 1-shard router).
 * :mod:`repro.pipeline.procshard` — the router's ``executor="process"``
   back-end: one supervised, fork-spawned :class:`ProcessShardWorker` per
   shard replica, serving over zero-copy shared-memory rings so GIL-bound

@@ -21,10 +21,6 @@ Three hook sites consult the active plan:
   calls :func:`maybe_fail_shm`, so the pickled-payload fallback in
   ``reorder_many`` runs deterministically (as it would on a platform
   without ``/dev/shm``);
-* **coalesced batches** — :class:`repro.perf.batching.MicroBatcher` calls
-  :func:`maybe_fail_batch` before each stacked SpMM dispatch, exercising
-  the re-serve-individually fallback that keeps one bad batch from
-  failing every coalesced request;
 * **shard replicas** — :class:`repro.pipeline.sharded.ShardRouter`'s
   replicas call :func:`shard_directive` before serving a sub-request;
   ``"kill"`` makes the replica die (exercising replica failover and the
@@ -62,7 +58,6 @@ __all__ = [
     "maybe_fail_kernel",
     "maybe_corrupt_cache_file",
     "maybe_fail_shm",
-    "maybe_fail_batch",
     "worker_directive",
     "shard_directive",
     "procshard_directive",
@@ -77,7 +72,7 @@ class InjectedFault(RuntimeError):
 class FaultEvent:
     """Record of one injected fault: where, on what, and which action."""
 
-    site: str  # "kernel" | "cache" | "worker" | "shm" | "batch" | "shard" | "procshard"
+    site: str  # "kernel" | "cache" | "worker" | "shm" | "shard" | "procshard"
     target: str  # backend name, cache key, job/shard index, or fixed site tag
     action: str  # "raise" | "corrupt" | "exit" | "kill" | "slow" | "sigkill" | "stall"
 
@@ -94,9 +89,7 @@ class FaultPlan:
     hung-worker watchdog kills it); directives are consumed when the job is
     first built, so jobs resubmitted after a pool break run clean.
     ``shm_failures`` fails that many upcoming shared-memory segment
-    creations (forcing ``reorder_many``'s pickled-payload fallback), and
-    ``batch_crashes`` crashes that many upcoming coalesced SpMM batches
-    before dispatch (forcing the per-request re-serve fallback).
+    creations (forcing ``reorder_many``'s pickled-payload fallback).
     ``shard_faults`` maps a shard index to ``"kill"`` (the next replica
     serving that shard dies, exercising the router's replica failover) or
     ``"slow"`` (the next sub-request on that shard stalls, exercising
@@ -111,7 +104,6 @@ class FaultPlan:
     cache_corruptions: int = 0
     worker_crashes: dict[int, str] = field(default_factory=dict)
     shm_failures: int = 0
-    batch_crashes: int = 0
     shard_faults: dict[int, str] = field(default_factory=dict)
     proc_faults: dict[int, str] = field(default_factory=dict)
     events: list[FaultEvent] = field(default_factory=list)
@@ -162,13 +154,6 @@ class FaultPlan:
         self.events.append(FaultEvent("shm", "segment", "raise"))
         return True
 
-    def take_batch_crash(self) -> bool:
-        if self.batch_crashes <= 0:
-            return False
-        self.batch_crashes -= 1
-        self.events.append(FaultEvent("batch", "spmm", "raise"))
-        return True
-
     def count(self, site: str) -> int:
         """How many faults fired at ``site`` so far."""
         return sum(1 for e in self.events if e.site == site)
@@ -217,12 +202,6 @@ def maybe_fail_shm() -> None:
         raise InjectedFault("injected shared-memory segment creation failure")
 
 
-def maybe_fail_batch() -> None:
-    plan = active_plan()
-    if plan is not None and plan.take_batch_crash():
-        raise InjectedFault("injected coalesced-batch crash before dispatch")
-
-
 def worker_directive(index: int) -> str | None:
     plan = active_plan()
     if plan is None:
@@ -256,8 +235,8 @@ class ChaosSchedule(FaultPlan):
     Deterministic per seed — the same seed always scripts the same faults,
     so a chaos failure is replayed by re-running its seed — but *randomized
     across seeds*: kernel failures on a random subset of backends, cache
-    corruptions, worker crash/exit/hang directives, shared-memory and batch
-    faults, all from one ``random.Random(seed)`` stream.  Build with
+    corruptions, worker crash/exit/hang directives, shared-memory faults
+    and shard directives, all from one ``random.Random(seed)`` stream.  Build with
     :meth:`draw` and activate with :func:`inject` like any plan; the
     invariants a serving stack must hold under *any* schedule are checked
     by :class:`ChaosInvariants` (the ``pytest -m chaos`` corpus).
@@ -275,7 +254,6 @@ class ChaosSchedule(FaultPlan):
         max_kernel_failures: int = 4,
         max_cache_corruptions: int = 2,
         max_shm_failures: int = 1,
-        max_batch_crashes: int = 2,
         worker_actions: tuple[str, ...] = ("raise", "exit", "hang"),
         worker_crash_rate: float = 0.3,
         kernel_failure_rate: float = 0.6,
@@ -297,7 +275,9 @@ class ChaosSchedule(FaultPlan):
         New draws always *append* to the stream — shard after every older
         site, procshard after shard — so a schedule that leaves the new
         knob at 0 is byte-identical to a pre-knob one for the same seed:
-        the fixed replay corpus keeps its meaning.
+        the fixed replay corpus keeps its meaning.  For the same reason
+        the retired coalesced-batch site's draw is still taken from the
+        stream and discarded.
         """
         rng = random.Random(seed)
         plan = cls(seed=seed)
@@ -308,7 +288,7 @@ class ChaosSchedule(FaultPlan):
                 plan.kernel_failures[backend] = rng.randint(1, max_kernel_failures)
         plan.cache_corruptions = rng.randint(0, max_cache_corruptions)
         plan.shm_failures = rng.randint(0, max_shm_failures)
-        plan.batch_crashes = rng.randint(0, max_batch_crashes)
+        rng.randint(0, 2)  # retired batch-crash site: keep the stream aligned
         for index in range(n_jobs):
             if rng.random() < worker_crash_rate:
                 plan.worker_crashes[index] = rng.choice(list(worker_actions))
@@ -328,7 +308,6 @@ class ChaosSchedule(FaultPlan):
             "cache_corruptions": self.cache_corruptions,
             "worker_crashes": {str(k): v for k, v in self.worker_crashes.items()},
             "shm_failures": self.shm_failures,
-            "batch_crashes": self.batch_crashes,
             "shard_faults": {str(k): v for k, v in self.shard_faults.items()},
             "proc_faults": {str(k): v for k, v in self.proc_faults.items()},
         }

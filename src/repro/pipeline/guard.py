@@ -21,8 +21,8 @@ finish framing applied to serving):
   and a deadline check driven by the live p95 of ``spmm_latency_seconds``
   — a request that cannot be finished in time is rejected *at the door*
   with :class:`~repro.pipeline.resilience.OverloadError` instead of
-  queueing to death (consulted by
-  :class:`~repro.perf.batching.MicroBatcher`).
+  queueing to death (consulted by the serving door,
+  :class:`~repro.pipeline.sharded.ShardRouter`).
 
 The process-wide board is **off by default**: ``run_kernel`` pays one
 ``is None`` test per call until :func:`enable_breakers` (or the
@@ -398,15 +398,14 @@ if os.environ.get("REPRO_BREAKERS") == "1":  # opt-in process-wide default
 
 @dataclass(frozen=True)
 class AdmissionPolicy:
-    """Reject-fast bounds on the micro-batched serving queue.
+    """Reject-fast bounds at the serving door (:class:`ShardRouter`).
 
-    ``max_queue_depth`` rejects a submission outright once that many
-    requests are already queued (:class:`OverloadError`, reason
-    ``queue_full``) — shedding instead of the blocking backpressure the
-    plain :class:`~repro.perf.batching.BatchPolicy` ``capacity`` applies.
+    ``max_queue_depth`` rejects a request outright once that many
+    requests are already queued ahead of it (:class:`OverloadError`,
+    reason ``queue_full``) — shedding instead of queueing.
     ``deadline`` sheds a request whose *estimated* completion time —
-    queued-batches-ahead times the live p95 of ``spmm_latency_seconds`` —
-    already exceeds it (reason ``deadline``); with no latency history yet
+    requests-ahead-plus-one times the live p95 of ``spmm_latency_seconds``
+    — already exceeds it (reason ``deadline``); with no latency history yet
     the request is admitted (optimism until measured).  ``min_samples``
     is how many latency observations the p95 needs before it is trusted.
     """
@@ -434,12 +433,11 @@ class AdmissionPolicy:
             deadline = _env_number("REPRO_SHED_DEADLINE", float, None)
         return cls(max_queue_depth=max_queue_depth, deadline=deadline)
 
-    def admit(self, *, depth: int, latency=None, batch_size: int = 1) -> None:
-        """Admit one submission or raise :class:`OverloadError`.
+    def admit(self, *, depth: int, latency=None) -> None:
+        """Admit one request or raise :class:`OverloadError`.
 
-        ``depth`` is the current queue depth, ``latency`` the live
-        ``spmm_latency_seconds`` histogram (or ``None``), ``batch_size``
-        how many queued requests one flush coalesces.
+        ``depth`` is how many requests are queued ahead of it, ``latency``
+        the live ``spmm_latency_seconds`` histogram or window (or ``None``).
         """
         if self.max_queue_depth is not None and depth >= self.max_queue_depth:
             raise OverloadError(
@@ -453,12 +451,11 @@ class AdmissionPolicy:
         if latency.count < self.min_samples:
             return
         p95 = latency.quantile(0.95)
-        batches_ahead = depth // max(1, batch_size) + 1
-        estimated = batches_ahead * p95
+        estimated = (depth + 1) * p95
         if estimated > self.deadline:
             raise OverloadError(
                 f"estimated completion {estimated * 1e3:.2f}ms (p95 "
-                f"{p95 * 1e3:.2f}ms x {batches_ahead} batch(es)) exceeds the "
+                f"{p95 * 1e3:.2f}ms x {depth + 1} request(s)) exceeds the "
                 f"{self.deadline * 1e3:.2f}ms deadline; request shed",
                 reason="deadline", depth=depth, estimated_wait=estimated,
                 deadline=self.deadline,

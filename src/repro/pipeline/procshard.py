@@ -108,7 +108,7 @@ _SRC_INHERIT, _SRC_CACHE = 0, 1
 
 # Session kwargs that only make sense in the parent process: the worker
 # has no reachable registry/recorder, so shipping them is pure confusion.
-_PARENT_ONLY_SESSION_KWARGS = ("metrics", "recorder", "latency_window", "shard")
+_PARENT_ONLY_SESSION_KWARGS = ("metrics", "recorder", "shard")
 
 # Taxonomy classes a worker-side error may rebuild into, by type name.
 _TAXONOMY = {cls.__name__: cls for cls in (
@@ -304,7 +304,7 @@ def _worker_main(spec: _WorkerSpec) -> None:
             rhdr = views.resp_hdr[slot]
             t0 = time.perf_counter()
             try:
-                out = session.spmm(xr)
+                out = session.serve_block(xr)  # the router validated it
                 serve_ns = int((time.perf_counter() - t0) * 1e9)
                 flat = out.reshape(-1)
                 views.resp_pay[slot][: flat.size] = flat
@@ -331,10 +331,6 @@ def _worker_main(spec: _WorkerSpec) -> None:
                 break
             ticket += 1
     finally:
-        try:
-            session.close()
-        except Exception:  # pragma: no cover
-            pass
         try:
             seg.close()
         except Exception:  # pragma: no cover

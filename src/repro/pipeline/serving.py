@@ -1,6 +1,6 @@
-"""Online serving over preprocessed artefacts.
+"""The shard executor: one permute → SpMM → un-permute cycle per request.
 
-A :class:`ServingSession` owns the full request cycle the paper's §4.4
+A :class:`ServingSession` owns the request cycle the paper's §4.4
 deployment runs per inference: gather the features into the reordered basis
 (``x[perm]``), SpMM on the compressed operand through the backend registry
 (or a virtual-clock device), and scatter the result back to the original
@@ -8,6 +8,11 @@ vertex order.  Sessions are themselves registered as a registry backend, so
 :class:`repro.gnn.layers.Aggregator` — and anything else that dispatches
 through :func:`repro.pipeline.registry.dispatch_spmm` — consumes them like
 any other operand.
+
+The request *door* — admission, shedding, deadlines, ``submit``/close and
+health — belongs to :class:`repro.pipeline.sharded.ShardRouter`; a session
+is what each shard replica (a router lane or a process worker) executes.
+Both run the one feature validator, :func:`validate_features`.
 
 Fault tolerance: each request runs under a :class:`RetryPolicy`
 (exponential backoff + jitter, optional per-request deadline).  When the
@@ -41,9 +46,33 @@ from .resilience import (
     RetryPolicy,
 )
 
-__all__ = ["ServingSession"]
+__all__ = ["ServingSession", "validate_features"]
 
 logger = logging.getLogger("repro.pipeline.serving")
+
+
+def validate_features(x, n_cols: int) -> tuple[np.ndarray, bool]:
+    """Coerce and validate one request's features; returns ``(x2d, squeeze)``.
+
+    The one request validator, run on the caller's thread by
+    :meth:`ServingSession.spmm` and by the router's door
+    (:meth:`~repro.pipeline.sharded.ShardRouter.spmm` / ``submit``): a
+    malformed request — wrong rank, wrong row count, non-finite values —
+    raises ``ValueError`` before it reaches a lane, a kernel or a worker
+    ring.
+    """
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim > 2:
+        raise ValueError(
+            f"features must be 1-D or 2-D (vertices[, channels]), got "
+            f"{x.ndim}-D input of shape {x.shape}"
+        )
+    if x.shape[0] != n_cols:
+        raise ValueError(f"feature rows {x.shape[0]} != operand columns {n_cols}")
+    if not np.isfinite(x).all():
+        raise ValueError("features contain non-finite values (nan or inf)")
+    squeeze = x.ndim == 1
+    return (x[:, None] if squeeze else x), squeeze
 
 
 class ServingSession:
@@ -69,16 +98,6 @@ class ServingSession:
     default) the request path carries no timing or bookkeeping at all —
     the observability-off hot path is the unchanged pre-obs code path.
 
-    ``batch_policy`` (a :class:`~repro.perf.batching.BatchPolicy`) tunes
-    the micro-batched :meth:`submit` path — flush deadline, batch shape
-    caps, queue capacity; ``None`` uses the defaults.  :meth:`spmm` is
-    unaffected either way.  ``admission`` (a
-    :class:`~repro.pipeline.guard.AdmissionPolicy`) adds load shedding to
-    :meth:`submit`: a request exceeding the queue-depth bound or whose
-    estimated completion (live ``spmm_latency_seconds`` p95) misses the
-    deadline is rejected immediately with
-    :class:`~repro.pipeline.resilience.OverloadError` instead of queueing.
-
     Kernels run through :func:`repro.perf.engine.execute`, the one SpMM
     execution path (with a ``device``, through the device, which charges
     its clock and then runs the same path).  ``precision="float32"`` opts
@@ -90,10 +109,7 @@ class ServingSession:
     exemplars: sampled requests carry a real span tree, every failure is
     kept.  Orthogonal to ``metrics`` — either, both, or neither may be on;
     only with both off does :meth:`spmm` take the unchanged zero-clock
-    path.  ``latency_window`` (typically a
-    :class:`repro.obs.WindowedHistogram` over ``spmm_latency_seconds``)
-    replaces the lifetime histogram as the admission policy's latency
-    signal, so shedding follows the *recent* p95.
+    path.
 
     ``shard`` labels every metric series this session emits with
     ``{shard="<value>"}`` — the per-shard observability a
@@ -112,11 +128,8 @@ class ServingSession:
         tag: str = "serving",
         retry_policy: RetryPolicy | None = None,
         metrics=None,
-        batch_policy=None,
-        admission=None,
         precision: str = "float64",
         recorder=None,
-        latency_window=None,
         shard: str | None = None,
     ):
         self.operand = operand
@@ -126,20 +139,15 @@ class ServingSession:
         self.tag = tag
         self.retry_policy = retry_policy or RetryPolicy()
         self.resilience = ResilienceStats()
-        self.admission = admission
         self.original_backend = registry.backend_for(operand).name
         self.n_requests = 0
         self.modelled_seconds = 0.0
-        self.batch_policy = batch_policy
-        self._batcher = None
         self._metrics = metrics
         self.recorder = recorder
-        self.latency_window = latency_window
-        # Per-shard metric series: a sharded deployment labels each shard
-        # session's latency/row series so `repro top`, windowed admission,
-        # and the fan-out router can tell the shards apart.  ``None`` (the
-        # default, every unsharded session) emits the exact label-less
-        # series the rest of the stack already scrapes.
+        # Per-shard metric series: the router labels each shard session's
+        # latency/row series so `repro top`, windowed admission and the
+        # router's health can tell the shards apart.  ``None`` (standalone
+        # use) emits the label-less series.
         self.shard = None if shard is None else str(shard)
         self._shard_labels = {} if shard is None else {"shard": self.shard}
         self.operand_key = (
@@ -173,10 +181,6 @@ class ServingSession:
             self._m_residual = metrics.gauge(
                 "costmodel_residual",
                 help="mean relative residual of predicted vs measured kernel time",
-            )
-            self._m_drain = metrics.histogram(
-                "serve_drain_seconds",
-                help="time close(drain=True) spent resolving queued requests",
             )
 
     # -- constructors ------------------------------------------------------
@@ -219,37 +223,25 @@ class ServingSession:
         return self.resilience.degraded
 
     # -- the request cycle -------------------------------------------------
-    def _validate_features(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
-        """Coerce and validate one request's features; returns ``(x2d, squeeze)``.
-
-        Shared by the synchronous :meth:`spmm` path and the micro-batched
-        :meth:`submit` path — a malformed request always fails in the
-        caller, synchronously, and never reaches a coalesced batch.
-        """
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim > 2:
-            raise ValueError(
-                f"features must be 1-D or 2-D (vertices[, channels]), got "
-                f"{x.ndim}-D input of shape {x.shape}"
-            )
-        if x.shape[0] != self.shape[1]:
-            raise ValueError(
-                f"feature rows {x.shape[0]} != operand columns {self.shape[1]}"
-            )
-        if not np.isfinite(x).all():
-            raise ValueError("features contain non-finite values (nan or inf)")
-        squeeze = x.ndim == 1
-        return (x[:, None] if squeeze else x), squeeze
-
     def spmm(self, x: np.ndarray) -> np.ndarray:
         """One inference request: ``A @ x`` in the caller's vertex order."""
-        x, squeeze = self._validate_features(x)
+        x, squeeze = validate_features(x, self.shape[1])
+        out = self.serve_block(x)
+        return out[:, 0] if squeeze else out
+
+    def serve_block(self, x: np.ndarray) -> np.ndarray:
+        """Serve one already-validated ``(n_cols, h)`` float64 block.
+
+        The shard-executor entry: the router's lanes and process workers
+        call it after the router's door ran :func:`validate_features`, so
+        a request is validated once, not once per hop.
+        """
         if self._metrics is None and self.recorder is None:
             # Observability off: the unchanged hot path — no clocks, no
             # bookkeeping beyond the request counter.
             out = self._serve_cycle(x)
             self.n_requests += 1
-            return out[:, 0] if squeeze else out
+            return out
         probe = None
         if self.recorder is not None:
             probe = self.recorder.begin(
@@ -281,7 +273,7 @@ class ServingSession:
         if probe is not None:
             probe.finish("ok", backend=self.backend_name,
                          **self._request_outcome(retries0, downgrades0))
-        return out[:, 0] if squeeze else out
+        return out
 
     def _request_outcome(self, retries0: int, downgrades0: int) -> dict:
         """Exemplar fields describing what one request went through."""
@@ -435,67 +427,6 @@ class ServingSession:
             )
             return out
         raise failure
-
-    # -- micro-batched serving (repro.perf.batching) -----------------------
-    @property
-    def batcher(self):
-        """The session's :class:`~repro.perf.batching.MicroBatcher`, built
-        lazily on first :meth:`submit` (``None`` until then)."""
-        return self._batcher
-
-    def submit(self, x: np.ndarray):
-        """Enqueue one request for micro-batched serving; returns a future.
-
-        Compatible requests (same operand/backend — i.e. everything on this
-        session) are coalesced into one stacked SpMM whose per-request
-        outputs are numerically identical to :meth:`spmm`; the batch goes
-        out when full or when the :class:`~repro.perf.batching.BatchPolicy`
-        flush deadline expires, so tail latency stays bounded.  Failures
-        arrive on the future; a crashed batch is re-served per request, so
-        only requests that fail on their own fail at all.
-        """
-        if self._batcher is None:
-            from ..perf.batching import MicroBatcher
-
-            self._batcher = MicroBatcher(self, self.batch_policy)
-        return self._batcher.submit(x)
-
-    def flush(self) -> None:
-        """Serve every queued :meth:`submit` request now (no-op if none)."""
-        if self._batcher is not None:
-            self._batcher.flush()
-
-    def close(self, drain: bool = True) -> None:
-        """Shut down the micro-batcher; direct :meth:`spmm` still works.
-
-        ``drain=True`` (the default) serves every queued :meth:`submit`
-        future before the batcher refuses new work — no caller is ever left
-        blocked on ``.result()``.  ``drain=False`` abandons the queue
-        instead: pending futures resolve with
-        :class:`~repro.pipeline.resilience.OverloadError` (reason
-        ``closed``).  Either way every queued future is resolved — even
-        when the final flush itself raises, the error is propagated *and*
-        delivered to the queued futures.  Drain time is observed on the
-        ``serve_drain_seconds`` histogram when metrics are enabled.
-        """
-        if self._batcher is None:
-            return
-        batcher, self._batcher = self._batcher, None
-        if self._metrics is None:
-            batcher.close(drain=drain)
-            return
-        t0 = time.perf_counter()
-        try:
-            batcher.close(drain=drain)
-        finally:
-            self._m_drain.observe(time.perf_counter() - t0)
-
-    def __enter__(self) -> "ServingSession":
-        return self
-
-    def __exit__(self, *exc) -> bool:
-        self.close()
-        return False
 
     # Aggregator (and any dispatch_spmm caller) treats a session like an
     # operand, so mm/mm_t spell out the symmetric-operator convention.

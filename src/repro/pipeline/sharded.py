@@ -1,8 +1,12 @@
-"""Sharded async serving fabric: partitioned operands behind a fan-out router.
+"""The serving front door: partitioned operands behind a fan-out router.
 
-The single-process :class:`~repro.pipeline.serving.ServingSession` serves
-one compressed operand end to end; ``repro.distributed`` only *simulates*
-multi-device SpMM.  This module is the production middle ground the paper's
+:class:`ShardRouter` is the only request door.  It validates, admits or
+sheds, enforces the deadline, owns ``submit``/close/drain and reports
+health; an unsharded deployment is a 1-shard router, and concurrency comes
+from ``replicas``.  Each replica executes sub-requests on a
+:class:`~repro.pipeline.serving.ServingSession` (the shard executor) in a
+lane thread or a forked worker.  ``repro.distributed`` only *simulates*
+multi-device SpMM; this module is the production middle ground the paper's
 §4.4 deployment implies: partition the **reordered** operand by row into
 v-aligned contiguous shards (:func:`repro.distributed.partition.
 partition_rows` with ``align = pattern.v``, so no V:N:M tile row straddles
@@ -83,7 +87,7 @@ from .resilience import (
     RetryPolicy,
     WorkerCrashError,
 )
-from .serving import ServingSession
+from .serving import ServingSession, validate_features
 
 __all__ = [
     "ShardSpec",
@@ -207,7 +211,8 @@ def shard_result(
     under its :func:`~repro.pipeline.cache.shard_cache_key`, with a
     ``<key>.plan.pkl`` execution-plan sidecar exactly like whole-operand
     preprocessing; re-sharding the same artefact under the same geometry
-    is a set of file loads.
+    is a set of file loads.  ``n_shards=1`` is the whole operand, served
+    under the artefact's own key.
     """
     from ..distributed.partition import partition_rows
 
@@ -222,28 +227,37 @@ def shard_result(
     specs: list[ShardSpec] = []
     operands: list = []
     plans: list = []
-    slices = None  # cut lazily: an all-hit reload never densifies
-    for p in parts:
-        key = (shard_cache_key(result.cache_key, p.device, n_shards, align=align)
-               if cacheable else None)
-        operand = None
-        cached = False
-        if key is not None:
-            hit = cache.load(key)
-            if hit is not None:
-                operand, _ = hit
-                cached = True
-        if operand is None:
-            if slices is None:
-                slices = split_operand_rows(result.operand, parts)
-            operand = registry.compress(slices[p.device], backend, pattern)
+    if n_shards == 1:
+        # One shard is the whole operand (an unsharded deployment): serve
+        # it as-is under the artefact's own cache key and plan — no slice,
+        # no recompress, no second artefact on disk.
+        specs.append(ShardSpec(0, 0, n, cache_key=result.cache_key if cacheable else None,
+                               cached=bool(result.cached)))
+        operands.append(result.operand)
+        plans.append(getattr(result, "plan", None))
+    else:
+        slices = None  # cut lazily: an all-hit reload never densifies
+        for p in parts:
+            key = (shard_cache_key(result.cache_key, p.device, n_shards, align=align)
+                   if cacheable else None)
+            operand = None
+            cached = False
             if key is not None:
-                cache.store(key, operand, None)
-        plan = _plan_operand(operand, key, cache, stored=not cached)
-        specs.append(ShardSpec(p.device, p.start, p.stop, cache_key=key,
-                               cached=cached))
-        operands.append(operand)
-        plans.append(plan)
+                hit = cache.load(key)
+                if hit is not None:
+                    operand, _ = hit
+                    cached = True
+            if operand is None:
+                if slices is None:
+                    slices = split_operand_rows(result.operand, parts)
+                operand = registry.compress(slices[p.device], backend, pattern)
+                if key is not None:
+                    cache.store(key, operand, None)
+            plan = _plan_operand(operand, key, cache, stored=not cached)
+            specs.append(ShardSpec(p.device, p.start, p.stop, cache_key=key,
+                                   cached=cached))
+            operands.append(operand)
+            plans.append(plan)
     obs_events.emit(
         "shard.built", n_shards=n_shards, backend=backend, align=align,
         cached=sum(1 for s in specs if s.cached), base_key=result.cache_key,
@@ -326,17 +340,24 @@ class ShardRouter:
     then permute back) into a result bit-identical to single-session
     serving.  :meth:`aspmm` is the asyncio face of the same cycle;
     :meth:`submit` pipelines synchronous callers (consecutive requests
-    overlap across shard lanes).
+    overlap across shard lanes) and runs the door — validation and
+    admission — on the caller's thread, so a malformed or shed request
+    raises from ``submit`` itself.
 
-    ``replicas`` seeds every shard with that many replicas.  ``admission``
-    (or the ``max_queue_depth`` / ``deadline`` shorthands) sheds at the
-    door: per shard, the queue depth the new sub-request would wait behind
-    and — when ``windows`` is given — the rolling p95 of that shard's
-    ``spmm_latency_seconds{shard=...}`` series estimate its completion;
-    a request that cannot finish in time raises
-    :class:`~repro.pipeline.resilience.OverloadError` before any lane sees
-    it.  ``deadline`` also hard-bounds the in-flight merge wait
-    (:class:`~repro.pipeline.resilience.DeadlineExceeded` — a stalled
+    ``replicas`` seeds every shard with that many replicas; it is where
+    concurrency comes from (scipy's matmat runs in parallel across lane
+    threads).  ``admission`` (or the ``max_queue_depth`` / ``deadline``
+    shorthands) sheds at the door: per shard, the queue depth the new
+    sub-request would wait behind (requests admitted by :meth:`submit` but
+    not yet fanned out, plus the least-loaded replica's in-flight count)
+    and the p95 of that shard's ``spmm_latency_seconds{shard=...}`` series
+    — the rolling window when ``windows`` is given, else the lifetime
+    histogram — estimate its completion; a request that cannot finish in
+    time raises :class:`~repro.pipeline.resilience.OverloadError` before
+    any lane sees it, and is counted on ``router_shed_total{reason}``,
+    emitted as a ``router.shed`` event and kept as a ``shed`` exemplar on
+    the ``recorder``.  ``deadline`` also hard-bounds the in-flight merge
+    wait (:class:`~repro.pipeline.resilience.DeadlineExceeded` — a stalled
     shard can delay one answer, never wedge the caller).
 
     ``metrics`` labels every shard session's series with ``shard="<i>"``
@@ -423,6 +444,11 @@ class ShardRouter:
         self.n_failovers = 0
         self.n_rebalances = 0
         self._closed = False
+        # The door lock makes close-check, admission and submit's hand-off
+        # to the front pool one step, so the admission depth counts every
+        # request submit() admitted but has not yet fanned out.
+        self._door_lock = threading.Lock()
+        self._queued = 0
         self._n_cols = shards.operands[0].shape[1]
         self._latency_views: list = []
         self._replicas: list[list[_Replica]] = []
@@ -448,11 +474,18 @@ class ShardRouter:
 
     # -- construction helpers ----------------------------------------------
     def _latency_view(self, shard_index: int):
-        if self._windows is None:
-            return None
-        return self._windows.histogram_view(
-            "spmm_latency_seconds", self._window_seconds,
-            shard=str(shard_index))
+        """The shard's admission latency signal: the rolling window when
+        ``windows`` is given (shedding follows the *recent* p95), else the
+        lifetime histogram, else ``None`` (no deadline shedding)."""
+        if self._windows is not None:
+            return self._windows.histogram_view(
+                "spmm_latency_seconds", self._window_seconds,
+                shard=str(shard_index))
+        if self._metrics is not None:
+            return self._metrics.histogram(
+                "spmm_latency_seconds", help="end-to-end serve request latency",
+                shard=str(shard_index))
+        return None
 
     def _make_replica(self, shard_index: int, replica_index: int,
                       operand) -> _Replica:
@@ -477,8 +510,6 @@ class ShardRouter:
             shard=str(shard_index),
             retry_policy=self._retry_policy,
             recorder=self._recorder,
-            latency_window=self._latency_views[shard_index]
-            if shard_index < len(self._latency_views) else None,
             **kwargs,
         )
         return _Replica(shard_index, replica_index, session)
@@ -531,43 +562,37 @@ class ShardRouter:
         return (self.shards.n_rows, self._n_cols)
 
     # -- the request cycle --------------------------------------------------
-    def _validate(self, x: np.ndarray) -> tuple[np.ndarray, bool]:
-        x = np.asarray(x, dtype=np.float64)
-        if x.ndim > 2:
-            raise ValueError(
-                f"features must be 1-D or 2-D (vertices[, channels]), got "
-                f"{x.ndim}-D input of shape {x.shape}")
-        if x.shape[0] != self._n_cols:
-            raise ValueError(
-                f"feature rows {x.shape[0]} != operand columns {self._n_cols}")
-        squeeze = x.ndim == 1
-        return (x[:, None] if squeeze else x), squeeze
-
-    def _admit(self) -> None:
-        """Door check: every shard must be able to take the sub-request."""
+    def _admit_locked(self) -> None:
+        """Door check (``_door_lock`` held): refuse when closed, then every
+        shard must be able to take the sub-request."""
+        if self._closed:
+            raise OverloadError("router is closed", reason="closed")
         if self.admission is None:
             return
         with self._lock:
             groups = list(self._replicas)
+            views = list(self._latency_views)
         try:
             for i, group in enumerate(groups):
                 live = [rep for rep in group if rep.alive]
                 if not live:
                     continue  # dispatch surfaces the dead shard, not admit
-                depth = min(rep.in_flight for rep in live)
-                latency = (self._latency_views[i]
-                           if i < len(self._latency_views) else None)
-                self.admission.admit(depth=depth, latency=latency,
-                                     batch_size=1)
+                depth = self._queued + min(rep.in_flight for rep in live)
+                self.admission.admit(
+                    depth=depth, latency=views[i] if i < len(views) else None)
         except OverloadError as exc:
             self.n_shed += 1
+            reason = str(exc.context.get("reason", "overload"))
             if self._metrics is not None:
                 self._metrics.counter(
                     "router_shed_total", help="requests shed at the router door",
-                    reason=str(exc.context.get("reason", "overload")),
+                    reason=reason,
                 ).inc()
-            obs_events.emit("router.shed",
-                            reason=exc.context.get("reason"))
+            if self._recorder is not None:
+                self._recorder.observe("shed", shed_reason=reason,
+                                       backend=self.shards.backend, error=exc)
+            obs_events.emit("router.shed", reason=reason)
+            logger.debug("request shed (%s): %s", reason, exc)
             raise
 
     def _pick(self, group: list[_Replica], tried: set | None = None) -> _Replica:
@@ -632,7 +657,7 @@ class ShardRouter:
         if action == "slow":
             time.sleep(self._stall_seconds)
         with rep.serve_lock:
-            out = rep.session.spmm(xr)
+            out = rep.session.serve_block(xr)
         rep.served += 1
         return out
 
@@ -674,17 +699,27 @@ class ShardRouter:
         fut.add_done_callback(lambda _f, rep=rep: self._dec(rep))
         return fut
 
-    def _fan_out(self, x: np.ndarray):
-        """Validate, admit, permute once, dispatch to every shard."""
-        x2d, squeeze = self._validate(x)
-        if self._closed:
-            raise OverloadError("router is closed", reason="closed")
-        self._admit()
-        xr = (x2d[self.permutation.order]
-              if self.permutation is not None else x2d)
-        with self._lock:
-            groups = list(self._replicas)  # layout snapshot: rebalance-safe
-        return [self._dispatch(group, xr) for group in groups], squeeze
+    def _fan_out(self, x: np.ndarray, admitted: bool | None):
+        """Pass the door (unless ``submit`` already did), permute once,
+        dispatch to every shard.  ``admitted`` is the squeeze flag of a
+        request :meth:`submit` validated and admitted; ``None`` means the
+        request still has to pass the door."""
+        if admitted is None:
+            x2d, squeeze = validate_features(x, self._n_cols)
+            with self._door_lock:
+                self._admit_locked()
+        else:
+            x2d, squeeze = x, admitted
+        try:
+            xr = (x2d[self.permutation.order]
+                  if self.permutation is not None else x2d)
+            with self._lock:
+                groups = list(self._replicas)  # layout snapshot: rebalance-safe
+            return [self._dispatch(group, xr) for group in groups], squeeze
+        finally:
+            if admitted is not None:
+                with self._door_lock:
+                    self._queued -= 1
 
     def _merge(self, partials: list[np.ndarray], squeeze: bool) -> np.ndarray:
         out = np.concatenate(partials, axis=0)
@@ -700,16 +735,19 @@ class ShardRouter:
             self._m_requests.inc()
             self._m_latency.observe(time.perf_counter() - t0)
 
-    def spmm(self, x: np.ndarray, *, deadline: float | None = None) -> np.ndarray:
+    def spmm(self, x: np.ndarray, *, deadline: float | None = None,
+             _admitted: bool | None = None) -> np.ndarray:
         """One request: ``A @ x`` in the caller's vertex order (blocking).
 
         ``deadline`` (default: the router's) bounds the whole fan-out/merge
         wait; a miss raises :class:`DeadlineExceeded` while the straggler
         lane finishes in the background — the caller never hangs.
+        ``_admitted`` is :meth:`submit`'s hand-off (the squeeze flag of a
+        request that already passed the door), not a caller option.
         """
         t0 = time.perf_counter()
         budget = self.deadline if deadline is None else deadline
-        futures, squeeze = self._fan_out(x)
+        futures, squeeze = self._fan_out(x, _admitted)
         partials = []
         for fut in futures:
             remaining = None
@@ -734,7 +772,7 @@ class ShardRouter:
         """The same request cycle, awaitable: fan out, await, merge."""
         t0 = time.perf_counter()
         budget = self.deadline if deadline is None else deadline
-        futures, squeeze = self._fan_out(x)
+        futures, squeeze = self._fan_out(x, None)
         gathered = asyncio.gather(*(asyncio.wrap_future(f) for f in futures))
         try:
             partials = await asyncio.wait_for(gathered, timeout=budget)
@@ -749,14 +787,21 @@ class ShardRouter:
     def submit(self, x: np.ndarray):
         """Pipeline one request; returns a future of the merged result.
 
-        Consecutive submissions overlap: while one request's sub-requests
-        drain through the shard lanes, the next request's are already
-        queued behind them — the throughput mode the scaling benchmark
-        measures.  Admission applies per request at fan-out time.
+        The door runs here, on the caller's thread: a malformed request
+        raises ``ValueError``, a closed router or a shed request raises
+        :class:`~repro.pipeline.resilience.OverloadError` — nothing
+        invalid reaches a lane or a worker ring.  An admitted request
+        counts toward the admission depth until it fans out.  Consecutive
+        submissions overlap: while one request's sub-requests drain
+        through the shard lanes, the next request's are already queued
+        behind them.  Serving failures arrive on the future.
         """
-        if self._closed:
-            raise OverloadError("router is closed", reason="closed")
-        return self._front.submit(self.spmm, x)
+        x2d, squeeze = validate_features(x, self._n_cols)
+        with self._door_lock:
+            self._admit_locked()
+            future = self._front.submit(self.spmm, x2d, _admitted=squeeze)
+            self._queued += 1
+        return future
 
     # -- load management ----------------------------------------------------
     def shard_load(self) -> list[dict]:
@@ -955,10 +1000,11 @@ class ShardRouter:
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
         """Drain the front and every lane; idempotent."""
-        if self._closed:
-            return
-        self._closed = True
-        self._front.shutdown(wait=True)
+        with self._door_lock:
+            if self._closed:
+                return
+            self._closed = True  # every submit from here on is refused
+        self._front.shutdown(wait=True)  # drains what the door admitted
         with self._lock:
             groups = list(self._replicas)
             retired = list(self._retired)
@@ -968,8 +1014,6 @@ class ShardRouter:
                 rep.lane.shutdown(wait=True)
                 if rep.worker is not None:
                     rep.worker.close()  # joins the process, unlinks the ring
-                else:
-                    rep.session.close()
         for rep in retired:
             rep.lane.shutdown(wait=True)  # runs any queued worker.close
             if rep.worker is not None:

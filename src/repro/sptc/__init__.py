@@ -6,12 +6,7 @@ virtual-clock device the experiments run on.
 """
 
 from .bsr import BSRMatrix
-from .conformance import (
-    conforming_tile_rows,
-    row_nm_violations,
-    tile_row_vertical_violations,
-    topn_keep_mask,
-)
+from .conformance import topn_keep_mask
 from .costmodel import A100Params, CostModel, DEFAULT_PARAMS, SpmmWorkload
 from .csr import CSRMatrix
 from .device import EmulatedDevice, KernelRecord
@@ -52,9 +47,6 @@ __all__ = [
     "split_to_pattern",
     "split_csr_to_pattern",
     "topn_keep_mask",
-    "row_nm_violations",
-    "tile_row_vertical_violations",
-    "conforming_tile_rows",
     "TCGNNBlocked",
     "SellCSigma",
     "csr_sddmm",

@@ -109,9 +109,9 @@ class TestSpanTrees:
 class TestObserve:
     def test_direct_observation_without_probe(self):
         rec = FlightRecorder(sample_every=1)
-        rec.observe("ok", latency=0.002, backend="csr", batched=True, h=8)
+        rec.observe("ok", latency=0.002, backend="csr", h=8)
         e = rec.exemplars()[0]
-        assert e.batched is True
+        assert e.backend == "csr" and e.h == 8
         assert e.latency == 0.002
 
     def test_observe_failure_always_kept(self):

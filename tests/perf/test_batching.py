@@ -1,12 +1,20 @@
-"""MicroBatcher / BatchPolicy: coalescing correctness and queue mechanics."""
+"""The router's submit door: the request mechanics of an unsharded
+deployment (a 1-shard ``ShardRouter``) — eager validation, closed-refuses,
+close-drains, squeeze and request accounting on the ``submit`` path."""
 
 import numpy as np
 import pytest
 
 from repro.core import VNMPattern
 from repro.graphs import sbm_graph
-from repro.perf.batching import BatchPolicy, MicroBatcher
-from repro.pipeline import PreprocessPlan, ServingSession, preprocess
+from repro.pipeline import (
+    OverloadError,
+    PreprocessPlan,
+    ServingSession,
+    ShardRouter,
+    preprocess,
+    shard_result,
+)
 
 PATTERN = VNMPattern(1, 2, 4)
 
@@ -17,22 +25,8 @@ def served():
     return g, preprocess(g, PreprocessPlan(pattern=PATTERN))
 
 
-class TestBatchPolicy:
-    def test_defaults_are_valid(self):
-        BatchPolicy()
-
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {"max_delay": -0.001},
-            {"max_requests": 0},
-            {"max_columns": 0},
-            {"capacity": 0},
-        ],
-    )
-    def test_rejects_degenerate_knobs(self, kwargs):
-        with pytest.raises(ValueError):
-            BatchPolicy(**kwargs)
+def unsharded(result, **kwargs):
+    return ShardRouter(shard_result(result, n_shards=1), **kwargs)
 
 
 class TestCoalescing:
@@ -42,110 +36,61 @@ class TestCoalescing:
         rng = np.random.default_rng(0)
         xs = [rng.integers(0, 1 << 10, size=(g.n, 4)).astype(np.float64)
               for _ in range(5)]
-        with MicroBatcher(session, BatchPolicy(max_delay=60.0)) as batcher:
-            futures = [batcher.submit(x) for x in xs]
-            batcher.flush()
+        with unsharded(result, replicas=2) as router:
+            futures = [router.submit(x) for x in xs]
             dense = g.dense_adjacency()
             for x, fut in zip(xs, futures):
-                # Integer-valued features: stacked outputs must be bitwise
-                # identical to both the dense reference and a solo spmm.
+                # Integer-valued features: every submitted output must be
+                # bitwise identical to the dense reference and a solo spmm.
                 assert np.array_equal(fut.result(), dense @ x)
                 assert np.array_equal(fut.result(), session.spmm(x))
-            assert batcher.n_batches == 1
-            assert batcher.n_coalesced == 5
+            assert router.n_requests == 5
 
     def test_vector_requests_squeeze_back(self, served):
         g, result = served
-        session = ServingSession.from_result(result)
         x = np.random.default_rng(1).random(g.n)
-        with MicroBatcher(session, BatchPolicy(max_delay=60.0)) as batcher:
-            fut = batcher.submit(x)
-            batcher.flush()
-            out = fut.result()
+        with unsharded(result) as router:
+            out = router.submit(x).result()
         assert out.shape == (g.n,)
         assert np.allclose(out, g.dense_adjacency() @ x)
-
-    def test_deadline_flushes_without_explicit_flush(self, served):
-        g, result = served
-        session = ServingSession.from_result(result)
-        x = np.random.default_rng(2).random((g.n, 3))
-        batcher = MicroBatcher(session, BatchPolicy(max_delay=0.005))
-        try:
-            fut = batcher.submit(x)
-            assert np.allclose(fut.result(timeout=10.0), g.dense_adjacency() @ x)
-        finally:
-            batcher.close()
-
-    def test_max_requests_splits_batches(self, served):
-        g, result = served
-        session = ServingSession.from_result(result)
-        rng = np.random.default_rng(3)
-        xs = [rng.random((g.n, 2)) for _ in range(5)]
-        with MicroBatcher(session, BatchPolicy(max_delay=60.0, max_requests=2)) as b:
-            futs = [b.submit(x) for x in xs]
-            b.flush()
-            for x, fut in zip(xs, futs):
-                assert np.allclose(fut.result(), g.dense_adjacency() @ x)
-            assert b.n_batches == 3  # 2 + 2 + 1
-
-    def test_max_columns_splits_batches(self, served):
-        g, result = served
-        session = ServingSession.from_result(result)
-        rng = np.random.default_rng(4)
-        xs = [rng.random((g.n, 4)) for _ in range(4)]
-        with MicroBatcher(session, BatchPolicy(max_delay=60.0, max_columns=8)) as b:
-            futs = [b.submit(x) for x in xs]
-            b.flush()
-            for fut in futs:
-                fut.result()
-            assert b.n_batches == 2  # 8 columns per batch
 
 
 class TestQueueMechanics:
     def test_submit_validates_eagerly(self, served):
         _, result = served
-        session = ServingSession.from_result(result)
-        with MicroBatcher(session, BatchPolicy(max_delay=60.0)) as batcher:
-            with pytest.raises(ValueError):
-                batcher.submit(np.zeros((3, 2)))  # wrong row count
-            assert batcher.queued == 0
+        with unsharded(result) as router:
+            for bad in (np.zeros((3, 2)),            # wrong row count
+                        np.zeros((72, 2, 2)),        # wrong rank
+                        np.full((72, 2), np.nan)):   # non-finite
+                with pytest.raises(ValueError):
+                    router.submit(bad)
+            assert router.shard_load()[0]["served"] == 0
+        assert router.n_requests == 0
 
     def test_closed_batcher_refuses_submissions(self, served):
         g, result = served
-        session = ServingSession.from_result(result)
-        batcher = MicroBatcher(session)
-        batcher.close()
-        with pytest.raises(RuntimeError):
-            batcher.submit(np.zeros(g.n))
+        router = unsharded(result)
+        router.close()
+        with pytest.raises(OverloadError) as err:
+            router.submit(np.zeros(g.n))
+        assert err.value.context["reason"] == "closed"
 
     def test_close_drains_queue(self, served):
         g, result = served
-        session = ServingSession.from_result(result)
-        batcher = MicroBatcher(session, BatchPolicy(max_delay=60.0))
-        fut = batcher.submit(np.random.default_rng(5).random((g.n, 2)))
-        batcher.close()
+        router = unsharded(result)
+        fut = router.submit(np.random.default_rng(5).random((g.n, 2)))
+        router.close()
         assert fut.done()
         assert fut.result().shape == (g.n, 2)
 
 
 class TestSessionSurface:
-    def test_session_submit_flush_close(self, served):
-        g, result = served
-        session = ServingSession.from_result(result)
-        x = np.random.default_rng(6).random((g.n, 3))
-        with session:
-            fut = session.submit(x)
-            session.flush()
-            assert np.allclose(fut.result(), g.dense_adjacency() @ x)
-        assert session._batcher is None
-
     def test_request_accounting_counts_batched_requests(self, served):
         g, result = served
-        session = ServingSession.from_result(result)
         rng = np.random.default_rng(7)
-        futs = [session.submit(rng.random((g.n, 2))) for _ in range(3)]
-        session.flush()
-        for fut in futs:
-            fut.result()
-        session.close()
-        assert session.n_requests == 3
+        with unsharded(result, replicas=2) as router:
+            futs = [router.submit(rng.random((g.n, 2))) for _ in range(3)]
+            for fut in futs:
+                fut.result()
+        assert router.n_requests == 3
+        assert router.shard_load()[0]["served"] == 3

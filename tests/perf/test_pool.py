@@ -78,9 +78,9 @@ class TestLifecycle:
 
 class TestThreadSafety:
     def test_concurrent_submit_and_restart(self):
-        """Satellite fix: the micro-batcher flush timer drives submissions
-        from another thread while the owner restarts — the RLock must keep
-        every job on a live executor (no race on a half-built one)."""
+        """Another thread drives submissions while the owner restarts —
+        the RLock must keep every job on a live executor (no race on a
+        half-built one)."""
         errors = []
         with WorkerPool(2) as pool:
             pool.warm()

@@ -1,7 +1,7 @@
 """Seeded chaos corpus: the serving stack's invariants under any schedule.
 
 Each seed draws one :class:`ChaosSchedule` — kernel failures, cache
-corruptions, worker crash/exit/hang directives, shared-memory and batch
+corruptions, worker crash/exit/hang directives, shared-memory and shard
 faults — and the suite checks the :class:`ChaosInvariants` that must hold
 under *any* schedule: every submitted request resolves (bit-identical or a
 taxonomy error, never a hang), health converges once faults stop, and no
@@ -31,10 +31,11 @@ from repro.pipeline import (
     PipelineError,
     PreprocessPlan,
     RetryPolicy,
-    ServingSession,
+    ShardRouter,
     breaker_scope,
     inject,
     preprocess,
+    shard_result,
 )
 from repro.pipeline import guard
 
@@ -46,8 +47,8 @@ FAST = RetryPolicy(max_attempts=3, base_delay=0.001, max_delay=0.004, jitter=0.0
 # The fixed replay corpus.  Chosen (from the deterministic draw) to cover
 # the fault space: seed 5 scripts no kernel faults at all, 8 hammers the
 # primary backend past the breaker threshold, 13 is a light single-backend
-# blip, and 0/2/3 mix cache corruption with batch crashes and worker
-# raise/exit/hang directives.
+# blip, and 0/2/3 mix cache corruption with worker raise/exit/hang
+# directives.
 SERVE_SEEDS = (0, 1, 2, 3, 5, 8, 13)
 WORKER_SEEDS = (2, 3, 5)
 
@@ -100,6 +101,20 @@ class TestScheduleDeterminism:
         draws = [ChaosSchedule.draw(s, n_jobs=4).describe() for s in SERVE_SEEDS]
         assert len({json.dumps(d, sort_keys=True) for d in draws}) == len(draws)
 
+    def test_schedule_pinned_across_retired_sites(self):
+        # The retired coalesced-batch site still consumes its RNG draw, so
+        # every seed scripts exactly the faults it always did at the sites
+        # that remain — replaying a corpus seed replays the same schedule.
+        assert ChaosSchedule.draw(3, n_jobs=4, n_shards=2, n_proc_shards=2).describe() == {
+            "seed": 3,
+            "kernel_failures": {"hybrid": 2, "vnm": 4, "bsr": 1},
+            "cache_corruptions": 1,
+            "worker_crashes": {"0": "hang"},
+            "shm_failures": 1,
+            "shard_faults": {"1": "kill"},
+            "proc_faults": {},
+        }
+
     def test_dense_is_never_scripted(self):
         # The terminal fallback rung must stay healthy or "every request
         # resolves" is unsatisfiable.
@@ -111,7 +126,7 @@ class TestScheduleDeterminism:
 class TestServingChaos:
     @pytest.mark.parametrize("seed", SERVE_SEEDS)
     def test_invariants_hold(self, seed, tmp_path):
-        from repro.perf.batching import BatchPolicy
+        from repro.obs import session_health
         from repro.perf.shm import live_segments
 
         schedule = ChaosSchedule.draw(seed)
@@ -132,24 +147,24 @@ class TestServingChaos:
         with breaker_scope(config, metrics=metrics):
             with inject(schedule):
                 result = preprocess(bm, plan, cache=cache)
-                session = ServingSession.from_result(
-                    result,
+                # An unsharded deployment: one shard, two replicas.
+                router = ShardRouter(
+                    shard_result(result, n_shards=1),
+                    replicas=2,
                     retry_policy=FAST,
                     metrics=metrics,
-                    batch_policy=BatchPolicy(max_delay=30.0, max_requests=4),
                     admission=AdmissionPolicy(max_queue_depth=16),
                 )
                 ref = bm.to_dense().astype(np.float64)
                 xs = [int_features(bm.n_cols, seed=100 + i) for i in range(6)]
-                futures = [(x, session.submit(x)) for x in xs]
-                session.flush()
+                futures = [(x, router.submit(x)) for x in xs]
                 for i, (x, fut) in enumerate(futures):
                     inv.observe_future(fut, ref @ x, timeout=30.0,
                                        label=f"seed{seed}/req{i}")
 
             # -- convergence: faults stopped, the stack must recover -------
             time.sleep(config.cooldown + 0.01)
-            out = session.spmm(xs[0])
+            out = router.spmm(xs[0])
             inv.require(np.array_equal(out, ref @ xs[0]),
                         f"seed{seed}: post-fault request not bit-identical")
             board = guard.active_breakers()
@@ -158,10 +173,10 @@ class TestServingChaos:
                 all(not board.would_reject(name) for name in snapshot),
                 f"seed{seed}: breaker still rejecting after cooldown "
                 f"({snapshot})")
-            health = session.aggregator().health()
+            health = session_health(router=router)
             inv.require("breakers" in health,
                         f"seed{seed}: health() lost the breaker panel")
-            session.close(drain=True)
+            router.close()
 
         inv.require(live_segments() == [],
                     f"seed{seed}: shared-memory segments leaked")

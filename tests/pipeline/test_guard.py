@@ -5,6 +5,8 @@ sleeping; serving tests script kernel failures through ``FaultPlan`` like
 the rest of the faults suite.
 """
 
+import threading
+
 import numpy as np
 import pytest
 
@@ -23,6 +25,7 @@ from repro.pipeline import (
     PreprocessPlan,
     RetryPolicy,
     ServingSession,
+    ShardRouter,
     active_breakers,
     breaker_scope,
     disable_breakers,
@@ -30,6 +33,7 @@ from repro.pipeline import (
     inject,
     preprocess,
     registry,
+    shard_result,
 )
 from repro.pipeline import guard
 
@@ -68,6 +72,27 @@ def session_for(bm, **kwargs):
     result = preprocess(bm, PreprocessPlan(pattern=PATTERN))
     kwargs.setdefault("retry_policy", FAST)
     return bm, ServingSession.from_result(result, **kwargs)
+
+
+def router_for(bm, **kwargs):
+    """An unsharded deployment: the 1-shard router in front of ``bm``."""
+    result = preprocess(bm, PreprocessPlan(pattern=PATTERN))
+    kwargs.setdefault("retry_policy", FAST)
+    return bm, ShardRouter(shard_result(result, n_shards=1), **kwargs)
+
+
+def hold_lanes(router):
+    """Park every replica lane behind a gate; returns the gate to open.
+
+    Requests submitted meanwhile stay queued (admitted, or dispatched to a
+    parked lane), so depth-driven admission and close-time draining are
+    deterministic.
+    """
+    gate = threading.Event()
+    for group in router._replicas:
+        for rep in group:
+            rep.lane.submit(gate.wait, 10.0)
+    return gate
 
 
 def trip(breaker_or_board, backend=None, times=None):
@@ -383,115 +408,61 @@ class TestAdmission:
         assert policy.deadline == 0.75
 
     def test_batcher_sheds_on_queue_depth(self):
-        from repro.perf.batching import BatchPolicy
-
         metrics = MetricsRegistry()
-        bm, session = session_for(
-            make_bm(),
-            metrics=metrics,
-            admission=AdmissionPolicy(max_queue_depth=1),
-            # A long flush window and a high request cap keep the first
-            # submission queued while the second one arrives.
-            batch_policy=BatchPolicy(max_delay=30.0, max_requests=64),
-        )
+        bm, router = router_for(
+            make_bm(), metrics=metrics,
+            admission=AdmissionPolicy(max_queue_depth=1))
+        gate = hold_lanes(router)  # the first request stays queued
         x = int_features(bm.n_cols)
-        first = session.submit(x)
+        first = router.submit(x)
         with pytest.raises(OverloadError) as exc_info:
-            session.submit(x)
+            router.submit(x)
         assert exc_info.value.context["reason"] == "queue_full"
-        session.close(drain=True)
+        gate.set()
+        router.close()
         assert np.array_equal(first.result(timeout=5),
                               bm.to_dense().astype(np.float64) @ x)
-        shed = metrics.snapshot()["serve_shed_total"]
+        shed = metrics.snapshot()["router_shed_total"]
         assert shed[0]["labels"] == {"reason": "queue_full"}
         assert shed[0]["value"] == 1
 
     def test_batcher_sheds_on_deadline(self):
-        from repro.perf.batching import BatchPolicy
-
         metrics = MetricsRegistry()
-        bm, session = session_for(
-            make_bm(),
-            metrics=metrics,
-            admission=AdmissionPolicy(deadline=0.5, min_samples=3),
-            batch_policy=BatchPolicy(max_delay=30.0, max_requests=4),
-        )
+        bm, router = router_for(
+            make_bm(), metrics=metrics,
+            admission=AdmissionPolicy(deadline=0.5, min_samples=3))
+        latency = metrics.histogram("spmm_latency_seconds", shard="0")
         for _ in range(3):
-            session._m_latency.observe(1.0)  # a slow history: p95 ≈ 1s
+            latency.observe(1.0)  # a slow history: p95 ≈ 1s
         with pytest.raises(OverloadError) as exc_info:
-            session.submit(int_features(bm.n_cols))
+            router.submit(int_features(bm.n_cols))
         assert exc_info.value.context["reason"] == "deadline"
-        session.close()
+        router.close()
 
 
 class TestDrainAndClose:
     def test_close_drains_queued_futures(self):
-        from repro.perf.batching import BatchPolicy
-
         metrics = MetricsRegistry()
-        bm, session = session_for(
-            make_bm(), metrics=metrics,
-            batch_policy=BatchPolicy(max_delay=30.0, max_requests=64),
-        )
+        bm, router = router_for(make_bm(), metrics=metrics)
+        gate = hold_lanes(router)
         x = int_features(bm.n_cols)
-        futures = [session.submit(x) for _ in range(3)]
-        session.close(drain=True)
+        futures = [router.submit(x) for _ in range(3)]
+        threading.Timer(0.05, gate.set).start()
+        router.close()  # blocks until every admitted request is served
         reference = bm.to_dense().astype(np.float64) @ x
         for fut in futures:
-            assert np.array_equal(fut.result(timeout=5), reference)
-        drain = metrics.snapshot()["serve_drain_seconds"][0]
-        assert drain["count"] == 1
-
-    def test_close_without_drain_sheds_queue(self):
-        from repro.perf.batching import BatchPolicy
-
-        bm, session = session_for(
-            make_bm(),
-            batch_policy=BatchPolicy(max_delay=30.0, max_requests=64),
-        )
-        futures = [session.submit(int_features(bm.n_cols)) for _ in range(2)]
-        session.close(drain=False)
-        for fut in futures:
-            with pytest.raises(OverloadError) as exc_info:
-                fut.result(timeout=5)
-            assert exc_info.value.context["reason"] == "closed"
-
-    def test_raising_flush_resolves_all_futures(self):
-        """Satellite fix: a flush that raises during close must not leave
-        queued futures forever-pending."""
-        from repro.perf.batching import BatchPolicy, MicroBatcher
-
-        bm, session = session_for(
-            make_bm(),
-            # One request per batch: the first batch raises, the second
-            # request is still queued when the flush dies.
-            batch_policy=BatchPolicy(max_delay=30.0, max_requests=1),
-        )
-
-        def explode(batch):
-            raise KeyboardInterrupt("operator hit ctrl-c mid-drain")
-
-        # Build the batcher and install the exploding flush *before* any
-        # submit: with max_requests=1 the flusher thread serves the first
-        # batch as soon as it lands, so patching after submit races it.
-        batcher = MicroBatcher(session, session.batch_policy)
-        batcher._run_batch_inner = explode
-        session._batcher = batcher
-        futures = [session.submit(int_features(bm.n_cols)) for _ in range(2)]
-        with pytest.raises(KeyboardInterrupt):
-            session.close(drain=True)
-        for fut in futures:
             assert fut.done()
-            with pytest.raises(KeyboardInterrupt):
-                fut.result(timeout=0)
+            assert np.array_equal(fut.result(timeout=0), reference)
+        assert metrics.get("router_requests_total").value == 3
 
     def test_closed_batcher_refuses_submissions(self):
-        bm, session = session_for(make_bm())
-        session.submit(int_features(bm.n_cols))
-        session.close()
-        # A fresh batcher is built lazily on the next submit; closing the
-        # session again is a no-op.
-        session.close()
+        bm, router = router_for(make_bm())
+        router.submit(int_features(bm.n_cols)).result(timeout=5)
+        router.close()
+        with pytest.raises(OverloadError) as exc_info:
+            router.submit(int_features(bm.n_cols))
+        assert exc_info.value.context["reason"] == "closed"
+        router.close()  # idempotent
 
 
 class TestWorkerSupervision:

@@ -62,7 +62,6 @@ class TestRingRoundTrip:
         with ProcessShardWorker(0, 0, operand) as worker:
             assert worker.alive and worker.pid != os.getpid()
             assert np.array_equal(worker.serve(x), session.spmm(x))
-        session.close()
 
     def test_slots_recycle_across_many_requests(self, hybrid_result):
         # More round-trips than ring slots: the seqlock ticket must wrap
@@ -74,7 +73,6 @@ class TestRingRoundTrip:
                 x = int_features(operand.shape[1], seed=40 + i)
                 assert np.array_equal(worker.serve(x), session.spmm(x))
             assert worker.stats.served == 7
-        session.close()
 
     def test_wide_request_chunks_by_columns(self, hybrid_result):
         # h > h_max serves in column chunks; the reassembled result must
@@ -84,7 +82,6 @@ class TestRingRoundTrip:
         x = int_features(operand.shape[1], h=11, seed=12)
         with ProcessShardWorker(0, 0, operand, h_max=4) as worker:
             assert np.array_equal(worker.serve(x), session.spmm(x))
-        session.close()
 
     def test_rejects_wrong_shape(self, hybrid_result):
         operand = hybrid_result.operand
@@ -120,7 +117,6 @@ class TestAttachLifecycle:
             x = int_features(result.operand.shape[1], seed=9)
             session = ServingSession.from_result(result)
             assert np.array_equal(router.spmm(x), session.spmm(x))
-            session.close()
         text = metrics.to_prometheus()
         assert 'procshard_worker_attach_total{shard="0",source="cache"}' in text
 
@@ -211,7 +207,6 @@ class TestErrorsAndTimeouts:
             assert worker.pid != first_pid
             session = ServingSession(operand, None)
             assert np.array_equal(out, session.spmm(x))
-            session.close()
         finally:
             worker.close()
 

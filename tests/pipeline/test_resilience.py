@@ -21,11 +21,13 @@ from repro.pipeline import (
     PreprocessPlan,
     RetryPolicy,
     ServingSession,
+    ShardRouter,
     WorkerCrashError,
     inject,
     preprocess,
     preprocess_many,
     registry,
+    shard_result,
 )
 from repro.pipeline import cache as cache_mod
 from repro.sptc import serialize
@@ -60,6 +62,13 @@ def session_for(bm, **kwargs):
     result = preprocess(bm, PreprocessPlan(pattern=PATTERN))
     kwargs.setdefault("retry_policy", FAST)
     return bm, ServingSession.from_result(result, **kwargs)
+
+
+def router_for(bm, **kwargs):
+    """An unsharded deployment: the 1-shard router in front of ``bm``."""
+    result = preprocess(bm, PreprocessPlan(pattern=PATTERN))
+    kwargs.setdefault("retry_policy", FAST)
+    return ShardRouter(shard_result(result, n_shards=1), **kwargs)
 
 
 class TestTaxonomy:
@@ -432,56 +441,42 @@ class TestSharedMemoryLifecycle:
 
 
 class TestMicroBatchFaults:
-    """A crash during a coalesced batch fails only the affected requests."""
-
-    def test_batch_crash_falls_back_to_per_request(self):
-        bm, session = session_for(make_bm())
-        xs = [int_features(bm.n_rows, h=3, seed=s) for s in range(3)]
-        dense = bm.to_dense().astype(np.float64)
-        with inject(FaultPlan(batch_crashes=1)) as plan:
-            with session:
-                futures = [session.submit(x) for x in xs]
-                session.flush()
-        assert plan.count("batch") == 1
-        for x, fut in zip(xs, futures):
-            assert np.array_equal(fut.result(), dense @ x)
+    """Submitted requests fail independently: a request that exhausts its
+    retries and ladder fails alone, on the router's submit path."""
 
     def test_partial_failure_affects_only_failing_request(self):
-        bm, session = session_for(make_bm())
+        bm = make_bm()
+        # One front thread: requests reach the lane in submit order.
+        router = router_for(bm, max_pipeline=1)
         xs = [int_features(bm.n_rows, h=3, seed=s) for s in range(3)]
         dense = bm.to_dense().astype(np.float64)
-        # The stacked call crashes; during per-request fallback the first
-        # request exhausts the hybrid retry budget and then finds the whole
-        # ladder down, while the later requests see healed kernels.
+        # The first request exhausts the hybrid retry budget and then finds
+        # the whole ladder down, while the later requests see healed kernels.
         fault_plan = FaultPlan(
-            batch_crashes=1,
             kernel_failures={"hybrid": FAST.max_attempts,
                              "bsr": 100, "csr": 100, "dense": 100},
         )
         with inject(fault_plan):
-            futures = [session.submit(x) for x in xs]
-            session.flush()
-        assert session.batcher.n_fallbacks == 1
-        with pytest.raises(BackendExecutionError):
-            futures[0].result()
-        for x, fut in zip(xs[1:], futures[1:]):
-            assert np.array_equal(fut.result(), dense @ x)
-        session.close()
+            futures = [router.submit(x) for x in xs]
+            with pytest.raises(BackendExecutionError):
+                futures[0].result()
+            for x, fut in zip(xs[1:], futures[1:]):
+                assert np.array_equal(fut.result(), dense @ x)
+        router.close()
 
     def test_batched_serving_after_downgrade_stays_correct(self):
-        bm, session = session_for(make_bm())
+        bm = make_bm()
+        router = router_for(bm)
+        session = router._replicas[0][0].session
         x = int_features(bm.n_rows, h=4, seed=9)
         dense = bm.to_dense().astype(np.float64)
         with inject(FaultPlan(kernel_failures={"hybrid": 100})):
-            fut = session.submit(x)
-            session.flush()
+            fut = router.submit(x)
+            assert np.array_equal(fut.result(), dense @ x)
         assert session.degraded and session.backend_name == "bsr"
-        assert np.array_equal(fut.result(), dense @ x)
-        # Sticky downgrade: the next coalesced batch serves from the fallback.
-        fut2 = session.submit(x)
-        session.flush()
-        assert np.array_equal(fut2.result(), dense @ x)
-        session.close()
+        # Sticky downgrade: the next submitted request serves from the fallback.
+        assert np.array_equal(router.submit(x).result(), dense @ x)
+        router.close()
 
 
 class TestAcceptanceScenario:

@@ -115,7 +115,9 @@ from repro.pipeline import (  # noqa: E402
     FaultPlan,
     OverloadError,
     RetryPolicy,
+    ShardRouter,
     inject,
+    shard_result,
 )
 
 FAST = RetryPolicy(max_attempts=3, base_delay=0.001, max_delay=0.004, jitter=0.0)
@@ -196,6 +198,9 @@ class TestPathRowCounters:
 
 
 class TestWindowedAdmission:
+    """The router door's admission signal, on an unsharded (1-shard)
+    deployment of the same operand."""
+
     class _SlowWindow:
         """Duck-typed recent-latency view: plenty of samples, terrible p95."""
         count = 100
@@ -204,44 +209,48 @@ class TestWindowedAdmission:
         def quantile(q):
             return 10.0
 
+    class _SlowWindows:
+        def histogram_view(self, name, window, **labels):
+            return TestWindowedAdmission._SlowWindow()
+
     def test_latency_window_preferred_over_lifetime(self, served):
         g, result = served
         reg = MetricsRegistry()
         # Lifetime histogram says "fast" (no observations at all), but the
         # rolling window says "slow now" -> the window must win and shed.
         rec = FlightRecorder(sample_every=1000)
-        session = ServingSession.from_result(
-            result, metrics=reg,
-            admission=AdmissionPolicy(deadline=0.5),
-            recorder=rec, latency_window=self._SlowWindow())
-        with pytest.raises(OverloadError):
-            session.submit(int_features(g.n))
-        session.close(drain=False)
+        with ShardRouter(shard_result(result, n_shards=1), metrics=reg,
+                         admission=AdmissionPolicy(deadline=0.5),
+                         recorder=rec, windows=self._SlowWindows()) as router:
+            with pytest.raises(OverloadError):
+                router.submit(int_features(g.n))
         (e,) = rec.exemplars()
         assert e.status == "shed"
         assert e.shed_reason == "deadline"
-        assert reg.get("serve_shed_total", reason="deadline").value == 1.0
+        assert reg.get("router_shed_total", reason="deadline").value == 1.0
 
     def test_no_window_falls_back_to_lifetime_histogram(self, served):
         g, result = served
         reg = MetricsRegistry()
-        session = ServingSession.from_result(
-            result, metrics=reg, admission=AdmissionPolicy(deadline=0.5))
-        # Lifetime histogram is empty -> optimistic admission, no shed.
-        fut = session.submit(int_features(g.n))
-        session.flush()
-        assert np.array_equal(fut.result(), g.dense_adjacency() @ int_features(g.n))
-        session.close()
+        with ShardRouter(shard_result(result, n_shards=1), metrics=reg,
+                         admission=AdmissionPolicy(deadline=0.5)) as router:
+            # Lifetime histogram is empty -> optimistic admission, no shed.
+            fut = router.submit(int_features(g.n))
+            assert np.array_equal(fut.result(), g.dense_adjacency() @ int_features(g.n))
+            # A slow lifetime history now sheds: it is the signal in use.
+            for _ in range(5):
+                reg.histogram("spmm_latency_seconds", shard="0").observe(1.0)
+            with pytest.raises(OverloadError) as err:
+                router.submit(int_features(g.n))
+            assert err.value.context["reason"] == "deadline"
 
     def test_batched_requests_reach_recorder_and_path_counters(self, served):
         g, result = served
         reg = MetricsRegistry()
         rec = FlightRecorder(sample_every=1)
-        session = ServingSession.from_result(result, metrics=reg, recorder=rec)
-        fut = session.submit(int_features(g.n))
-        session.flush()
-        fut.result()
-        session.close()
-        assert any(e.batched for e in rec.exemplars())
-        c = reg.get("serve_path_rows_total", backend="hybrid")
-        assert c is not None and c.value >= float(g.n)
+        with ShardRouter(shard_result(result, n_shards=1), metrics=reg,
+                         recorder=rec) as router:
+            router.submit(int_features(g.n)).result()
+        assert any(e.status == "ok" for e in rec.exemplars())
+        c = reg.get("serve_path_rows_total", backend="hybrid", shard="0")
+        assert c is not None and c.value == float(g.n)

@@ -292,6 +292,23 @@ class TestAdmissionAndDeadline:
             ref = make_bm().to_dense().astype(np.float64) @ x
             assert np.array_equal(router.spmm(x), ref)
 
+    @pytest.mark.parametrize("executor", ["thread", "process"])
+    def test_submit_validates_on_callers_thread(self, hybrid_result, executor):
+        # A bad request raises from submit() itself: it never reaches a
+        # lane, a shard session or a worker's shm ring.
+        bad_blocks = [np.full((48, 3), np.nan), np.full((48, 3), np.inf),
+                      np.zeros((47, 3)), np.zeros((48, 3, 1))]
+        with ShardRouter(shard_result(hybrid_result, n_shards=2),
+                         executor=executor) as router:
+            for bad in bad_blocks:
+                with pytest.raises(ValueError):
+                    router.submit(bad)
+            assert all(s["served"] == 0 for s in router.shard_load())
+            x = int_features(48, seed=12)
+            ref = make_bm().to_dense().astype(np.float64) @ x
+            assert np.array_equal(router.submit(x).result(), ref)
+        assert router.n_requests == 1
+
     def test_closed_router_rejects(self, hybrid_result):
         shards = shard_result(hybrid_result, n_shards=2)
         router = ShardRouter(shards)
@@ -471,7 +488,6 @@ class TestProcessExecutor:
                          executor="process") as router:
             out = router.spmm(x)
         assert np.array_equal(out, session.spmm(x))
-        session.close()
 
     def test_unknown_executor_rejected(self, hybrid_result):
         with pytest.raises(ValueError, match="executor"):

@@ -1,26 +1,12 @@
-"""Shared N:M conformance scans (repro.sptc.conformance).
+"""Shared N:M conformance scan (repro.sptc.conformance).
 
-The helpers are consumed from two sites — the hybrid splitter's top-N
-magnitude selection and the row segmenter's per-tile-row profile — so the
-tests pin the predicates both rely on: the keep mask equals the dense
-ranking, and ``conforming_tile_rows`` says exactly where whole-matrix
-V:N:M compression would succeed.
+The hybrid splitter's top-N magnitude selection relies on the keep mask;
+the tests pin that it equals the dense ranking.
 """
 
 import numpy as np
-import pytest
 
-from repro.core import VNMPattern
-from repro.sptc import CSRMatrix
-from repro.sptc.conformance import (
-    conforming_tile_rows,
-    row_nm_violations,
-    tile_row_vertical_violations,
-    topn_keep_mask,
-)
-from repro.sptc.venom import VNMCompressed, VNMFormatError
-
-VNM = VNMPattern(1, 2, 4)
+from repro.sptc.conformance import topn_keep_mask
 
 
 def random_coo(n_rows, n_cols, rng, density=0.25):
@@ -56,33 +42,3 @@ class TestTopnKeepMask:
         prior = np.array([False, True, True, True])
         keep = topn_keep_mask(rows, cols, data, n=2, m=4, n_segs=1, keep=prior)
         assert keep.tolist() == [False, True, True, False]
-
-
-class TestViolationScans:
-    def test_row_violations_count_overflow(self):
-        a = np.zeros((4, 8))
-        a[1, :4] = [1, 2, 3, 0]   # 3 nnz in one 2:4 segment: 1 overflow
-        a[3, :8] = 1.0            # 4 nnz in each segment: 2 overflow each
-        counts = row_nm_violations(CSRMatrix.from_dense(a), VNM)
-        assert counts.tolist() == [0, 1, 0, 4]
-
-    def test_vertical_violations(self):
-        pat = VNMPattern(4, 2, 4, k=2)
-        a = np.zeros((4, 4))
-        a[0, 0] = a[1, 1] = a[2, 2] = 1.0  # 3 live columns > k=2
-        assert tile_row_vertical_violations(CSRMatrix.from_dense(a), pat).tolist() == [1]
-        a[2, 2] = 0.0
-        assert tile_row_vertical_violations(CSRMatrix.from_dense(a), pat).tolist() == [0]
-
-    def test_conforming_tile_rows_predicts_compressibility(self):
-        rng = np.random.default_rng(7)
-        dense, *_ = random_coo(40, 32, rng, density=0.2)
-        csr = CSRMatrix.from_dense(dense)
-        ok = conforming_tile_rows(csr, VNM)
-        for t in range(40):
-            band = CSRMatrix.from_dense(dense[t : t + 1])
-            if ok[t]:
-                VNMCompressed.compress_csr(band, VNM)  # must not raise
-            else:
-                with pytest.raises(VNMFormatError):
-                    VNMCompressed.compress_csr(band, VNM)

@@ -134,12 +134,20 @@ class TestTelemetryCommands:
         from repro.obs import MetricsRegistry, MetricWindows, TelemetryServer
 
         reg = MetricsRegistry()
-        reg.counter("serve_requests_total").inc(3)
-        reg.histogram("spmm_latency_seconds").observe(0.002)
-        reg.gauge("serve_queue_depth").set(1.0)
         reg.counter("serve_path_rows_total", backend="vnm").inc(80)
         reg.counter("serve_path_rows_total", backend="csr").inc(20)
         with TelemetryServer(reg, windows=MetricWindows(reg)) as srv:
+            # A two-shard deployment whose requests are far slower than
+            # either shard's sub-requests (a straggling merge).
+            reg.counter("router_requests_total").inc(3)
+            for _ in range(3):
+                reg.histogram("router_latency_seconds").observe(0.4)
+            for shard in ("0", "1"):
+                reg.counter("serve_requests_total", shard=shard).inc(3)
+                for _ in range(3):
+                    reg.histogram("spmm_latency_seconds", shard=shard).observe(0.002)
+                reg.gauge("router_in_flight", shard=shard).set(1.0)
+            srv.sample()
             code = main(["top", "--url", srv.url, "--frames", "2",
                          "--interval", "0.01", "--no-clear"])
         out = capsys.readouterr().out
@@ -147,6 +155,15 @@ class TestTelemetryCommands:
         assert out.count("repro top") == 2
         assert "rows by path" in out
         assert "vnm" in out and "80.0%" in out
+        # The header reads the router's request series, not shard 0's
+        # sub-request series; in-flight is summed over the shards.
+        header = next(line for line in out.splitlines() if line.startswith("qps("))
+        header_p95 = header.split("p95(60s) ")[1].split()[0]
+        shard_row = next(line for line in out.splitlines()
+                         if line.split()[:1] == ["0"])
+        assert header_p95.endswith("ms") and float(header_p95[:-2]) >= 100.0
+        assert header_p95 not in shard_row
+        assert "inflight 2" in header
 
     def test_top_scrape_failure_is_an_error(self, capsys):
         code = main(["top", "--url", "http://127.0.0.1:1",  # nothing there
