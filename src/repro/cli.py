@@ -69,7 +69,7 @@ from pathlib import Path
 import numpy as np
 
 from .bench import render_table
-from .core import VNMPattern, find_best_pattern, reorder
+from .core import VNMPattern, find_best_pattern, patterns, reorder
 from .graphs import collection_stats, graph_from_mtx, graph_to_mtx, suitesparse_like_collection
 from .obs import MetricsRegistry, logging_setup, use_tracer
 from .sptc import CSRMatrix, CostModel, HybridVNM, SpmmWorkload
@@ -80,17 +80,11 @@ logger = logging.getLogger("repro.cli")
 
 
 def parse_pattern(text: str) -> VNMPattern:
-    """Parse ``"V:N:M"`` or ``"N:M"`` (V defaults to 1)."""
-    parts = text.split(":")
+    """``--pattern``'s argparse type: :func:`repro.core.patterns.parse_pattern`."""
     try:
-        nums = [int(p) for p in parts]
+        return patterns.parse_pattern(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"bad pattern {text!r}") from exc
-    if len(nums) == 2:
-        return VNMPattern(1, nums[0], nums[1])
-    if len(nums) == 3:
-        return VNMPattern(nums[0], nums[1], nums[2])
-    raise argparse.ArgumentTypeError(f"bad pattern {text!r}; expected N:M or V:N:M")
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def _cmd_reorder(args) -> int:

@@ -10,7 +10,7 @@ from .hamming import (
     position_code,
     position_codes,
 )
-from .patterns import DEFAULT_K, NMPattern, VNMPattern
+from .patterns import DEFAULT_K, NMPattern, VNMPattern, parse_pattern
 from .permutation import Permutation
 from .reorder import ReorderResult, reorder, reorder_graph_matrix
 from .autoselect import (
@@ -49,6 +49,7 @@ __all__ = [
     "NMPattern",
     "VNMPattern",
     "DEFAULT_K",
+    "parse_pattern",
     "Permutation",
     "ReorderResult",
     "reorder",

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bitmatrix import BitMatrix
 
-__all__ = ["NMPattern", "VNMPattern", "DEFAULT_K"]
+__all__ = ["NMPattern", "VNMPattern", "DEFAULT_K", "parse_pattern"]
 
 DEFAULT_K = 4
 
@@ -131,3 +131,16 @@ class VNMPattern:
 
     def matrix_conforms(self, bm: BitMatrix) -> bool:
         return self.count_tile_violations(bm) == 0
+
+
+def parse_pattern(text: str) -> VNMPattern:
+    """Parse ``"V:N:M"`` or ``"N:M"`` (V defaults to 1); ``ValueError`` if malformed."""
+    try:
+        nums = [int(p) for p in text.split(":")]
+    except ValueError as exc:
+        raise ValueError(f"bad pattern {text!r}") from exc
+    if len(nums) == 2:
+        return VNMPattern(1, nums[0], nums[1])
+    if len(nums) == 3:
+        return VNMPattern(nums[0], nums[1], nums[2])
+    raise ValueError(f"bad pattern {text!r}; expected N:M or V:N:M")

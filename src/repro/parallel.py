@@ -21,7 +21,9 @@ Fault tolerance: a job that raises surfaces as a
 :class:`~repro.pipeline.resilience.WorkerCrashError` carrying the batch
 index (or is returned in place with ``return_exceptions=True``, so one bad
 matrix no longer aborts the batch), and a worker process that dies —
-``BrokenProcessPool`` — has its lost jobs resubmitted to a restarted pool.
+``BrokenProcessPool`` — or hangs past the pool's job timeout has its lost
+jobs resubmitted to a restarted pool, under the pool's
+:class:`~repro.perf.pool.Supervisor`.
 Shared-memory segments are disposed (closed **and** unlinked) on every exit
 path, including raised faults and broken pools.  The
 :mod:`repro.pipeline.faults` harness can script every failure kind
@@ -34,6 +36,7 @@ from __future__ import annotations
 import logging
 import math
 import os
+from concurrent.futures import CancelledError
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
@@ -203,6 +206,22 @@ def _job_chunk(jobs: list) -> list:
     return out
 
 
+def _restart_pool(pool, lost: list[int], *, kill: bool) -> None:
+    """Restart ``pool`` after losing the jobs ``lost``.
+
+    A refused restart — the pool's restart budget is spent — raises the
+    supervisor's crash-loop error with the first lost job's ``index``, so
+    :func:`~repro.pipeline.preprocess.preprocess_many` can name the graph.
+    """
+    from .pipeline.resilience import WorkerCrashError  # lazy: pipeline imports us
+
+    try:
+        pool.restart(kill=kill)
+    except WorkerCrashError as exc:
+        exc.context["index"] = lost[0]
+        raise
+
+
 def _default_chunk_size(n_jobs: int, workers: int) -> int:
     # ~4 chunks per worker balances round-trip amortization against
     # stragglers; capped so one chunk never hoards a giant batch.
@@ -218,8 +237,6 @@ def reorder_many(
     use_shared_memory: bool | None = None,
     chunk_size: int | None = None,
     return_exceptions: bool = False,
-    max_pool_restarts: int = 2,
-    job_timeout: float | None = None,
     **reorder_kwargs,
 ) -> list:
     """Reorder a batch of matrices in parallel worker processes.
@@ -244,18 +261,18 @@ def reorder_many(
     A job that raises is re-raised as ``WorkerCrashError`` with the batch
     index attached; with ``return_exceptions=True`` the error object is
     returned at the job's position instead, so the rest of the batch
-    survives.  When a worker process dies (``BrokenProcessPool``), the
-    pool is restarted and the lost jobs resubmitted up to
-    ``max_pool_restarts`` times.
+    survives.
 
-    ``job_timeout`` arms the hung-worker watchdog: a chunk whose result
-    does not arrive within that many seconds is presumed wedged, the
-    worker processes are **killed** (``pool.restart(kill=True)`` — a hung
-    worker cannot be cancelled) and the lost jobs resubmitted under the
-    same ``max_pool_restarts`` budget.  ``None`` defaults to the borrowed
-    pool's :class:`~repro.perf.pool.SupervisionPolicy` ``job_timeout``
-    (so a supervised pool brings its own watchdog); with neither set,
-    chunk waits are unbounded — the pre-supervision behaviour.
+    The pool's :class:`~repro.perf.pool.SupervisionPolicy` supervises the
+    batch.  Its ``job_timeout`` arms the hung-worker watchdog: a chunk
+    whose result does not arrive in time is counted as a timeout
+    (``pool.stats.timeouts``, ``pool_job_timeouts_total``) and the worker
+    processes are **killed** (``pool.restart(kill=True)`` — a hung worker
+    cannot be cancelled).  Jobs lost to a hang or a dead worker
+    (``BrokenProcessPool``) are resubmitted to the restarted pool until
+    its windowed restart cap refuses a restart; that crash-loop
+    ``WorkerCrashError`` carries the first lost job's ``index``.  The
+    ephemeral pool allows 2 restarts and has no job timeout.
     """
     from .pipeline import faults  # lazy: pipeline imports us
 
@@ -300,8 +317,9 @@ def reorder_many(
                     results.append(failure)
             return _merge_traces(results)
 
-    from .perf.pool import WorkerPool
+    from .perf.pool import SupervisionPolicy, WorkerPool
     from .perf.shm import SharedMatrixBatch
+    from .pipeline.resilience import DeadlineExceeded
 
     shared = None
     if use_shared_memory is None or use_shared_memory:
@@ -324,11 +342,8 @@ def reorder_many(
 
     owns_pool = pool is None
     if owns_pool:
-        pool = WorkerPool(workers)
-    if job_timeout is None:
-        supervision = getattr(pool, "supervision", None)
-        if supervision is not None:
-            job_timeout = supervision.job_timeout
+        pool = WorkerPool(workers, supervision=SupervisionPolicy(max_restarts=2))
+    timeout = pool.supervision.job_timeout
     try:
         with obs_trace.span(
             "parallel.reorder_many", jobs=len(jobs), workers=workers,
@@ -336,10 +351,9 @@ def reorder_many(
         ):
             results: list = [None] * len(jobs)
             pending = list(range(len(jobs)))
-            restarts = 0
             while pending:
                 lost: list[int] = []
-                hung = False
+                killed = False
                 futures = {}
                 chunks = [pending[at:at + chunk] for at in range(0, len(pending), chunk)]
                 for n_submitted, indices in enumerate(chunks):
@@ -353,20 +367,24 @@ def reorder_many(
                             lost.extend(rest)
                         break
                 for fut, indices in futures.items():
+                    if killed and not fut.done():
+                        lost.extend(indices)  # its worker died in the kill
+                        continue
                     try:
-                        outcomes = fut.result(timeout=job_timeout)
-                    except BrokenProcessPool:
+                        outcomes = fut.result(timeout=timeout)
+                    except (BrokenProcessPool, CancelledError):
                         lost.extend(indices)
                         continue
                     except FuturesTimeoutError:
                         # Hung worker: the chunk's jobs are lost and the
-                        # worker holding them must be killed, not joined.
-                        hung = True
+                        # worker holding them must be killed, not joined;
+                        # the kill takes every unfinished chunk with it.
                         lost.extend(indices)
-                        logger.warning(
-                            "reorder chunk %s exceeded the %.3fs job timeout; "
-                            "presuming the worker hung", indices, job_timeout,
-                        )
+                        try:
+                            pool.supervisor.timed_out(
+                                timeout, lambda: _restart_pool(pool, lost, kill=True))
+                        except DeadlineExceeded:
+                            killed = True
                         continue
                     for i, outcome in zip(indices, outcomes):
                         if outcome[0] == "ok":
@@ -378,13 +396,8 @@ def reorder_many(
                             results[i] = failure
                 if not lost:
                     break
-                restarts += 1
-                if restarts > max_pool_restarts:
-                    raise _crash_error(lost[0], BrokenProcessPool(
-                        f"worker pool broke or hung {restarts} time(s); "
-                        f"{len(lost)} job(s) could not be completed"
-                    ))
-                pool.restart(kill=hung)
+                if not killed:
+                    _restart_pool(pool, lost, kill=False)
                 # Resubmit the lost jobs, stripping any injected fault
                 # directive so the retry runs clean.
                 for i in sorted(lost):

@@ -15,16 +15,17 @@ Three pieces, each consumed by the existing stack rather than replacing it:
   (:class:`SharedMatrixBatch`, used by :func:`repro.parallel.reorder_many`);
 * :mod:`repro.perf.pool` — :class:`WorkerPool`, a persistent, restartable
   process pool with an explicit lifecycle, reused across
-  ``reorder_many`` / ``preprocess_many`` calls (CLI ``--pool``), supervised
-  by a :class:`SupervisionPolicy` (job timeouts, hung-worker kills,
-  windowed crash-loop caps).
+  ``reorder_many`` / ``preprocess_many`` calls (CLI ``--pool``), and
+  :class:`Supervisor`, the one restart/timeout verdict of a
+  :class:`SupervisionPolicy` (job timeouts, hung-worker kills, windowed
+  crash-loop caps) that the pool and every process shard worker share.
 
 See ``docs/performance.md`` for lifecycle rules, platform caveats and the
 scaling benchmark (`benchmarks/bench_parallel_scaling.py`).
 """
 
 from .engine import ExecutionPlan, build_plan, plan_for
-from .pool import PoolStats, RestartWindow, SupervisionPolicy, WorkerPool
+from .pool import PoolStats, SupervisionPolicy, Supervisor, WorkerPool
 from .shm import (
     SEGMENT_PREFIX,
     MatrixHandle,
@@ -42,8 +43,8 @@ __all__ = [
     "build_plan",
     "plan_for",
     "PoolStats",
-    "RestartWindow",
     "SupervisionPolicy",
+    "Supervisor",
     "WorkerPool",
     "MatrixHandle",
     "SharedMatrixBatch",

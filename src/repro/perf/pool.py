@@ -19,11 +19,13 @@ leak worker processes.  :attr:`stats` counts spawns/jobs/restarts for the
 observability layer and the scaling benchmark.
 
 Supervision (:class:`SupervisionPolicy`) adds the watchdog a serving
-deployment needs: :meth:`run` bounds each job with a timeout, a hung
-worker is **killed** (``restart(kill=True)`` terminates the worker
-processes outright — ``shutdown`` alone would wait on them forever) and
-the job resubmitted, and a windowed restart cap turns a crash-looping pool
-into a :class:`~repro.pipeline.resilience.WorkerCrashError` instead of an
+deployment needs, and :class:`Supervisor` is its one verdict — shared with
+the process shard workers: ``reorder_many`` bounds each chunk by the
+policy's ``job_timeout``, a hung worker is **killed**
+(``restart(kill=True)`` terminates the worker processes outright —
+``shutdown`` alone would wait on them forever) and its jobs resubmitted,
+and a windowed restart cap turns a crash-looping pool into a
+:class:`~repro.pipeline.resilience.WorkerCrashError` instead of an
 infinite kill/respawn cycle.  All lifecycle transitions are guarded by an
 ``RLock``: any other thread can drive submissions concurrently with the
 owning thread's restarts.
@@ -35,21 +37,26 @@ import logging
 import threading
 import time
 from collections import deque
+from collections.abc import Callable
 from concurrent.futures import ProcessPoolExecutor, wait
-from concurrent.futures import TimeoutError as FuturesTimeoutError
 from dataclasses import dataclass
+from typing import NoReturn
 
 from ..obs.metrics import default_registry
 from . import shm
 
-__all__ = ["PoolStats", "RestartWindow", "SupervisionPolicy", "WorkerPool"]
+__all__ = ["PoolStats", "SupervisionPolicy", "Supervisor", "WorkerPool"]
 
 logger = logging.getLogger("repro.perf.pool")
 
 
 @dataclass
 class PoolStats:
-    """Lifecycle accounting for one :class:`WorkerPool`."""
+    """Lifecycle accounting for one supervised worker fleet.
+
+    ``jobs`` counts a pool's submissions, or a shard worker's served ring
+    round trips.
+    """
 
     spawns: int = 0
     restarts: int = 0
@@ -60,12 +67,13 @@ class PoolStats:
 
 @dataclass(frozen=True)
 class SupervisionPolicy:
-    """Watchdog knobs for a supervised :class:`WorkerPool`.
+    """Watchdog knobs for one :class:`Supervisor`.
 
     ``job_timeout`` bounds one job's wall-clock seconds before the worker
-    is presumed hung (``None`` disables the watchdog).  ``max_restarts``
-    within ``restart_window`` seconds is the crash-loop cap: one more
-    restart inside the window raises
+    is presumed hung (``None`` disables the watchdog): a reorder chunk, or
+    one shard-worker round trip.  ``max_restarts`` within
+    ``restart_window`` seconds is the crash-loop cap: one more restart
+    inside the window raises
     :class:`~repro.pipeline.resilience.WorkerCrashError` instead of
     respawning — a pool whose workers die on arrival must surface, not
     burn CPU forever.  ``backoff`` sleeps ``backoff * 2**k`` (capped at
@@ -90,54 +98,95 @@ class SupervisionPolicy:
             raise ValueError("backoff values must be non-negative")
 
 
-class RestartWindow:
-    """Windowed restart accounting: crash-loop detection plus backoff.
+class Supervisor:
+    """One :class:`SupervisionPolicy`'s whole verdict for one worker fleet.
 
-    The supervision logic every restartable worker shares — the pool's
-    executor and each :class:`~repro.pipeline.procshard.ProcessShardWorker`
-    lane alike: restarts recorded inside ``policy.restart_window`` seconds
-    count toward ``policy.max_restarts``; :attr:`exhausted` means the next
-    restart must surface as a crash instead of respawning, and
-    :meth:`backoff_seconds` gives the exponential pre-restart delay for
-    the *current* window depth.  Thread-safe; callers still decide what a
-    cap breach raises (the pool and the shard worker both raise
-    :class:`~repro.pipeline.resilience.WorkerCrashError`).
+    The one restart/timeout path the pool and every
+    :class:`~repro.pipeline.procshard.ProcessShardWorker` share.
+    :meth:`restart` admits a restart within the windowed cap (after the
+    exponential backoff) or refuses it as a crash loop; :meth:`timed_out`
+    is the hung-job verdict.  :attr:`stats` holds the owner's counters.
+    ``name`` leads every message; ``restarts`` / ``timeouts`` are the
+    owner's metric counters (``None``: unmetered); ``context`` rides on
+    every raised error.  Thread-safe.
     """
 
-    def __init__(self, policy: SupervisionPolicy):
+    def __init__(self, policy: SupervisionPolicy, name: str, *,
+                 restarts=None, timeouts=None,
+                 dump_reason: str = "worker_crash_loop", **context):
         self.policy = policy
+        self.name = name
+        self.stats = PoolStats()
+        self.context = context
+        self._restarts_total = restarts
+        self._timeouts_total = timeouts
+        self._dump_reason = dump_reason
         self._times: deque[float] = deque()
         self._lock = threading.Lock()
 
-    def prune(self, now: float | None = None) -> int:
+    def _live(self) -> int:
         """Drop restarts older than the window; returns the live count."""
-        now = time.monotonic() if now is None else now
+        now = time.monotonic()
         with self._lock:
             while self._times and now - self._times[0] > self.policy.restart_window:
                 self._times.popleft()
             return len(self._times)
 
     @property
-    def count(self) -> int:
-        return self.prune()
+    def crash_looping(self) -> bool:
+        """Whether the windowed cap is hit — the next restart is refused."""
+        return self._live() >= self.policy.max_restarts
 
-    @property
-    def exhausted(self) -> bool:
-        """Whether the windowed cap is hit — the next restart is a crash."""
-        return self.prune() >= self.policy.max_restarts
+    def restart(self) -> None:
+        """Admit one restart, or refuse it: past ``policy.max_restarts``
+        within ``policy.restart_window`` seconds, a flight-recorder crash
+        dump, then ``WorkerCrashError(crash_loop=True)``."""
+        policy = self.policy
+        live = self._live()
+        if live >= policy.max_restarts:
+            from ..obs import recorder as obs_recorder
+            from ..pipeline.resilience import WorkerCrashError  # lazy: cycle
 
-    def backoff_seconds(self) -> float:
-        """Exponential delay before the next restart in this window."""
-        if not self.policy.backoff:
-            return 0.0
-        return min(self.policy.backoff * 2 ** self.prune(),
-                   self.policy.max_backoff)
-
-    def record(self, now: float | None = None) -> None:
-        """Count one restart at ``now`` (after any backoff sleep)."""
-        now = time.monotonic() if now is None else now
+            # Dump the flight recorder *before* raising: the requests that
+            # led up to the crash loop are exactly what the ring still
+            # holds, and the raise may end the process.
+            obs_recorder.crash_dump(
+                self._dump_reason,
+                error=f"{self.name}: {live} restarts within "
+                      f"{policy.restart_window:.0f}s",
+            )
+            raise WorkerCrashError(
+                f"{self.name} crash-looping: {live} restarts within "
+                f"{policy.restart_window:.0f}s (cap {policy.max_restarts}); "
+                f"refusing to respawn",
+                restarts=live, window=policy.restart_window, crash_loop=True,
+                **self.context,
+            )
+        if policy.backoff:
+            time.sleep(min(policy.backoff * 2 ** live, policy.max_backoff))
         with self._lock:
-            self._times.append(now)
+            self._times.append(time.monotonic())
+            self.stats.restarts += 1
+        if self._restarts_total is not None:
+            self._restarts_total.inc()
+
+    def timed_out(self, timeout: float, kill: Callable[[], None]) -> NoReturn:
+        """The hung-job verdict: count the timeout, log it, ``kill()`` the
+        worker, then raise ``DeadlineExceeded``."""
+        from ..pipeline.resilience import DeadlineExceeded  # lazy: cycle
+
+        with self._lock:
+            self.stats.timeouts += 1
+        if self._timeouts_total is not None:
+            self._timeouts_total.inc()
+        logger.warning("%s exceeded its %.3fs job timeout; killing",
+                       self.name, timeout)
+        kill()
+        raise DeadlineExceeded(
+            f"{self.name} exceeded its {timeout:.3f}s job timeout; "
+            f"worker killed",
+            deadline=timeout, **self.context,
+        )
 
 
 def _noop() -> None:
@@ -174,8 +223,16 @@ class WorkerPool:
         self._closed = False
         self._lock = threading.RLock()
         self.supervision = supervision or SupervisionPolicy()
-        self._restarts = RestartWindow(self.supervision)
-        self.stats = PoolStats()
+        registry = default_registry()
+        self.supervisor = Supervisor(
+            self.supervision, "worker pool",
+            restarts=registry.counter(
+                "pool_restarts_total", help="worker pool executor restarts"),
+            timeouts=registry.counter(
+                "pool_job_timeouts_total",
+                help="supervised pool jobs that exceeded their timeout"),
+        )
+        self.stats = self.supervisor.stats
 
     # -- lifecycle ---------------------------------------------------------
     @property
@@ -189,7 +246,7 @@ class WorkerPool:
         the next :meth:`restart` would raise
         :class:`~repro.pipeline.resilience.WorkerCrashError`.  ``/healthz``
         turns this into a 503."""
-        return self._restarts.exhausted
+        return self.supervisor.crash_looping
 
     def _ensure(self) -> ProcessPoolExecutor:
         with self._lock:
@@ -215,44 +272,6 @@ class WorkerPool:
             self.stats.jobs += 1
             return executor.submit(fn, *args, **kwargs)
 
-    def run(self, fn, /, *args, timeout: float | None = None,
-            resubmit: int = 1, **kwargs):
-        """One supervised job: submit, bound by a timeout, kill + retry.
-
-        ``timeout`` (default: the supervision policy's ``job_timeout``)
-        bounds the job's wall-clock seconds; on expiry the pool's workers
-        are killed and restarted (the hung one cannot be cancelled — it is
-        *running*) and the job resubmitted up to ``resubmit`` more times.
-        A job still hanging after the last attempt raises
-        :class:`~repro.pipeline.resilience.DeadlineExceeded`.  Worker
-        exceptions propagate as-is on the first attempt — supervision
-        guards against *hangs*, not against deterministic job errors.
-        """
-        timeout = self.supervision.job_timeout if timeout is None else timeout
-        attempts = max(1, resubmit + 1) if timeout is not None else 1
-        for attempt in range(attempts):
-            future = self.submit(fn, *args, **kwargs)
-            try:
-                return future.result(timeout=timeout)
-            except FuturesTimeoutError:
-                self.stats.timeouts += 1
-                default_registry().counter(
-                    "pool_job_timeouts_total",
-                    help="supervised pool jobs that exceeded their timeout",
-                ).inc()
-                logger.warning(
-                    "pool job exceeded %.3fs timeout (attempt %d/%d); "
-                    "killing workers", timeout, attempt + 1, attempts,
-                )
-                self.restart(kill=True)
-        from ..pipeline.resilience import DeadlineExceeded  # lazy: cycle
-
-        raise DeadlineExceeded(
-            f"pool job still hung after {attempts} attempt(s) of "
-            f"{timeout:.3f}s each; workers killed",
-            attempts=attempts, deadline=timeout,
-        )
-
     def restart(self, *, kill: bool = False) -> None:
         """Replace the executor with a fresh one (same size).
 
@@ -262,43 +281,17 @@ class WorkerPool:
         just abandons them: they are already dead or doomed.  Either way
         outstanding futures are cancelled.
 
-        Restarts are counted against the supervision policy's window;
-        exceeding ``max_restarts`` within ``restart_window`` seconds
-        raises :class:`~repro.pipeline.resilience.WorkerCrashError`
-        (crash-loop protection) *before* spawning yet another doomed
-        generation of workers.
+        The :attr:`supervisor` admits the restart: past the policy's
+        windowed cap it raises the crash-loop
+        :class:`~repro.pipeline.resilience.WorkerCrashError` *before*
+        spawning yet another doomed generation of workers.
         """
-        policy = self.supervision
         with self._lock:
-            live = self._restarts.prune()
-            if live >= policy.max_restarts:
-                from ..obs import recorder as obs_recorder
-                from ..pipeline.resilience import WorkerCrashError  # lazy: cycle
-
-                # Dump the flight recorder *before* raising: the requests
-                # that led up to the crash loop are exactly what the ring
-                # still holds, and the raise may end the process.
-                obs_recorder.crash_dump(
-                    "worker_crash_loop",
-                    error=f"{live} pool restarts within "
-                          f"{policy.restart_window:.0f}s",
-                )
-                raise WorkerCrashError(
-                    f"worker pool crash-looping: {live} "
-                    f"restarts within {policy.restart_window:.0f}s "
-                    f"(cap {policy.max_restarts}); refusing to respawn",
-                    restarts=live,
-                    window=policy.restart_window,
-                )
-            delay = self._restarts.backoff_seconds()
-            if delay:
-                time.sleep(delay)
-            self._restarts.record()
+            self.supervisor.restart()
             # The old generation's segments may be re-packed under recycled
             # names; a stale parent-side attach memo would alias them.
             shm.detach_all()
             old, self._executor = self._executor, None
-            self.stats.restarts += 1
             if kill and old is not None:
                 self.stats.kills += 1
                 for proc in list(getattr(old, "_processes", {}).values()):
@@ -306,9 +299,6 @@ class WorkerPool:
                         proc.terminate()
             if old is not None:
                 old.shutdown(wait=False, cancel_futures=True)
-        default_registry().counter(
-            "pool_restarts_total", help="worker pool executor restarts",
-        ).inc()
         logger.debug(
             "worker pool restarted (restart #%d%s)",
             self.stats.restarts, ", workers killed" if kill else "",

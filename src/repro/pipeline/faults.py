@@ -41,6 +41,7 @@ actually fired.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import TimeoutError as FuturesTimeoutError
 from contextlib import contextmanager
@@ -61,6 +62,7 @@ __all__ = [
     "worker_directive",
     "shard_directive",
     "procshard_directive",
+    "slow_shard_seconds",
 ]
 
 
@@ -224,6 +226,12 @@ def procshard_directive(index: int) -> str | None:
     if plan is None:
         return None
     return plan.take_proc_fault(index)
+
+
+def slow_shard_seconds() -> float:
+    """How long a ``"slow"`` / ``"stall"`` shard fault stalls its sub-request:
+    ``REPRO_FAULT_SHARD_SLOW_SECONDS``, default 0.25."""
+    return float(os.environ.get("REPRO_FAULT_SHARD_SLOW_SECONDS", "0.25"))
 
 
 # -- seeded chaos --------------------------------------------------------------

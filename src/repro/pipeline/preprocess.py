@@ -19,7 +19,7 @@ from ..core.autoselect import find_best_pattern
 from ..core.bitmatrix import BitMatrix
 from ..obs import events as obs_events
 from ..obs import trace as obs_trace
-from ..core.patterns import VNMPattern
+from ..core.patterns import VNMPattern, parse_pattern
 from ..core.permutation import Permutation
 from ..core.reorder import reorder
 from ..core.scores import improvement_rate
@@ -41,12 +41,13 @@ class PreprocessPlan:
 
     ``pattern=None`` runs the paper's §5 progressive-doubling search
     (:func:`find_best_pattern`) with the ``select`` policy; a concrete
-    :class:`VNMPattern` skips the search.  ``normalized`` /
+    :class:`VNMPattern` — or its ``"V:N:M"`` / ``"N:M"`` string, parsed
+    here — skips the search.  ``normalized`` /
     ``add_self_loops`` choose the operator structure that gets compressed
     (GCN's Â needs both; plain SpMM serving wants the raw adjacency).
     """
 
-    pattern: VNMPattern | None = None
+    pattern: VNMPattern | str | None = None
     backend: str = "hybrid"
     max_iter: int = 10
     time_budget: float | None = None
@@ -54,6 +55,14 @@ class PreprocessPlan:
     normalized: bool = False
     add_self_loops: bool = False
     reorder_kwargs: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if isinstance(self.pattern, str):
+            object.__setattr__(self, "pattern", parse_pattern(self.pattern))
+        elif self.pattern is not None and not isinstance(self.pattern, VNMPattern):
+            raise TypeError(
+                f"pattern must be a VNMPattern, a 'V:N:M' string or None, "
+                f"got {type(self.pattern).__name__}")
 
     def key_fields(self) -> dict:
         """The plan fields that determine the artifact — the cache-key input."""

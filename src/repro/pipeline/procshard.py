@@ -25,16 +25,17 @@ shard replica becomes one persistent **worker process** that
   SIGKILLed worker's write end closes, the parent reads EOF, and the
   sub-request fails over to a replica instead of wedging the fabric.
 
-Supervision reuses :mod:`repro.perf.pool`'s vocabulary: a
-:class:`~repro.perf.pool.SupervisionPolicy` bounds each round-trip
-(``job_timeout`` → the hung worker is killed), and a
-:class:`~repro.perf.pool.RestartWindow` caps respawns — a crash-looping
-lane surfaces as :class:`~repro.pipeline.resilience.WorkerCrashError`
-(with ``crash_loop=True`` in its context, which the router uses to mark
-the replica dead) after a flight-recorder crash dump, exactly like the
-worker pool.  A worker that dies once self-heals: the serve that detects
-the death fails fast (one failover), the *next* serve respawns the worker,
-which re-attaches its artefact from the cache and answers bit-identically.
+Supervision is the worker pool's own: each worker's
+:class:`~repro.perf.pool.Supervisor` bounds each round-trip by its
+:class:`~repro.perf.pool.SupervisionPolicy` (``job_timeout`` → the hung
+worker is killed) and caps respawns — a crash-looping lane surfaces as
+:class:`~repro.pipeline.resilience.WorkerCrashError` (with
+``crash_loop=True`` in its context, which the router uses to mark the
+replica dead) after a flight-recorder crash dump, through the same code
+path as the worker pool.  A worker that dies once self-heals: the serve
+that detects the death fails fast (one failover), the *next* serve
+respawns the worker, which re-attaches its artefact from the cache and
+answers bit-identically.
 
 Worker-side errors cross the boundary as structured JSON in the response
 slot — type name, message, and context — and are rebuilt into the same
@@ -77,7 +78,7 @@ import numpy as np
 
 from ..obs import events as obs_events
 from ..perf import shm as shm_transport
-from ..perf.pool import RestartWindow, SupervisionPolicy
+from ..perf.pool import SupervisionPolicy, Supervisor
 from . import faults
 from .resilience import (
     ArtifactCorruptError,
@@ -90,7 +91,7 @@ from .resilience import (
     WorkerCrashError,
 )
 
-__all__ = ["ProcessShardWorker", "ProcWorkerStats", "RingGeometry"]
+__all__ = ["ProcessShardWorker", "RingGeometry"]
 
 logger = logging.getLogger("repro.pipeline.procshard")
 
@@ -192,18 +193,6 @@ class _RingViews:
             self.resp_err.append(np.ndarray(
                 (geom.err_bytes,), dtype=np.uint8, buffer=buf,
                 offset=off + geom.hdr_bytes + geom.out_rows * geom.h_max * 8))
-
-
-@dataclass
-class ProcWorkerStats:
-    """Lifecycle accounting for one :class:`ProcessShardWorker`."""
-
-    spawns: int = 0
-    restarts: int = 0
-    served: int = 0
-    deaths: int = 0
-    timeouts: int = 0
-    kills: int = 0
 
 
 @dataclass
@@ -372,8 +361,10 @@ class ProcessShardWorker:
     chaos hook's real SIGKILL, :meth:`close` the graceful shutdown that
     unlinks the segment.  Death is detected by pipe EOF; the serve that
     detects it raises :class:`WorkerCrashError` *fast* (one failover) and
-    the next serve respawns the worker under the
-    :class:`~repro.perf.pool.RestartWindow` crash-loop cap.
+    the next serve respawns the worker under its
+    :class:`~repro.perf.pool.Supervisor`'s crash-loop cap.  :attr:`stats`
+    is that supervisor's :class:`~repro.perf.pool.PoolStats`; ``jobs``
+    counts served round trips.
     """
 
     def __init__(
@@ -392,7 +383,6 @@ class ProcessShardWorker:
         h_max: int = 256,
         n_slots: int = 4,
         spawn_timeout: float = 30.0,
-        stall_seconds: float | None = None,
     ):
         if "fork" not in multiprocessing.get_all_start_methods():
             raise PipelineError(
@@ -411,19 +401,12 @@ class ProcessShardWorker:
             if k not in _PARENT_ONLY_SESSION_KWARGS
         }
         self.supervision = supervision or SupervisionPolicy()
-        self._restarts = RestartWindow(self.supervision)
         self._metrics = metrics
         self._recorder = recorder
         self._spawn_timeout = float(spawn_timeout)
-        from .sharded import _SLOW_SHARD_ENV  # shared stall knob
-
-        self._stall_seconds = (
-            float(os.environ.get(_SLOW_SHARD_ENV, "0.25"))
-            if stall_seconds is None else float(stall_seconds))
         rows, cols = operand.shape
         self.geometry = RingGeometry(n_slots=n_slots, req_rows=cols,
                                      out_rows=rows, h_max=h_max)
-        self.stats = ProcWorkerStats()
         self.alive = False
         self.pid: int | None = None
         self.attach_source: str | None = None
@@ -434,8 +417,15 @@ class ProcessShardWorker:
         self._proc = None
         self._req_w = self._resp_r = -1
         self._ticket = 0
+        restarts = timeouts = None
         if metrics is not None:
             shard = str(shard_index)
+            restarts = metrics.counter(
+                "procshard_worker_restarts_total", shard=shard,
+                help="shard worker respawns after a death or kill")
+            timeouts = metrics.counter(
+                "procshard_job_timeouts_total", shard=shard,
+                help="shard worker round-trips that exceeded the job timeout")
             self._m_ipc = metrics.histogram(
                 "procshard_ipc_seconds", shard=shard,
                 help="ring transport overhead (round-trip minus worker serve)")
@@ -448,6 +438,13 @@ class ProcessShardWorker:
             self._m_served = metrics.counter(
                 "serve_requests_total", shard=shard,
                 help="spmm requests served")
+        self.supervisor = Supervisor(
+            self.supervision,
+            f"shard {shard_index} replica {replica_index} worker",
+            restarts=restarts, timeouts=timeouts,
+            dump_reason="procshard_crash_loop",
+            shard=shard_index, replica=replica_index)
+        self.stats = self.supervisor.stats
         self._spawn()
 
     # -- lifecycle ----------------------------------------------------------
@@ -520,37 +517,6 @@ class ProcessShardWorker:
                 except OSError:  # pragma: no cover - torn-down fd
                     return b""
 
-    def _restart(self) -> None:
-        """Respawn a dead worker, bounded by the crash-loop window."""
-        if self._restarts.exhausted:
-            from ..obs import recorder as obs_recorder
-
-            live = self._restarts.count
-            obs_recorder.crash_dump(
-                "procshard_crash_loop",
-                error=f"shard {self.shard_index} replica "
-                      f"{self.replica_index}: {live} worker restarts within "
-                      f"{self.supervision.restart_window:.0f}s",
-            )
-            raise WorkerCrashError(
-                f"shard {self.shard_index} replica {self.replica_index} "
-                f"worker crash-looping: {live} restarts within "
-                f"{self.supervision.restart_window:.0f}s "
-                f"(cap {self.supervision.max_restarts}); refusing to respawn",
-                shard=self.shard_index, replica=self.replica_index,
-                restarts=live, crash_loop=True)
-        delay = self._restarts.backoff_seconds()
-        if delay:
-            time.sleep(delay)
-        self._restarts.record()
-        self.stats.restarts += 1
-        if self._metrics is not None:
-            self._metrics.counter(
-                "procshard_worker_restarts_total",
-                help="shard worker respawns after a death or kill",
-                shard=str(self.shard_index)).inc()
-        self._spawn()
-
     def kill(self) -> None:
         """SIGKILL the worker process (the chaos hook's real kill)."""
         proc = self._proc
@@ -585,7 +551,6 @@ class ProcessShardWorker:
     def _on_death(self, reason: str) -> None:
         """Classify a detected death and raise the failover error."""
         pid = self.pid
-        self.stats.deaths += 1
         self._teardown(reap=True)
         if self._metrics is not None:
             self._metrics.counter(
@@ -621,7 +586,7 @@ class ProcessShardWorker:
     @property
     def crash_looping(self) -> bool:
         """Whether the next respawn would breach the crash-loop cap."""
-        return self._restarts.exhausted
+        return self.supervisor.crash_looping
 
     # -- serving ------------------------------------------------------------
     def serve(self, xr: np.ndarray, *, timeout: float | None = None,
@@ -645,14 +610,15 @@ class ProcessShardWorker:
                     shard=self.shard_index, replica=self.replica_index)
             directive = action or faults.procshard_directive(self.shard_index)
             if not self.alive:
-                self._restart()
+                self.supervisor.restart()
+                self._spawn()
             stall_us = 0
             if directive in ("kill", "sigkill"):
                 # A real mid-request SIGKILL: the round-trip below detects
                 # the EOF and fails over — one failover, not a dead fabric.
                 self.kill()
             elif directive in ("slow", "stall"):
-                stall_us = max(1, int(self._stall_seconds * 1e6))
+                stall_us = max(1, int(faults.slow_shard_seconds() * 1e6))
             xr = np.asarray(xr, dtype=np.float64)
             if xr.ndim != 2 or xr.shape[0] != self.geometry.req_rows:
                 raise ValueError(
@@ -715,7 +681,7 @@ class ProcessShardWorker:
             nr, nc = int(rhdr[_RESP_ROWS]), int(rhdr[_RESP_COLS])
             out = np.empty((nr, nc))
             out[...] = views.resp_pay[slot][: nr * nc].reshape(nr, nc)
-            self.stats.served += 1
+            self.stats.jobs += 1
             return out
         finally:
             if self._metrics is not None:
@@ -734,22 +700,12 @@ class ProcessShardWorker:
                 return os.read(self._resp_r, 1)
             if timeout is None:  # pragma: no cover - spurious wakeup only
                 continue
-        self.stats.timeouts += 1
-        if self._metrics is not None:
-            self._metrics.counter(
-                "procshard_job_timeouts_total",
-                help="shard worker round-trips that exceeded the job timeout",
-                shard=str(self.shard_index)).inc()
-        logger.warning(
-            "shard %d replica %d worker exceeded its %.3fs job timeout; "
-            "killing", self.shard_index, self.replica_index, timeout)
-        self.kill()
-        self._teardown(reap=True)
-        raise DeadlineExceeded(
-            f"shard {self.shard_index} replica {self.replica_index} worker "
-            f"exceeded its {timeout:.3f}s job timeout; worker killed",
-            shard=self.shard_index, replica=self.replica_index,
-            deadline=timeout)
+
+        def kill_hung() -> None:
+            self.kill()
+            self._teardown(reap=True)
+
+        self.supervisor.timed_out(timeout, kill_hung)
 
     def _observe(self, wall: float, serve_seconds: float,
                  ipc_seconds: float, *, ok: bool) -> None:
@@ -780,4 +736,4 @@ class ProcessShardWorker:
                  else ("alive" if self.alive else "dead"))
         return (f"ProcessShardWorker(shard={self.shard_index}, "
                 f"replica={self.replica_index}, pid={self.pid}, {state}, "
-                f"served={self.stats.served}, restarts={self.stats.restarts})")
+                f"served={self.stats.jobs}, restarts={self.stats.restarts})")

@@ -59,7 +59,6 @@ from __future__ import annotations
 import asyncio
 import copy
 import logging
-import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -286,10 +285,6 @@ def build_shards(
     return shard_result(result, n_shards=n_shards, cache=cache)
 
 
-# How long an injected "slow" shard fault stalls a sub-request (seconds).
-_SLOW_SHARD_ENV = "REPRO_FAULT_SHARD_SLOW_SECONDS"
-
-
 class _Replica:
     """One shard replica: an executor back-end plus its serial lane.
 
@@ -351,7 +346,7 @@ class ShardRouter:
     sub-request would wait behind (requests admitted by :meth:`submit` but
     not yet fanned out, plus the least-loaded replica's in-flight count)
     and the p95 of that shard's ``spmm_latency_seconds{shard=...}`` series
-    — the rolling window when ``windows`` is given, else the lifetime
+    — the rolling 60 s window when ``windows`` is given, else the lifetime
     histogram — estimate its completion; a request that cannot finish in
     time raises :class:`~repro.pipeline.resilience.OverloadError` before
     any lane sees it, and is counted on ``router_shed_total{reason}``,
@@ -381,9 +376,7 @@ class ShardRouter:
     so CPU-bound shards escape the GIL and a SIGKILLed worker costs one
     failover, not the fabric.  Fan-out/merge, admission, deadline,
     failover, and rebalance semantics are identical in both modes, and so
-    are the merged bits.  ``executor_options`` forwards construction knobs
-    to each worker (``supervision``, ``h_max``, ``n_slots``,
-    ``spawn_timeout``); see ``docs/sharding.md`` ("Executors").
+    are the merged bits; see ``docs/sharding.md`` ("Executors").
     """
 
     def __init__(
@@ -399,12 +392,10 @@ class ShardRouter:
         deadline: float | None = None,
         retry_policy: RetryPolicy | None = None,
         recorder=None,
-        window_seconds: float = 60.0,
         max_pipeline: int | None = None,
         session_kwargs: dict | None = None,
         executor: str = "thread",
         cache=None,
-        executor_options: dict | None = None,
     ):
         if replicas < 1:
             raise ValueError("replicas must be >= 1")
@@ -428,14 +419,11 @@ class ShardRouter:
         self.admission = admission
         self._metrics = metrics
         self._windows = windows
-        self._window_seconds = float(window_seconds)
         self._recorder = recorder
         self._retry_policy = retry_policy
         self._session_kwargs = dict(session_kwargs or {})
         self.executor = executor
         self._cache = cache
-        self._executor_options = dict(executor_options or {})
-        self._stall_seconds = float(os.environ.get(_SLOW_SHARD_ENV, "0.25"))
         self._retired: list[_Replica] = []
         self._lock = threading.Lock()
         self._rr = 0
@@ -475,11 +463,11 @@ class ShardRouter:
     # -- construction helpers ----------------------------------------------
     def _latency_view(self, shard_index: int):
         """The shard's admission latency signal: the rolling window when
-        ``windows`` is given (shedding follows the *recent* p95), else the
-        lifetime histogram, else ``None`` (no deadline shedding)."""
+        ``windows`` is given (shedding follows the last minute's p95),
+        else the lifetime histogram, else ``None`` (no deadline shedding)."""
         if self._windows is not None:
             return self._windows.histogram_view(
-                "spmm_latency_seconds", self._window_seconds,
+                "spmm_latency_seconds", 60.0,
                 shard=str(shard_index))
         if self._metrics is not None:
             return self._metrics.histogram(
@@ -541,7 +529,6 @@ class ShardRouter:
             cache_dir=cache_dir, cache_key=cache_key,
             session_kwargs=kwargs, metrics=self._metrics,
             recorder=self._recorder,
-            **self._executor_options,
         )
         return _Replica(shard_index, replica_index, worker=worker,
                         operand=operand)
@@ -655,7 +642,7 @@ class ShardRouter:
                 f"(injected fault)", shard=rep.shard_index,
                 replica=rep.replica_index)
         if action == "slow":
-            time.sleep(self._stall_seconds)
+            time.sleep(faults.slow_shard_seconds())
         with rep.serve_lock:
             out = rep.session.serve_block(xr)
         rep.served += 1

@@ -135,23 +135,29 @@ class TestSupervision:
         with pytest.raises(ValueError):
             SupervisionPolicy(restart_window=-1)
 
-    def test_run_returns_result_without_timeout_drama(self):
-        with WorkerPool(1, supervision=SupervisionPolicy(job_timeout=30.0)) as pool:
-            assert pool.run(_square, 6) == 36
-            assert pool.stats.timeouts == 0
+    def test_hung_job_verdict_counts_kills_and_raises(self):
+        from concurrent.futures import TimeoutError as FuturesTimeoutError
 
-    def test_hung_job_is_killed_and_resubmitted(self):
+        from repro.obs.metrics import default_registry
         from repro.pipeline.resilience import DeadlineExceeded
 
+        timeouts_total = default_registry().counter("pool_job_timeouts_total")
+        before = timeouts_total.value
         policy = SupervisionPolicy(job_timeout=0.3)
         with WorkerPool(1, supervision=policy) as pool:
             pool.warm()
-            with pytest.raises(DeadlineExceeded):
-                pool.run(_sleep_forever, resubmit=1)
-            assert pool.stats.timeouts == 2  # original + one resubmission
-            assert pool.stats.kills == 2
+            future = pool.submit(_sleep_forever)
+            with pytest.raises(FuturesTimeoutError):
+                future.result(timeout=policy.job_timeout)
+            with pytest.raises(DeadlineExceeded) as exc_info:
+                pool.supervisor.timed_out(
+                    policy.job_timeout, lambda: pool.restart(kill=True))
+            assert exc_info.value.context["deadline"] == 0.3
+            assert pool.stats.timeouts == 1
+            assert pool.stats.kills == 1
+            assert timeouts_total.value == before + 1
             # The pool recovered: fresh workers serve the next job.
-            assert pool.run(_square, 5, timeout=30.0) == 25
+            assert pool.submit(_square, 5).result(timeout=30) == 25
 
     def test_kill_restart_terminates_worker_processes(self):
         with WorkerPool(1) as pool:
@@ -181,6 +187,8 @@ class TestSupervision:
             with pytest.raises(WorkerCrashError) as exc_info:
                 pool.restart()
             assert exc_info.value.context["restarts"] == 3
+            assert exc_info.value.context["crash_loop"] is True
+            assert pool.crash_looping
             assert pool.stats.restarts == 3  # the capped one never happened
 
     def test_restart_window_expires(self):

@@ -200,12 +200,12 @@ class TestWorkerChaos:
         mats = [make_bm(seed=seed * 100 + i, n=24) for i in range(n_jobs)]
         baseline = {p.pid for p in multiprocessing.active_children()}
 
-        policy = SupervisionPolicy(job_timeout=0.75)
+        policy = SupervisionPolicy(job_timeout=0.75, max_restarts=n_jobs * 2)
         with WorkerPool(2, supervision=policy) as pool:
             with inject(schedule):
                 out = reorder_many(
                     mats, PATTERN, pool=pool, chunk_size=1,
-                    return_exceptions=True, max_pool_restarts=n_jobs * 2,
+                    return_exceptions=True,
                 )
         inv.require(len(out) == n_jobs,
                     f"seed{seed}: {len(out)} results for {n_jobs} jobs")

@@ -107,6 +107,19 @@ class TestErrors:
         with pytest.raises(KeyError):
             preprocess(make_graph(), PreprocessPlan(pattern=PATTERN, backend="nope"))
 
+    def test_pattern_string_parses_at_construction(self):
+        for text, pattern in (("2:4", PATTERN), ("1:2:32", VNMPattern(1, 2, 32))):
+            plan = PreprocessPlan(pattern=text)
+            assert plan.pattern == pattern
+            assert plan.key_fields() == PreprocessPlan(pattern=pattern).key_fields()
+
+    def test_bad_pattern_raises_at_construction(self):
+        for bad in ("abc", "1:2:3:4", "0:2:4"):
+            with pytest.raises(ValueError):
+                PreprocessPlan(pattern=bad)
+        with pytest.raises(TypeError):
+            PreprocessPlan(pattern=(1, 2, 4))
+
 
 class TestPlanPersistence:
     """Execution plans ride the artefact cache as <key>.plan.pkl sidecars."""

@@ -72,7 +72,7 @@ class TestRingRoundTrip:
             for i in range(7):
                 x = int_features(operand.shape[1], seed=40 + i)
                 assert np.array_equal(worker.serve(x), session.spmm(x))
-            assert worker.stats.served == 7
+            assert worker.stats.jobs == 7
 
     def test_wide_request_chunks_by_columns(self, hybrid_result):
         # h > h_max serves in column chunks; the reassembled result must
@@ -190,11 +190,12 @@ class TestErrorsAndTimeouts:
         exc = _rebuild_error(b"not json at all", 0, 0)
         assert isinstance(exc, PipelineError)
 
-    def test_stall_past_job_timeout_kills_and_self_heals(self, hybrid_result):
+    def test_stall_past_job_timeout_kills_and_self_heals(
+            self, hybrid_result, monkeypatch):
+        monkeypatch.setenv("REPRO_FAULT_SHARD_SLOW_SECONDS", "5.0")
         operand = hybrid_result.operand
         worker = ProcessShardWorker(
-            0, 0, operand, stall_seconds=5.0,
-            supervision=SupervisionPolicy(job_timeout=0.25))
+            0, 0, operand, supervision=SupervisionPolicy(job_timeout=0.25))
         try:
             x = int_features(operand.shape[1])
             first_pid = worker.pid

@@ -8,7 +8,7 @@ import pytest
 
 from repro.core import BitMatrix, VNMPattern, reorder
 from repro.parallel import ReorderSummary, default_workers, reorder_many
-from repro.perf import WorkerPool, live_segments
+from repro.perf import SupervisionPolicy, WorkerPool, live_segments
 
 PATTERN = VNMPattern(1, 2, 4)
 
@@ -165,6 +165,26 @@ class TestPersistentPool:
             assert pool.stats.restarts == 1
         for a, b in zip(inline, recovered):
             assert np.array_equal(a.order, b.order)
+
+    def test_spent_restart_budget_fails_first_lost_job(self):
+        """Every round loses its jobs: the pool's windowed restart cap is
+        the budget, and its crash-loop refusal names the first lost job."""
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.pipeline import WorkerCrashError
+
+        class AlwaysBroken(WorkerPool):
+            def submit(self, fn, /, *args, **kwargs):
+                raise BrokenProcessPool("every worker dies on arrival")
+
+        policy = SupervisionPolicy(max_restarts=2)
+        with AlwaysBroken(2, supervision=policy) as pool:
+            with pytest.raises(WorkerCrashError) as exc_info:
+                reorder_many(batch(3), PATTERN, pool=pool, chunk_size=1)
+            assert exc_info.value.context["index"] == 0
+            assert exc_info.value.context["crash_loop"] is True
+            assert pool.stats.restarts == 2
+        assert live_segments() == []
 
     def test_caller_owned_pool_stays_open(self):
         pool = WorkerPool(2)

@@ -7,7 +7,6 @@ import pytest
 MODULES = [
     "repro",
     "repro.core",
-    "repro.core.bitops",
     "repro.core.predictor",
     "repro.sptc",
     "repro.sptc.sell",
