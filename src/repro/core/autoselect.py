@@ -57,13 +57,21 @@ def reordering_succeeds(
     return res if res.conforms else None
 
 
-def _model_spmm_time(res: ReorderResult, h: int) -> float:
-    """Cost-model SpMM time of the reordered matrix in its V:N:M form."""
+def _model_spmm_time(res: ReorderResult, h: int, csrs: dict) -> float:
+    """Cost-model SpMM time of the reordered matrix in its V:N:M form.
+
+    ``csrs`` maps permutation bytes to the reordered CSR: candidates whose
+    permutations are byte-equal share one reordered matrix, so its CSR is
+    built once.
+    """
     from ..sptc.costmodel import CostModel
     from ..sptc.csr import CSRMatrix
     from ..sptc.venom import VNMCompressed
 
-    csr = CSRMatrix.from_scipy(res.matrix.to_scipy())
+    key = res.permutation.order.tobytes()
+    csr = csrs.get(key)
+    if csr is None:
+        csr = csrs[key] = CSRMatrix.from_scipy(res.matrix.to_scipy())
     compressed = VNMCompressed.compress_csr(csr, res.pattern)
     return CostModel().time_venom_spmm(compressed, h)
 
@@ -120,7 +128,11 @@ def find_best_pattern(
     if select == "largest":
         pattern, result = candidates[-1]
     else:
-        timed = [(_model_spmm_time(res, h_ref), -pat.m, -pat.v, pat, res) for pat, res in candidates]
+        csrs: dict[bytes, object] = {}
+        timed = [
+            (_model_spmm_time(res, h_ref, csrs), -pat.m, -pat.v, pat, res)
+            for pat, res in candidates
+        ]
         timed.sort(key=lambda entry: entry[:3])
         _, _, _, pattern, result = timed[0]
     return PatternSearchResult(pattern, result, attempts, candidates)
