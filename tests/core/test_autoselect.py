@@ -52,6 +52,20 @@ class TestFindBestPattern:
         assert out.succeeded
         assert out.pattern in [p for p, _ in out.candidates]
 
+    def test_fastest_policy_builds_one_csr_per_distinct_permutation(self, monkeypatch):
+        calls = []
+        to_scipy = BitMatrix.to_scipy
+
+        def counting_to_scipy(self):
+            calls.append(1)
+            return to_scipy(self)
+
+        monkeypatch.setattr(BitMatrix, "to_scipy", counting_to_scipy)
+        out = find_best_pattern(sparse_sym(96, 0.02, 6), max_iter=4)
+        distinct = {res.permutation.order.tobytes() for _, res in out.candidates}
+        assert len(distinct) < len(out.candidates)
+        assert len(calls) == len(distinct)
+
     def test_unknown_policy_rejected(self):
         import pytest
 
