@@ -37,6 +37,8 @@ import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from ..core.bitmatrix import BitMatrix
 from ..obs import events as obs_events
 from ..sptc import serialize
@@ -62,7 +64,7 @@ def adjacency_fingerprint(bm: BitMatrix) -> str:
     """Hex digest of the exact bit structure (shape + packed words)."""
     digest = hashlib.sha256()
     digest.update(f"{bm.n_rows}x{bm.n_cols}:".encode())
-    digest.update(bm.words.tobytes())
+    digest.update(np.ascontiguousarray(bm.words))  # byte view, no tobytes() copy
     return digest.hexdigest()
 
 
