@@ -17,6 +17,7 @@ import pytest
 from _parallel_search import search_best_patterns
 from repro.bench import geomean, render_table
 from repro.core import VNMPattern
+from repro.perf import engine
 from repro.sptc import CostModel, CSRMatrix, HybridVNM, SpmmWorkload
 
 HS = (64, 128, 256, 512)
@@ -118,5 +119,5 @@ def test_bench_venom_spmm_wall_time(benchmark, collections):
     csr = CSRMatrix.from_scipy(bm.to_scipy())
     hy = HybridVNM.compress_csr(csr, pattern)
     b = rng.random((g.n, 64))
-    out = benchmark(hy.spmm, b)
+    out = benchmark(engine.execute, hy, b)
     assert out.shape == (g.n, 64)

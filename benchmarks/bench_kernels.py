@@ -1,7 +1,8 @@
 """Raw kernel microbenchmarks (wall-clock, pytest-benchmark).
 
-These measure the *functional* NumPy kernels themselves — useful for
-tracking regressions in the emulation substrate.  Paper-shape performance
+These measure the host SpMM path (:func:`repro.perf.engine.execute`) and
+the emulation substrate's functional NumPy kernels — useful for tracking
+regressions in either.  Paper-shape performance
 claims live in the cost-model benches; these are real seconds on this
 machine.
 """
@@ -11,6 +12,7 @@ import pytest
 
 from repro.core import BitMatrix, NMPattern, VNMPattern, reorder
 from repro.core.stage1 import encode_rows, lexicographic_row_order
+from repro.perf import engine
 from repro.sptc import (
     CSRMatrix,
     HybridVNM,
@@ -36,14 +38,14 @@ def medium_case():
 def test_bench_csr_spmm(benchmark, medium_case):
     w, b = medium_case
     csr = CSRMatrix.from_dense(w)
-    out = benchmark(csr.matmat, b)
+    out = benchmark(engine.execute, csr, b)
     assert out.shape == b.shape
 
 
 def test_bench_hybrid_spmm(benchmark, medium_case):
     w, b = medium_case
     hy = HybridVNM.compress_csr(CSRMatrix.from_dense(w), VNMPattern(1, 2, 4))
-    out = benchmark(hy.spmm, b)
+    out = benchmark(engine.execute, hy, b)
     assert np.allclose(out, w @ b)
 
 

@@ -13,6 +13,7 @@ import pytest
 from repro.bench import render_table
 from repro.core import VNMPattern
 from repro.gnn.frameworks import reorder_for_graph
+from repro.perf import engine
 from repro.sptc import CSRMatrix, HybridVNM
 from repro.sptc.precision import precision_report, venom_spmm_fp16
 
@@ -30,7 +31,7 @@ def precision(gnn_datasets):
         op = reordered.csr(normalized=True, add_self_loops=True)
         hy = HybridVNM.compress_csr(op, PATTERN)
         rep = precision_report(hy.main, reordered.features)
-        exact = hy.main.spmm(reordered.features)
+        exact = engine.execute(hy.main, reordered.features)
         approx = venom_spmm_fp16(hy.main, reordered.features)
         argmax_agree = float((exact.argmax(1) == approx.argmax(1)).mean())
         rows.append(

@@ -6,7 +6,7 @@ wall-clock req/s — by comparing the thread-lane router against the
 ``executor="process"`` router on a deliberately GIL-bound operand.
 
 The GIL-bound operand is a :class:`GILBoundDevice` wrapper: every shard
-kernel runs the real registry dispatch, then holds the interpreter lock
+kernel runs the real engine SpMM, then holds the interpreter lock
 for a fixed charge.  Two charge modes:
 
 * ``stall`` — ``ctypes.PyDLL(None).usleep(...)``: a foreign call made
@@ -57,6 +57,7 @@ import numpy as np
 
 from repro.core import VNMPattern
 from repro.graphs import sbm_graph
+from repro.perf import engine
 from repro.pipeline import (
     PreprocessPlan,
     ServingSession,
@@ -64,7 +65,6 @@ from repro.pipeline import (
     preprocess,
     shard_result,
 )
-from repro.pipeline.registry import dispatch_spmm
 
 PATTERN = VNMPattern(1, 2, 4)
 N_WORKERS = 4
@@ -80,7 +80,8 @@ class GILBoundDevice:
     so the sleeping thread blocks every other thread in its interpreter
     (exactly what a non-cooperative C extension does to a shard lane).
     ``spin`` burns the charge in Python bytecode.  Either way the numeric
-    result is the untouched registry dispatch, so bit-identity holds.
+    result is the untouched :func:`repro.perf.engine.execute` output, so
+    bit-identity holds.
     """
 
     def __init__(self, charge_us: int, mode: str, device_id: int = 0):
@@ -102,7 +103,7 @@ class GILBoundDevice:
                 x += 1
 
     def spmm(self, a, b, *, tag: str = "spmm") -> np.ndarray:
-        out = dispatch_spmm(a, b)
+        out = engine.execute(a, b)
         self._hold_gil()
         self.calls += 1
         return out

@@ -6,6 +6,7 @@ Run:  python examples/quickstart.py
 import numpy as np
 
 from repro import BitMatrix, VNMPattern, find_best_pattern, reorder
+from repro.perf import engine
 from repro.sptc import CSRMatrix, CostModel, HybridVNM, SpmmWorkload
 
 # --- 1. a random sparse undirected graph --------------------------------------
@@ -31,16 +32,17 @@ assert result.matrix.is_symmetric(), "graph reordering keeps the matrix symmetri
 best = find_best_pattern(bm)
 print(f"best reachable pattern: {best.pattern}")
 
-# --- 4. run SpMM on the emulated Sparse Tensor Cores --------------------------
+# --- 4. compress for the Sparse Tensor Cores and run SpMM ----------------------
 reordered = best.result.matrix if best.succeeded else result.matrix
 weights = reordered.to_dense().astype(np.float64)  # unweighted adjacency
 csr = CSRMatrix.from_dense(weights)
 compressed = HybridVNM.compress_csr(csr, best.pattern or pattern)
 
-features = rng.random((n, 128))
-out_csr = csr.matmat(features)
-out_sptc = compressed.spmm(features)
-assert np.allclose(out_csr, out_sptc), "SPTC kernel is numerically exact"
+# One host path computes every format (scipy CSR over the operand's exact
+# triplet); where the A100 would run it is the cost model's business (step 5).
+features = rng.integers(-8, 8, size=(n, 128)).astype(np.float64)
+out_sptc = engine.execute(compressed, features)
+assert np.array_equal(out_sptc, weights @ features), "SPTC operand is lossless"
 
 # --- 5. compare modelled A100 times -------------------------------------------
 cm = CostModel()

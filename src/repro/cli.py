@@ -620,12 +620,13 @@ def _backend_selftest() -> int:
     """Run a tiny operand through every compressible backend.
 
     Each backend compresses a small reference matrix and serves one SpMM
-    through :func:`run_kernel` under a scoped breaker board, so the report
-    shows both kernel correctness and the breaker state each backend ends
-    in.  Returns the number of *failing* backends (``unavailable`` — the
-    operand cannot be built, e.g. a non-conforming matrix for ``vnm`` — is
-    not a failure).
+    through :func:`repro.perf.engine.execute` (and so ``run_kernel``) under
+    a scoped breaker board, so the report shows both kernel correctness and
+    the breaker state each backend ends in.  Returns the number of
+    *failing* backends (``unavailable`` — the operand cannot be built, e.g.
+    a non-conforming matrix for ``vnm`` — is not a failure).
     """
+    from .perf import engine
     from .pipeline import registry
     from .pipeline.guard import breaker_scope
 
@@ -648,7 +649,7 @@ def _backend_selftest() -> int:
                 logger.info(f"  {name:<8} unavailable ({type(exc).__name__}: {exc})")
                 continue
             try:
-                out = registry.run_kernel(backend, operand, x)
+                out = engine.execute(operand, x)
             except Exception as exc:  # noqa: BLE001 - reported, not raised
                 failures += 1
                 logger.warning(f"  {name:<8} FAIL ({type(exc).__name__}: {exc})")

@@ -140,6 +140,7 @@ def distributed_spmm(
     Returns ``(result, devices)``; pass ``device_factory`` to time the run on
     emulated devices (defaults to untimed functional execution).
     """
+    from ..perf import engine
     from ..sptc.csr import CSRMatrix
     from ..sptc.hybrid import HybridVNM
 
@@ -166,7 +167,7 @@ def distributed_spmm(
         diag_csr = CSRMatrix.from_coo(r_new, c_new, data[diag], (p.size, p.size))
         operand = HybridVNM.compress_csr(diag_csr, pattern)
         b_local = b[global_perm.order[p.start : p.stop]]
-        partial = device.spmm(operand, b_local) if device else operand.spmm(b_local)
+        partial = device.spmm(operand, b_local) if device else engine.execute(operand, b_local)
         # Map the partial result back to global vertex order (the paper's
         # "reordered back before accumulation").
         out[global_perm.order[p.start : p.stop]] += partial
@@ -177,7 +178,7 @@ def distributed_spmm(
             off_csr = CSRMatrix.from_coo(
                 rows[off] - p.start, cols[off], data[off], (p.size, graph.n)
             )
-            contrib = device.spmm(off_csr, b) if device else off_csr.matmat(b)
+            contrib = device.spmm(off_csr, b) if device else engine.execute(off_csr, b)
             out[p.start : p.stop] += contrib
         if device is not None:
             devices.append(device)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..perf import engine
 from ..sptc.csr import CSRMatrix
 from ..sptc.sddmm import csr_sddmm, venom_sddmm
 from ..sptc.venom import VNMCompressed
@@ -50,7 +51,7 @@ def gat_aggregate_csr(
     """Baseline attention aggregation: CSR SDDMM → edge softmax → CSR SpMM."""
     scores = csr_sddmm(pattern, q, k)
     alpha = edge_softmax(scores)
-    return alpha.matmat(values)
+    return engine.execute(alpha, values)
 
 
 def gat_aggregate_venom(
@@ -68,7 +69,7 @@ def gat_aggregate_venom(
     alpha = edge_softmax(csr_scores)
     # Re-inject the normalized scores into the structured operand and SpMM.
     alpha_compressed = VNMCompressed.compress_csr(alpha, operand.pattern)
-    return alpha_compressed.spmm(values)
+    return engine.execute(alpha_compressed, values)
 
 
 class GATConv:

@@ -22,11 +22,13 @@ guards it with the :mod:`repro.sptc.precision` row-scaled error model.
 
 :func:`execute` is the integration point: it resolves the operand's plan
 through a per-process id-keyed cache (``weakref.finalize`` eviction) and
-runs it through :func:`repro.pipeline.registry.run_kernel`'s kernel
-override, so fault injection, breakers and the ``BackendExecutionError``
-taxonomy cover planned execution exactly like the registry kernels.
-Operands without an exact triplet (SELL, TC-GNN tiles, serving sessions,
-third-party formats) run their registry kernel.
+runs it as the ``kernel`` of :func:`repro.pipeline.registry.run_kernel`,
+so fault injection, breakers and the ``BackendExecutionError``
+taxonomy cover planned execution.  This is the only host SpMM path for
+the built-in formats: an operand is planned exactly when its registered
+:class:`~repro.pipeline.registry.Backend` names no ``spmm`` kernel.  Only
+operands whose backend does register one (the ``serving`` pseudo-backend,
+third-party formats) run that kernel instead.
 """
 
 from __future__ import annotations
@@ -34,12 +36,6 @@ from __future__ import annotations
 import weakref
 
 import numpy as np
-
-from ..sptc.bsr import BSRMatrix
-from ..sptc.csr import CSRMatrix
-from ..sptc.hybrid import HybridVNM
-from ..sptc.nm_format import NMCompressed
-from ..sptc.venom import VNMCompressed
 
 __all__ = [
     "ExecutionPlan",
@@ -52,23 +48,19 @@ __all__ = [
     "fp32_within_bound",
 ]
 
-# Operand type → registry backend name, for every format with an exact
-# CSR triplet.  Subclasses resolve through isinstance.
-_PLANNABLE: tuple[tuple[type, str], ...] = (
-    (CSRMatrix, "csr"),
-    (NMCompressed, "nm"),
-    (VNMCompressed, "vnm"),
-    (HybridVNM, "hybrid"),
-    (BSRMatrix, "bsr"),
-    (np.ndarray, "dense"),
-)
-
 
 def _backend_of(operand) -> str:
-    for operand_type, backend in _PLANNABLE:
-        if isinstance(operand, operand_type):
-            return backend
-    raise TypeError(f"no execution plan for operand type {type(operand).__name__}")
+    """The registry backend name of a plannable ``operand``.
+
+    ``TypeError`` when no backend handles the type, or when its backend
+    registers its own kernel (:func:`execute` runs that kernel unplanned).
+    """
+    from ..pipeline import registry
+
+    backend = registry.backend_for(operand)
+    if backend.spmm is not None:
+        raise TypeError(f"backend {backend.name!r} runs its own kernel; no execution plan")
+    return backend.name
 
 
 def _counters():
@@ -116,7 +108,7 @@ class ExecutionPlan:
         if matrix is None:
             import scipy.sparse as sp
 
-            if isinstance(operand, CSRMatrix):
+            if self.backend == "csr":
                 triplet = (operand.data, operand.indices, operand.indptr)
             else:
                 rows, cols, vals = operand.to_coo()
@@ -223,7 +215,8 @@ def clear_plan_cache() -> int:
 def execute(operand, b: np.ndarray, *, dtype=None) -> np.ndarray:
     """One planned SpMM through the registry's kernel choke point.
 
-    Unplannable operands fall back to the backend's registry kernel;
+    The one place that picks the kernel: operands whose backend registers
+    its own kernel run that kernel, every other operand runs its plan;
     either way the call goes through
     :func:`~repro.pipeline.registry.run_kernel`, so fault injection and
     ``BackendExecutionError`` wrapping apply uniformly.
@@ -231,14 +224,15 @@ def execute(operand, b: np.ndarray, *, dtype=None) -> np.ndarray:
     from ..pipeline import registry
 
     backend = registry.backend_for(operand)
-    try:
+    if backend.spmm is not None:
+        kernel = backend.spmm
+    else:
         plan = plan_for(operand)
-    except TypeError:
-        return registry.run_kernel(backend, operand, b)
-    return registry.run_kernel(
-        backend, operand, b,
-        kernel=lambda a, x, _plan=plan: _plan.execute(a, x, dtype=dtype),
-    )
+
+        def kernel(a, x):
+            return plan.execute(a, x, dtype=dtype)
+
+    return registry.run_kernel(backend, operand, b, kernel=kernel)
 
 
 def fp32_within_bound(operand, plan: ExecutionPlan | None = None, *,

@@ -1,8 +1,9 @@
 """The preprocess → cache → serve pipeline (paper §4.4 as a subsystem).
 
-* :mod:`repro.pipeline.registry` — pluggable backend registry; the single
-  dispatch point for every SpMM call site (kernels, device, GNN layers),
-  now with per-backend graceful-degradation ``fallbacks`` chains.
+* :mod:`repro.pipeline.registry` — pluggable backend registry: per format
+  its compressor, cost-model entry and graceful-degradation ``fallbacks``
+  chain, plus :func:`run_kernel`, the fault/breaker choke point every SpMM
+  (planned by :mod:`repro.perf.engine` or not) runs through.
 * :mod:`repro.pipeline.preprocess` — declarative offline preprocessing:
   pattern autoselect → reordering → hybrid split → compression, with batch
   mode over the process pool.
@@ -67,7 +68,6 @@ from .registry import (
     compress,
     degrade,
     densify,
-    dispatch_spmm,
     fallback_chain,
     get_backend,
     model_spmm_time,
@@ -104,7 +104,6 @@ __all__ = [
     "get_backend",
     "backend_for",
     "available_backends",
-    "dispatch_spmm",
     "model_spmm_time",
     "compress",
     "densify",

@@ -2,17 +2,22 @@
 
 Every operand format the system can serve (CSR, N:M, V:N:M, hybrid, BSR,
 SELL-C-σ, TC-GNN tiles, dense) is described by one :class:`Backend` record
-bundling the three things the rest of the stack needs:
+bundling what the rest of the stack needs:
 
 * ``compress`` — how to build the operand from a (reordered) CSR matrix,
-* ``spmm`` — the numerically exact kernel,
-* ``model_time`` — the cost-model entry charged by the virtual-clock device.
+* ``model_time`` — the cost-model entry charged by the virtual-clock device,
+* ``fallbacks`` — the graceful-degradation ladder,
+* ``spmm`` — optional: a kernel for an operand the engine cannot plan.
 
-``repro.sptc.spmm.spmm``, ``EmulatedDevice.spmm`` and
-``gnn.layers.Aggregator`` all route through :func:`backend_for` /
-:func:`dispatch_spmm` instead of per-call-site ``isinstance`` chains, so a
-third party adding a format (:func:`register_backend`) extends the kernel
-dispatch, the device's timing, and the GNN aggregation path at once.
+No built-in backend sets ``spmm``: :func:`repro.perf.engine.execute`
+computes every built-in format from its exact CSR triplet.  Only the
+``serving`` pseudo-backend and third-party formats register a kernel, and
+the engine runs it through :func:`run_kernel`.  ``EmulatedDevice.spmm``,
+``gnn.layers.Aggregator`` and ``ServingSession`` all resolve operands
+through :func:`backend_for` instead of per-call-site ``isinstance``
+chains, so a third party adding a format (:func:`register_backend`)
+extends execution, the device's timing and the GNN aggregation path at
+once.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ from ..sptc.csr import CSRMatrix
 from ..sptc.hybrid import HybridVNM
 from ..sptc.nm_format import NMCompressed
 from ..sptc.sell import SellCSigma
-from ..sptc.spmm import csr_spmm, dense_spmm, nm_spmm, venom_spmm
 from ..sptc.tcgnn import TCGNNBlocked
 from ..sptc.venom import VNMCompressed
 from . import faults, guard
@@ -42,7 +46,6 @@ __all__ = [
     "get_backend",
     "backend_for",
     "available_backends",
-    "dispatch_spmm",
     "run_kernel",
     "model_spmm_time",
     "compress",
@@ -54,13 +57,16 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Backend:
-    """One serving backend: format name → (compressor, kernel, cost entry).
+    """One serving backend: format name → (compressor, cost entry, fallbacks).
 
     ``compress(csr, pattern)`` builds the operand from a reordered CSR matrix
     (``pattern`` may be ignored by unstructured formats).  ``spmm(a, b)`` is
-    the exact kernel.  ``model_time(cost_model, a, h)`` is the modelled A100
-    launch time the emulated device charges; ``None`` means the backend owns
-    its own timing (e.g. a :class:`~repro.pipeline.serving.ServingSession`).
+    an exact kernel for an operand the engine cannot plan; ``None`` (every
+    built-in format) means :func:`repro.perf.engine.execute` plans it from
+    its ``to_coo()`` triplet.  ``model_time(cost_model, a, h)`` is the
+    modelled A100 launch time the emulated device charges; ``None`` means
+    the backend owns its own timing (e.g. a
+    :class:`~repro.pipeline.serving.ServingSession`).
     ``kernel_name`` labels the device's :class:`KernelRecord` entries.
     ``fallbacks`` is the ordered graceful-degradation ladder: backends a
     failing operand can be rebuilt for (via :func:`degrade`), fastest first,
@@ -70,7 +76,7 @@ class Backend:
 
     name: str
     operand_types: tuple[type, ...]
-    spmm: Callable[[Any, np.ndarray], np.ndarray]
+    spmm: Callable[[Any, np.ndarray], np.ndarray] | None = None
     compress: Callable[[CSRMatrix, VNMPattern | None], Any] | None = None
     model_time: Callable[[CostModel, Any, int], float] | None = None
     kernel_name: str = ""
@@ -135,18 +141,18 @@ def run_kernel(
     a: Any,
     b: np.ndarray,
     *,
-    kernel: Callable[[Any, np.ndarray], np.ndarray] | None = None,
+    kernel: Callable[[Any, np.ndarray], np.ndarray],
 ) -> np.ndarray:
-    """Execute ``backend``'s kernel, classing failures as
+    """Run ``kernel(a, b)`` for ``backend``, classing failures as
     :class:`BackendExecutionError`.
 
-    This is the single choke point for kernel execution (both
-    :func:`dispatch_spmm` and the emulated device route through it), so the
-    fault-injection hook and the error taxonomy cover every SpMM call site.
-    ``kernel`` substitutes an alternative implementation for this one call —
-    :func:`repro.perf.engine.execute` passes its plan here, so planned
+    This is the single choke point for kernel execution (the engine and
+    so the emulated device route through it), so the fault-injection hook
+    and the error taxonomy cover every SpMM call site.  ``kernel`` is
+    required: :func:`repro.perf.engine.execute` chooses it (the backend's
+    registered ``spmm``, or the operand's execution plan), so planned
     execution stays inside the same fault-injection and error-wrapping
-    envelope as the registry kernels.
+    envelope as registered kernels.
     The ``serving`` pseudo-backend is exempt from wrapping: a
     :class:`~repro.pipeline.serving.ServingSession` runs its own retry /
     degradation cycle and already raises taxonomy (or validation) errors.
@@ -157,49 +163,33 @@ def run_kernel(
     :class:`~repro.pipeline.resilience.CircuitOpenError` before the kernel
     runs, successes close the breaker, and kernel failures feed its
     consecutive-failure count.  With no board installed the guard costs
-    one ``is None`` test.
+    a few ``is None`` tests.
     """
     if backend.name == "serving":
-        return backend.spmm(a, b)
-    fn = backend.spmm if kernel is None else kernel
+        return kernel(a, b)
     board = guard.active_breakers()
-    if board is None:
-        try:
-            faults.maybe_fail_kernel(backend.name)
-            return fn(a, b)
-        except PipelineError:
-            raise
-        except Exception as exc:
-            raise BackendExecutionError(
-                f"backend {backend.name!r} kernel "
-                f"{(backend.kernel_name or backend.name)!r} failed: {exc}",
-                backend=backend.name,
-                kernel_name=backend.kernel_name or backend.name,
-            ) from exc
-    board.before_call(backend.name)
+    if board is not None:
+        board.before_call(backend.name)
     try:
         faults.maybe_fail_kernel(backend.name)
-        out = fn(a, b)
+        out = kernel(a, b)
     except PipelineError:
-        # Already-classified errors (injected BackendExecutionError from the
-        # fault harness included) count as backend failures; other taxonomy
-        # errors passing through (cache, overload) do not implicate the kernel.
+        # Already-classified taxonomy errors pass through unwrapped and do
+        # not feed the breaker; injected faults (InjectedFault is a plain
+        # RuntimeError) are kernel failures and land in the branch below.
         raise
     except Exception as exc:
-        board.record_failure(backend.name)
+        if board is not None:
+            board.record_failure(backend.name)
         raise BackendExecutionError(
             f"backend {backend.name!r} kernel "
             f"{(backend.kernel_name or backend.name)!r} failed: {exc}",
             backend=backend.name,
             kernel_name=backend.kernel_name or backend.name,
         ) from exc
-    board.record_success(backend.name)
+    if board is not None:
+        board.record_success(backend.name)
     return out
-
-
-def dispatch_spmm(a: Any, b: np.ndarray) -> np.ndarray:
-    """Run the registered SpMM kernel for ``a``'s format."""
-    return run_kernel(backend_for(a), a, b)
 
 
 def model_spmm_time(cost_model: CostModel, a: Any, h: int) -> float:
@@ -271,7 +261,6 @@ def _compress_bsr(csr: CSRMatrix, pattern: VNMPattern | None) -> BSRMatrix:
 register_backend(Backend(
     name="csr",
     operand_types=(CSRMatrix,),
-    spmm=csr_spmm,
     compress=lambda csr, pattern=None: csr,
     model_time=lambda cm, a, h: cm.time_csr_spmm(SpmmWorkload.from_csr(a, h)),
     kernel_name="csr_spmm",
@@ -281,7 +270,6 @@ register_backend(Backend(
 register_backend(Backend(
     name="nm",
     operand_types=(NMCompressed,),
-    spmm=nm_spmm,
     compress=_compress_nm,
     model_time=lambda cm, a, h: cm.time_nm_spmm(a, h),
     kernel_name="nm_spmm",
@@ -291,7 +279,6 @@ register_backend(Backend(
 register_backend(Backend(
     name="vnm",
     operand_types=(VNMCompressed,),
-    spmm=venom_spmm,
     compress=lambda csr, pattern=None: VNMCompressed.compress_csr(
         csr, _require_pattern(pattern, "vnm")),
     model_time=lambda cm, a, h: cm.time_venom_spmm(a, h),
@@ -302,7 +289,6 @@ register_backend(Backend(
 register_backend(Backend(
     name="hybrid",
     operand_types=(HybridVNM,),
-    spmm=lambda a, b: a.spmm(b),
     compress=lambda csr, pattern=None: HybridVNM.compress_csr(
         csr, _require_pattern(pattern, "hybrid")),
     model_time=lambda cm, a, h: a.model_time(cm, h),
@@ -313,7 +299,6 @@ register_backend(Backend(
 register_backend(Backend(
     name="bsr",
     operand_types=(BSRMatrix,),
-    spmm=lambda a, b: a.matmat(b),
     compress=_compress_bsr,
     model_time=lambda cm, a, h: cm.time_bsr_spmm(a, h),
     kernel_name="bsr_spmm",
@@ -323,7 +308,6 @@ register_backend(Backend(
 register_backend(Backend(
     name="sell",
     operand_types=(SellCSigma,),
-    spmm=lambda a, b: a.matmat(b),
     compress=lambda csr, pattern=None: SellCSigma.from_csr(csr),
     model_time=lambda cm, a, h: cm.time_sell_spmm(a, h),
     kernel_name="sell_spmm",
@@ -333,7 +317,6 @@ register_backend(Backend(
 register_backend(Backend(
     name="tcgnn",
     operand_types=(TCGNNBlocked,),
-    spmm=lambda a, b: a.spmm(b),
     compress=lambda csr, pattern=None: TCGNNBlocked.from_csr(csr),
     model_time=lambda cm, a, h: cm.time_tcgnn_spmm(a, h),
     kernel_name="tcgnn_spmm",
@@ -343,7 +326,6 @@ register_backend(Backend(
 register_backend(Backend(
     name="dense",
     operand_types=(np.ndarray,),
-    spmm=dense_spmm,
     compress=lambda csr, pattern=None: csr.to_dense(),
     model_time=lambda cm, a, h: cm.time_dense_gemm(a.shape[0], a.shape[1], h),
     kernel_name="dense_gemm",

@@ -2,12 +2,12 @@
 
 A :class:`ServingSession` owns the request cycle the paper's §4.4
 deployment runs per inference: gather the features into the reordered basis
-(``x[perm]``), SpMM on the compressed operand through the backend registry
-(or a virtual-clock device), and scatter the result back to the original
-vertex order.  Sessions are themselves registered as a registry backend, so
-:class:`repro.gnn.layers.Aggregator` — and anything else that dispatches
-through :func:`repro.pipeline.registry.dispatch_spmm` — consumes them like
-any other operand.
+(``x[perm]``), SpMM on the compressed operand through
+:func:`repro.perf.engine.execute` (or a virtual-clock device), and scatter
+the result back to the original vertex order.  Sessions are themselves
+registered as a registry backend with their own kernel, so
+:class:`repro.gnn.layers.Aggregator` — and anything else that executes
+through the engine — consumes them like any other operand.
 
 The request *door* — admission, shedding, deadlines, ``submit``/close and
 health — belongs to :class:`repro.pipeline.sharded.ShardRouter`; a session
@@ -428,7 +428,7 @@ class ServingSession:
             return out
         raise failure
 
-    # Aggregator (and any dispatch_spmm caller) treats a session like an
+    # Aggregator (and any engine.execute caller) treats a session like an
     # operand, so mm/mm_t spell out the symmetric-operator convention.
     def mm(self, x: np.ndarray) -> np.ndarray:
         return self.spmm(x)

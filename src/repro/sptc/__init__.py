@@ -1,8 +1,11 @@
 """Emulated Sparse Tensor Core substrate (DESIGN.md §3 substitution).
 
-Sparse formats (CSR, BSR, N:M, VENOM V:N:M), a functional ``mma.sp``
-emulation, SpMM kernels, the A100-class analytical cost model, and the
-virtual-clock device the experiments run on.
+Sparse formats (CSR, BSR, N:M, VENOM V:N:M, hybrid, SELL-C-σ, TC-GNN
+tiles), a functional ``mma.sp`` emulation, the dense reference SpMM, the
+A100-class analytical cost model, and the virtual-clock device the
+experiments run on.  The formats carry no SpMM kernel: each exposes its
+exact ``to_coo()`` triplet, and :func:`repro.perf.engine.execute` computes
+every product from it.
 """
 
 from .bsr import BSRMatrix
@@ -13,7 +16,7 @@ from .device import EmulatedDevice, KernelRecord
 from .hybrid import HybridVNM, split_csr_to_pattern, split_to_pattern
 from .mma import MMA_M16N8K32, MmaShape, compress_tile_2to4, expand_tile_2to4, mma_sp
 from .nm_format import NMCompressed, NMFormatError
-from .spmm import csr_spmm, dense_spmm, nm_spmm, spmm, venom_spmm
+from .spmm import dense_spmm
 from .sddmm import csr_sddmm, venom_sddmm
 from .sell import SellCSigma
 from .serialize import load_preprocessed, save_preprocessed
@@ -32,11 +35,7 @@ __all__ = [
     "mma_sp",
     "compress_tile_2to4",
     "expand_tile_2to4",
-    "csr_spmm",
-    "nm_spmm",
-    "venom_spmm",
     "dense_spmm",
-    "spmm",
     "A100Params",
     "CostModel",
     "DEFAULT_PARAMS",

@@ -83,24 +83,6 @@ class BSRMatrix:
             + self.brow_ptr.size * 8
         )
 
-    def matmat(self, b: np.ndarray) -> np.ndarray:
-        """Block-row SpMM: each stored block multiplies its B panel densely."""
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape[0] != self.shape[1]:
-            raise ValueError("inner dimension mismatch")
-        block, h = self.block, b.shape[1]
-        nbr = self.brow_ptr.shape[0] - 1
-        nbc = (self.shape[1] + block - 1) // block
-        padded_b = np.zeros((nbc * block, h), dtype=np.float64)
-        padded_b[: b.shape[0]] = b
-        panels = padded_b.reshape(nbc, block, h)
-        out = np.zeros((nbr, block, h), dtype=np.float64)
-        if self.n_blocks:
-            contrib = np.einsum("kij,kjh->kih", self.blocks, panels[self.bcol_ind])
-            brow = np.repeat(np.arange(nbr), np.diff(self.brow_ptr))
-            np.add.at(out, brow, contrib)
-        return out.reshape(nbr * block, h)[: self.shape[0]]
-
     def block_lookup(self, brow: int, bcol: int) -> int:
         """Binary search the block-column index (Listing 1 line 1); -1 if absent."""
         lo, hi = int(self.brow_ptr[brow]), int(self.brow_ptr[brow + 1])

@@ -26,7 +26,7 @@ class CSRMatrix:
 
     # __weakref__ lets the execution-plan cache (repro.perf.engine) key
     # plans by operand identity with weakref-finalize eviction.
-    __slots__ = ("indptr", "indices", "data", "shape", "_dense_cache", "__weakref__")
+    __slots__ = ("indptr", "indices", "data", "shape", "__weakref__")
 
     def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, shape: tuple[int, int]):
         self.indptr = np.asarray(indptr, dtype=np.int64)
@@ -114,48 +114,6 @@ class CSRMatrix:
         return self.nnz / total if total else 0.0
 
     # -- operations --------------------------------------------------------
-    def _row_reduce(self, prod: np.ndarray) -> np.ndarray:
-        """Sum per-non-zero products into rows via the reduceat row-boundary
-        trick (empty rows have zero-length segments and are masked out)."""
-        out_shape = (self.shape[0],) + prod.shape[1:]
-        out = np.zeros(out_shape, dtype=np.float64)
-        nonempty = np.diff(self.indptr) > 0
-        if nonempty.any():
-            starts = self.indptr[:-1][nonempty]
-            out[nonempty] = np.add.reduceat(prod, starts, axis=0)
-        return out
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        return self._row_reduce(self.data * x[self.indices])
-
-    # Below this many cells, a cached dense copy plus BLAS matmul beats any
-    # pure-NumPy segment reduction by an order of magnitude (the *timing*
-    # experiments never use wall clock of this kernel — see the cost model).
-    _DENSE_FASTPATH_CELLS = 4_000_000
-
-    def matmat(self, b: np.ndarray) -> np.ndarray:
-        """Row-gather SpMM: the same access structure as a CUDA-core kernel.
-
-        For every non-zero ``(r, c, v)`` it gathers row ``c`` of ``B`` — the
-        irregular access pattern the cost model charges for.  Small operands
-        take a numerically-identical dense-BLAS fast path so the training
-        loops stay quick.
-        """
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape[0] != self.shape[1]:
-            raise ValueError("inner dimension mismatch")
-        if (
-            self.shape[0] * self.shape[1] <= self._DENSE_FASTPATH_CELLS
-            and b.shape[1] >= 8
-        ):
-            dense = getattr(self, "_dense_cache", None)
-            if dense is None:
-                dense = self.to_dense()
-                self._dense_cache = dense
-            return dense @ b
-        return self._row_reduce(self.data[:, None] * b[self.indices])
-
     def transpose(self) -> "CSRMatrix":
         rows, cols, data = self.to_coo()
         return CSRMatrix.from_coo(cols, rows, data, (self.shape[1], self.shape[0]), sum_duplicates=False)

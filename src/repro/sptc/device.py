@@ -83,7 +83,7 @@ class EmulatedDevice:
         Execution goes through :func:`repro.perf.engine.execute`, so faults,
         breakers and the error taxonomy apply as on the host.
         """
-        from ..perf import engine  # lazy: the engine imports the formats
+        from ..perf import engine  # lazy: repro.perf sits above repro.sptc
         from ..pipeline.registry import backend_for
 
         backend = backend_for(a)

@@ -5,8 +5,9 @@ A reordered matrix occasionally retains a handful of pattern violations
 removal).  To keep the SPTC pipeline lossless in those cases, the matrix is
 split into a conforming part (compressed to V:N:M and run on the SPTC path)
 plus a tiny CSR *residual* holding the overflow entries (run on the CUDA-core
-path).  SpMM results add back exactly; the residual's cost-model time is
-charged alongside the SPTC kernel's.
+path).  :meth:`HybridVNM.to_coo` concatenates both parts, so SpMM results
+add back exactly; the residual's cost-model time is charged alongside the
+SPTC kernel's.
 """
 
 from __future__ import annotations
@@ -158,12 +159,6 @@ class HybridVNM:
 
     def decompress(self) -> np.ndarray:
         return coo_to_dense(self.shape, *self.to_coo())
-
-    def spmm(self, b: np.ndarray) -> np.ndarray:
-        out = self.main.spmm(b)
-        if self.residual is not None:
-            out = out + self.residual.matmat(b)
-        return out
 
     def model_time(self, cost_model: CostModel, h: int) -> float:
         t = cost_model.time_venom_spmm(self.main, h)

@@ -93,29 +93,5 @@ class NMCompressed:
         """Modelled operand footprint (fp16 values + 2-bit metadata, as on A100)."""
         return self.values.size * value_bytes + (self.meta.size * meta_bits + 7) // 8
 
-    def spmm(self, b: np.ndarray) -> np.ndarray:
-        """Structured SpMM: every row processes exactly ``n_segs * N`` slots.
-
-        This mirrors the regular, compaction-driven access pattern of SPTC:
-        gather indices are ``segment_base + meta`` (strided and predictable)
-        rather than arbitrary CSR column indices.
-        """
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape[0] != self.shape[1]:
-            raise ValueError("inner dimension mismatch")
-        n, m = self.pattern.n, self.pattern.m
-        n_segs = self.n_segs
-        if b.shape[0] == n_segs * m:
-            # Aligned operand (n_cols % M == 0, the common post-reorder
-            # case): gather straight from B, no zero-padded copy.
-            padded_b = b
-        else:
-            padded_b = np.zeros((n_segs * m, b.shape[1]), dtype=np.float64)
-            padded_b[: b.shape[0]] = b
-        seg_base = np.repeat(np.arange(n_segs) * m, n)
-        gather = seg_base[None, :] + self.meta.astype(np.int64)  # (n_rows, n_segs*n)
-        # out[r, :] = sum_j values[r, j] * B[gather[r, j], :]
-        return np.einsum("rj,rjh->rh", self.values, padded_b[gather])
-
     def __repr__(self) -> str:
         return f"NMCompressed(pattern={self.pattern}, shape={self.shape})"

@@ -70,7 +70,7 @@ def venom_spmm_fp16(a: VNMCompressed, b: np.ndarray) -> np.ndarray:
     h = b.shape[1]
     padded_rows = max(b.shape[0], int(a.col_ids.max(initial=0)) + 1)
     if padded_rows == b.shape[0]:
-        padded_b = b  # aligned: no zero-padded copy (see VNMCompressed.spmm)
+        padded_b = b  # aligned: gather straight from B, no zero-padded copy
     else:
         padded_b = np.zeros((padded_rows, h))
         padded_b[: b.shape[0]] = b
@@ -111,7 +111,9 @@ class PrecisionReport:
 
 def precision_report(a: VNMCompressed, b: np.ndarray) -> PrecisionReport:
     """Compare the emulated fp16 datapath against exact fp64 SpMM."""
-    exact = a.spmm(b)
+    from ..perf import engine  # lazy: repro.perf sits above repro.sptc
+
+    exact = engine.execute(a, b)
     approx = venom_spmm_fp16(a, b)
     scaled = _row_scaled(exact, approx)
     return PrecisionReport(

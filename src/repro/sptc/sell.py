@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csr import CSRMatrix
+from .csr import CSRMatrix, coo_to_dense
 
 __all__ = ["SellCSigma"]
 
@@ -98,34 +98,20 @@ class SellCSigma:
     def storage_bytes(self, value_bytes: int = 4) -> int:
         return self.vals.size * value_bytes + self.cols.size * 4 + self.slice_ptr.size * 8
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=np.float64)
-        for s in range(self.n_slices):
-            base, width = int(self.slice_ptr[s]), int(self.slice_width[s])
-            for lane in range(min(self.c, self.shape[0] - s * self.c)):
-                r = self.row_order[s * self.c + lane]
-                idx = base + np.arange(width) * self.c + lane
-                cc = self.cols[idx]
-                valid = cc >= 0
-                out[r, cc[valid]] = self.vals[idx][valid]
-        return out
+    def to_coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, cols, values)`` of the stored entries, slice-major.
 
-    def matmat(self, b: np.ndarray) -> np.ndarray:
-        """Slice-parallel SpMM with padding lanes multiplying zero."""
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape[0] != self.shape[1]:
-            raise ValueError("inner dimension mismatch")
-        out = np.zeros((self.shape[0], b.shape[1]), dtype=np.float64)
-        safe_cols = np.where(self.cols >= 0, self.cols, 0)
-        gathered = b[safe_cols] * self.vals[:, None]
-        for s in range(self.n_slices):
-            base, width = int(self.slice_ptr[s]), int(self.slice_width[s])
-            lanes = min(self.c, self.shape[0] - s * self.c)
-            if width == 0:
-                continue
-            block = gathered[base : base + width * self.c].reshape(width, self.c, -1)
-            out[self.row_order[s * self.c : s * self.c + lanes]] = block[:, :lanes].sum(axis=0)
-        return out
+        Entry ``base + j*C + lane`` of slice ``s`` belongs to row
+        ``row_order[s*C + lane]``; padding entries (``cols < 0``) are dropped.
+        """
+        live = np.flatnonzero(self.cols >= 0)
+        slice_of = np.repeat(np.arange(self.n_slices, dtype=np.int64),
+                             np.diff(self.slice_ptr))[live]
+        lane = (live - self.slice_ptr[slice_of]) % self.c
+        return self.row_order[slice_of * self.c + lane], self.cols[live], self.vals[live]
+
+    def to_dense(self) -> np.ndarray:
+        return coo_to_dense(self.shape, *self.to_coo())
 
     def __repr__(self) -> str:
         return (

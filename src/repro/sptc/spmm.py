@@ -1,57 +1,20 @@
-"""SpMM kernels over the supported operand formats.
+"""The dense reference SpMM.
 
-All kernels are numerically exact and interchangeable; they differ in the
-*access structure* the cost model charges for:
-
-* :func:`csr_spmm` — cuSPARSE-style row-gather kernel on "CUDA cores": one
-  irregular gather of a B row per non-zero.
-* :func:`nm_spmm` / :func:`venom_spmm` — SPTC kernels: stream compressed
-  operands tile by tile through the (emulated) ``mma.sp`` pipeline.
-* :func:`dense_spmm` — dense reference.
+Sparse operands have no host kernel of their own: every registered format
+executes through :func:`repro.perf.engine.execute` (an exact CSR triplet
+run by scipy.sparse), and where it *would* run on an A100 — sparse tensor
+cores or CUDA cores — is the cost model's business
+(:func:`repro.pipeline.registry.model_spmm_time`).  :func:`dense_spmm` is
+the reference every path is checked against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .csr import CSRMatrix
-from .nm_format import NMCompressed
-from .venom import VNMCompressed
-
-__all__ = ["csr_spmm", "nm_spmm", "venom_spmm", "dense_spmm", "spmm"]
-
-
-def csr_spmm(a: CSRMatrix, b: np.ndarray) -> np.ndarray:
-    """Baseline CSR SpMM (cuSPARSE ``CSR_ALG2`` / torchsparse structure)."""
-    return a.matmat(b)
-
-
-def nm_spmm(a: NMCompressed, b: np.ndarray) -> np.ndarray:
-    """SPTC SpMM over the native N:M compressed operand."""
-    return a.spmm(b)
-
-
-def venom_spmm(a: VNMCompressed, b: np.ndarray) -> np.ndarray:
-    """Spatha-style SpMM over the V:N:M compressed operand."""
-    return a.spmm(b)
+__all__ = ["dense_spmm"]
 
 
 def dense_spmm(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dense reference multiply."""
     return np.asarray(a, dtype=np.float64) @ np.asarray(b, dtype=np.float64)
-
-
-# Resolved lazily on the first call (the registry imports this module, so a
-# top-level import would cycle), then cached so the per-request path pays a
-# module-global load instead of an import-machinery round trip.
-_dispatch_spmm = None
-
-
-def spmm(a, b: np.ndarray) -> np.ndarray:
-    """Dispatch on operand type via the pipeline backend registry."""
-    global _dispatch_spmm
-    if _dispatch_spmm is None:
-        from ..pipeline.registry import dispatch_spmm
-
-        _dispatch_spmm = dispatch_spmm
-    return _dispatch_spmm(a, b)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .csr import CSRMatrix
+from .csr import CSRMatrix, coo_to_dense
 
 __all__ = ["TCGNNBlocked"]
 
@@ -87,39 +87,23 @@ class TCGNNBlocked:
             + self.window_ptr.size * 8
         )
 
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.shape, dtype=np.float64)
-        tile = self.tile
-        for w in range(self.window_ptr.size - 1):
-            lo, hi = int(self.window_ptr[w]), int(self.window_ptr[w + 1])
-            r0 = w * tile
-            r1 = min(r0 + tile, self.shape[0])
-            for b in range(lo, hi):
-                cmap = self.col_map[b * tile : (b + 1) * tile]
-                valid = cmap >= 0
-                out[r0:r1, cmap[valid]] += self.blocks[b, : r1 - r0, valid].T
-        return out
+    def to_coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(rows, cols, values)`` of the stored tile cells, block-major.
 
-    def spmm(self, b: np.ndarray) -> np.ndarray:
-        """Dense-tile SpMM: every stored tile multiplies densely (TC style)."""
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape[0] != self.shape[1]:
-            raise ValueError("inner dimension mismatch")
-        tile = self.tile
-        out = np.zeros((self.shape[0], b.shape[1]), dtype=np.float64)
-        for w in range(self.window_ptr.size - 1):
-            lo, hi = int(self.window_ptr[w]), int(self.window_ptr[w + 1])
-            if hi == lo:
-                continue
-            r0 = w * tile
-            r1 = min(r0 + tile, self.shape[0])
-            cmap = self.col_map[lo * tile : hi * tile]
-            valid = cmap >= 0
-            gathered = np.zeros((cmap.size, b.shape[1]), dtype=np.float64)
-            gathered[valid] = b[cmap[valid]]
-            strip = self.blocks[lo:hi].transpose(1, 0, 2).reshape(tile, -1)
-            out[r0:r1] += strip[: r1 - r0] @ gathered
-        return out
+        Cell ``(b, i, j)`` of a block in window ``w`` sits at row
+        ``w*tile + i`` and column ``col_map[b*tile + j]``; zero cells and
+        padding columns (``col_map < 0``) are dropped.
+        """
+        window = np.repeat(np.arange(self.window_ptr.size - 1, dtype=np.int64),
+                           np.diff(self.window_ptr))
+        k, i, j = np.nonzero(self.blocks)
+        cols = self.col_map[k * self.tile + j]
+        live = cols >= 0
+        k, i, j = k[live], i[live], j[live]
+        return window[k] * self.tile + i, cols[live], self.blocks[k, i, j]
+
+    def to_dense(self) -> np.ndarray:
+        return coo_to_dense(self.shape, *self.to_coo())
 
     def __repr__(self) -> str:
         return f"TCGNNBlocked(shape={self.shape}, tile={self.tile}, n_blocks={self.n_blocks})"

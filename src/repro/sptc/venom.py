@@ -1,11 +1,13 @@
-"""V:N:M (VENOM) compressed format and its structured SpMM.
+"""V:N:M (VENOM) compressed format.
 
 The VENOM abstraction [11] generalizes hardware 2:4 sparsity: a matrix is a
 grid of V×M *meta-blocks*; each non-empty block stores the ids of its ≤ k
 live columns (k = 4 on current SPTC) plus an N:k compressed V×N value panel
 with per-value 2-bit positions.  The hardware ``mma.sp`` consumes the inner
 panels; the column-id indirection is the software abstraction layered on
-top.  Storage is CSR-of-tiles: only non-empty meta-blocks are kept.
+top.  Storage is CSR-of-tiles: only non-empty meta-blocks are kept.  The
+format's SpMM is charged by the cost model and computed by
+:func:`repro.perf.engine.execute` over :meth:`VNMCompressed.to_coo`.
 """
 
 from __future__ import annotations
@@ -241,38 +243,6 @@ class VNMCompressed:
 
     def decompress(self) -> np.ndarray:
         return coo_to_dense(self.shape, *self.to_coo())
-
-    def spmm(self, b: np.ndarray) -> np.ndarray:
-        """Structured SpMM ``A @ B`` reading only compressed data.
-
-        Per tile: gather the ≤k live B rows via ``col_ids``, then contract the
-        V×N value panel against the metadata-selected rows — the software
-        analogue of looping ``mma.sp`` over meta-blocks.
-        """
-        b = np.asarray(b, dtype=np.float64)
-        if b.shape[0] != self.shape[1]:
-            raise ValueError("inner dimension mismatch")
-        v = self.pattern.v
-        h = b.shape[1]
-        padded_rows = max(b.shape[0], int(self.col_ids.max(initial=0)) + 1)
-        if padded_rows == b.shape[0]:
-            # Aligned operand (no col_id reaches into padding): gather
-            # straight from B, no zero-padded copy.
-            padded_b = b
-        else:
-            padded_b = np.zeros((padded_rows, h), dtype=np.float64)
-            padded_b[: b.shape[0]] = b
-        if self.n_tiles == 0:
-            return np.zeros((self.shape[0], h), dtype=np.float64)
-        # B rows per value slot: (n_tiles, v, n)
-        gather_cols = np.take_along_axis(
-            self.col_ids[:, None, :].repeat(v, axis=1), self.meta.astype(np.int64), axis=2
-        )
-        contrib = np.einsum("tvn,tvnh->tvh", self.values, padded_b[gather_cols])
-        tile_rows = np.repeat(np.arange(self.n_tile_rows), np.diff(self.tile_ptr))
-        out = np.zeros((self.n_tile_rows, v, h), dtype=np.float64)
-        np.add.at(out, tile_rows, contrib)
-        return out.reshape(self.n_tile_rows * v, h)[: self.shape[0]]
 
     def __repr__(self) -> str:
         return f"VNMCompressed(pattern={self.pattern}, shape={self.shape}, n_tiles={self.n_tiles})"

@@ -23,6 +23,7 @@ from repro.sptc.bsr import BSRMatrix
 from repro.sptc.nm_format import NMCompressed
 from repro.sptc.sell import SellCSigma
 from repro.sptc.spmm import dense_spmm
+from repro.sptc.tcgnn import TCGNNBlocked
 from repro.sptc.venom import VNMCompressed
 
 NM = NMPattern(2, 4)
@@ -54,7 +55,7 @@ A_ANY = sprinkled(48, 48, _RNG)
 # reference every path is checked against, independent of the formats'
 # own index arithmetic.
 SOURCE = {"dense": A_ANY, "csr": A_ANY, "bsr": A_ANY, "nm": A_CONF, "vnm": A_CONF,
-          "hybrid": A_ANY}
+          "hybrid": A_ANY, "sell": A_ANY, "tcgnn": A_ANY}
 
 
 @pytest.fixture(scope="module")
@@ -66,6 +67,8 @@ def operands():
         "nm": NMCompressed.compress(A_CONF, NM),
         "vnm": VNMCompressed.compress(A_CONF, VNM),
         "hybrid": HybridVNM.compress(A_ANY, VNM),
+        "sell": SellCSigma.from_csr(CSRMatrix.from_dense(A_ANY), c=4, sigma=8),
+        "tcgnn": TCGNNBlocked.from_csr(CSRMatrix.from_dense(A_ANY), tile=8),
     }
 
 
@@ -75,7 +78,7 @@ def plan_counter_total() -> float:
             + reg.counter("engine_plan_cache_hits_total").value)
 
 
-BACKENDS = ("dense", "csr", "bsr", "nm", "vnm", "hybrid")
+BACKENDS = ("dense", "csr", "bsr", "nm", "vnm", "hybrid", "sell", "tcgnn")
 # Two feature layouts reach the kernel: a contiguous row-major panel, and a
 # strided column gather out of a wider table whose other columns are NaN
 # (a non-contiguous view; a stray read of a neighbouring column breaks
@@ -97,6 +100,7 @@ class TestExactness:
     def test_bitwise_vs_dense(self, operands, name, layout):
         """backend × layout × (device off/on): one path, bit-equal to ``dense @ x``."""
         op = operands[name]
+        assert engine.plan_for(op).backend == name  # every built-in format is planned
         raw = np.random.default_rng(3).integers(-(1 << 10), 1 << 10, size=(48, 16))
         raw = raw.astype(np.float64)
         b = features(raw, layout)
@@ -220,13 +224,30 @@ class TestPlanCache:
             engine.adopt_plan(object(), plan)  # unplannable operand
 
 
+class OpaqueOperand:
+    def __init__(self, a):
+        self.a = a
+        self.shape = a.shape
+
+
 class TestExecuteIntegration:
     def test_unplannable_falls_back_to_naive(self):
+        # A third-party operand whose backend registers its own kernel is
+        # not planned: execute runs that kernel through run_kernel.
         rng = np.random.default_rng(9)
         a = sprinkled(24, 24, rng)
-        sell = SellCSigma.from_csr(CSRMatrix.from_dense(a), c=4, sigma=8)
         b = rng.integers(0, 64, size=(24, 4)).astype(np.float64)
-        assert np.array_equal(engine.execute(sell, b), dense_spmm(a, b))
+        registry.register_backend(registry.Backend(
+            name="opaque", operand_types=(OpaqueOperand,),
+            spmm=lambda op, x: op.a @ x, kernel_name="opaque_spmm"))
+        try:
+            op = OpaqueOperand(a)
+            with pytest.raises(TypeError):
+                engine.plan_for(op)
+            assert np.array_equal(engine.execute(op, b), dense_spmm(a, b))
+            assert engine.cached_plan(op) is None
+        finally:
+            registry.unregister_backend("opaque")
 
     def test_fault_injection_covers_planned_path(self, operands):
         op = operands["nm"]

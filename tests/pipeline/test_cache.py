@@ -95,8 +95,9 @@ class TestHitMissInvalidate:
         assert first.cache_key not in cache  # corrupt entry was dropped
 
     def test_compressed_stream_damage_is_a_miss(self, cache):
-        # Scribbling mid-file keeps the zip structure readable but breaks
-        # the deflate stream, so numpy raises zlib.error (not ValueError).
+        # Scribbling mid-file keeps the zip structure readable but damages
+        # a stored (uncompressed, format v3) member: the read surfaces as a
+        # crc32 BadZipFile, or a ValueError when it hits an npy header.
         bm = make_bm()
         plan = PreprocessPlan(pattern=PATTERN)
         first = preprocess(bm, plan, cache=cache)

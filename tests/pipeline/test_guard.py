@@ -12,6 +12,7 @@ import pytest
 
 from repro.core import VNMPattern
 from repro.obs import MetricsRegistry
+from repro.perf import engine
 from repro.pipeline import (
     AdmissionPolicy,
     BackendExecutionError,
@@ -260,13 +261,13 @@ class TestRunKernelBreakers:
             with inject(FaultPlan(kernel_failures={backend.name: 2})) as plan:
                 for _ in range(2):
                     with pytest.raises(BackendExecutionError):
-                        registry.run_kernel(backend, result.operand, x)
+                        engine.execute(result.operand, x)
                 assert board.state(backend.name) == "open"
                 # The open breaker rejects *before* the kernel (and before
                 # the fault hook): no further plan events are consumed.
                 events_before = plan.count("kernel")
                 with pytest.raises(CircuitOpenError):
-                    registry.run_kernel(backend, result.operand, x)
+                    engine.execute(result.operand, x)
                 assert plan.count("kernel") == events_before
 
     def test_success_closes_after_cooldown_probe(self):
@@ -279,12 +280,23 @@ class TestRunKernelBreakers:
                            clock=clock) as board:
             with inject(FaultPlan(kernel_failures={backend.name: 1})):
                 with pytest.raises(BackendExecutionError):
-                    registry.run_kernel(backend, result.operand, x)
+                    engine.execute(result.operand, x)
             assert board.state(backend.name) == "open"
             clock.advance(5.1)
-            out = registry.run_kernel(backend, result.operand, x)  # the probe
+            out = engine.execute(result.operand, x)  # the probe
             assert board.state(backend.name) == "closed"
             assert np.array_equal(out, registry.densify(result.operand) @ x)
+
+    def test_missing_kernel_is_a_caller_error_not_a_failure(self):
+        bm = make_bm()
+        result = preprocess(bm, PreprocessPlan(pattern=PATTERN))
+        backend = registry.backend_for(result.operand)
+        x = int_features(bm.n_cols)
+        with breaker_scope(BreakerConfig(failure_threshold=1, cooldown=60.0),
+                           clock=FakeClock()) as board:
+            with pytest.raises(TypeError):
+                registry.run_kernel(backend, result.operand, x)
+            assert board.state(backend.name) == "closed"
 
 
 class TestServingWithBreakers:

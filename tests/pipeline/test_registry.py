@@ -1,9 +1,10 @@
-"""Backend registry: dispatch, legacy agreement, cost entries, plug-in hook."""
+"""Backend registry: engine execution per backend, cost entries, plug-in hook."""
 
 import numpy as np
 import pytest
 
 from repro.core import BitMatrix, NMPattern, VNMPattern, reorder
+from repro.perf import engine
 from repro.pipeline import registry
 from repro.sptc import (
     BSRMatrix,
@@ -16,7 +17,6 @@ from repro.sptc import (
     SpmmWorkload,
     TCGNNBlocked,
     VNMCompressed,
-    spmm,
 )
 
 PATTERN = VNMPattern(1, 2, 4)
@@ -59,34 +59,24 @@ class TestDispatchAgreement:
         wp, b = conforming
         ref = wp @ b
         for name, op in all_operands(wp).items():
-            out = registry.dispatch_spmm(op, b)
+            out = engine.execute(op, b)
             assert np.allclose(out, ref), name
             assert registry.backend_for(op).name == name
 
     def test_registry_agrees_with_legacy_dispatch(self, conforming):
-        """Every operand type the old isinstance chains supported must
-        produce bit-identical output through the registry lookup."""
+        """Every operand type the old isinstance chains supported produces
+        output bit-identical to the dense source through the engine, on
+        integer features (exact partial sums in any order)."""
         wp, b = conforming
-        ops = all_operands(wp)
-        # legacy sptc.spmm.spmm chain: CSR / NM / VNM / dense
-        legacy = {
-            "csr": lambda a: a.matmat(b),
-            "nm": lambda a: a.spmm(b),
-            "vnm": lambda a: a.spmm(b),
-            "dense": lambda a: np.asarray(a, dtype=np.float64) @ b,
-            # legacy Aggregator._run special case and device chain
-            "hybrid": lambda a: a.spmm(b),
-            # formats the registry newly covers, vs their native kernels
-            "bsr": lambda a: a.matmat(b),
-            "sell": lambda a: a.matmat(b),
-            "tcgnn": lambda a: a.spmm(b),
-        }
-        for name, op in ops.items():
-            assert np.array_equal(spmm(op, b), legacy[name](op)), name
+        a = np.ceil(wp * 8)  # integer weights on the same conforming mask
+        x = np.rint(b * 64)
+        for name, op in all_operands(a).items():
+            assert registry.backend_for(op).spmm is None, name
+            assert np.array_equal(engine.execute(op, x), a @ x), name
 
     def test_dispatch_rejects_unknown(self):
         with pytest.raises(TypeError):
-            registry.dispatch_spmm(object(), np.zeros((2, 2)))
+            engine.execute(object(), np.zeros((2, 2)))
 
 
 class TestCostEntries:
@@ -150,7 +140,7 @@ class TestRegisterBackendHook:
         registry.register_backend(backend)
         try:
             op = registry.compress(CSRMatrix.from_dense(wp), "fancy")
-            assert np.allclose(registry.dispatch_spmm(op, b), wp @ b)
+            assert np.allclose(engine.execute(op, b), wp @ b)
             # The emulated device launches it with no device-side changes.
             dev = EmulatedDevice()
             dev.spmm(op, b)
@@ -159,7 +149,7 @@ class TestRegisterBackendHook:
         finally:
             registry.unregister_backend("fancy")
         with pytest.raises(TypeError):
-            registry.dispatch_spmm(FancyOperand(wp), b)
+            engine.execute(FancyOperand(wp), b)
 
     def test_duplicate_name_rejected(self):
         backend = registry.Backend(

@@ -4,6 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.perf import engine
 from repro.sptc import CSRMatrix, TCGNNBlocked
 from repro.sptc.sddmm import csr_sddmm
 from repro.sptc.sell import SellCSigma
@@ -20,6 +21,17 @@ def sparse_matrices(draw, max_n=40):
     return a
 
 
+def assert_coo_roundtrip(op, a):
+    """``to_coo``: distinct in-range coordinates, padding dropped, and
+    scattered back (by assignment, not ``to_dense``) equal to the source."""
+    rows, cols, vals = op.to_coo()
+    assert (cols >= 0).all() and (rows >= 0).all()
+    assert np.unique(rows * a.shape[1] + cols).size == rows.size
+    dense = np.zeros(a.shape)
+    dense[rows, cols] = vals
+    assert np.array_equal(dense, a)
+
+
 class TestSellProperties:
     @settings(max_examples=40, deadline=None)
     @given(sparse_matrices(), st.sampled_from([(4, 4), (8, 16)]))
@@ -27,13 +39,14 @@ class TestSellProperties:
         c, sigma = cs
         sell = SellCSigma.from_csr(CSRMatrix.from_dense(a), c=c, sigma=sigma)
         assert np.allclose(sell.to_dense(), a)
+        assert_coo_roundtrip(sell, a)
 
     @settings(max_examples=30, deadline=None)
     @given(sparse_matrices(), st.integers(1, 6))
     def test_spmm_matches(self, a, h):
         sell = SellCSigma.from_csr(CSRMatrix.from_dense(a), c=4, sigma=8)
         b = np.random.default_rng(h).random((a.shape[1], h))
-        assert np.allclose(sell.matmat(b), a @ b)
+        assert np.allclose(engine.execute(sell, b), a @ b)
 
     @settings(max_examples=30, deadline=None)
     @given(sparse_matrices())
@@ -49,13 +62,14 @@ class TestTcgnnProperties:
     def test_roundtrip(self, a, tile):
         blocked = TCGNNBlocked.from_csr(CSRMatrix.from_dense(a), tile=tile)
         assert np.allclose(blocked.to_dense(), a)
+        assert_coo_roundtrip(blocked, a)
 
     @settings(max_examples=30, deadline=None)
     @given(sparse_matrices(), st.integers(1, 5))
     def test_spmm_matches(self, a, h):
         blocked = TCGNNBlocked.from_csr(CSRMatrix.from_dense(a), tile=8)
         b = np.random.default_rng(h).random((a.shape[1], h))
-        assert np.allclose(blocked.spmm(b), a @ b)
+        assert np.allclose(engine.execute(blocked, b), a @ b)
 
     @settings(max_examples=30, deadline=None)
     @given(sparse_matrices())

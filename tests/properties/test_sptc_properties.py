@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import VNMPattern
+from repro.perf import engine
 from repro.sptc import CSRMatrix, HybridVNM, VNMCompressed
 
 
@@ -33,7 +34,7 @@ class TestCSRProperties:
     def test_matmat_matches_dense(self, a, h):
         rng = np.random.default_rng(h)
         b = rng.random((a.shape[1], h))
-        assert np.allclose(CSRMatrix.from_dense(a).matmat(b), a @ b)
+        assert np.allclose(engine.execute(CSRMatrix.from_dense(a), b), a @ b)
 
     @settings(max_examples=30, deadline=None)
     @given(sparse_weighted_matrices())
@@ -54,7 +55,7 @@ class TestHybridProperties:
     def test_hybrid_spmm_exact(self, a, pattern, h):
         hy = HybridVNM.compress(a, pattern)
         b = np.random.default_rng(h).random((a.shape[1], h))
-        assert np.allclose(hy.spmm(b), a @ b)
+        assert np.allclose(engine.execute(hy, b), a @ b)
 
     @settings(max_examples=30, deadline=None)
     @given(sparse_weighted_matrices(), st.sampled_from(PATTERNS))

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.perf import engine
+from repro.pipeline.resilience import BackendExecutionError
 from repro.sptc import CSRMatrix
 
 
@@ -48,12 +50,12 @@ class TestOps:
     def test_matvec(self, weighted_sym_dense, rng):
         csr = CSRMatrix.from_dense(weighted_sym_dense)
         x = rng.random(weighted_sym_dense.shape[1])
-        assert np.allclose(csr.matvec(x), weighted_sym_dense @ x)
+        assert np.allclose(engine.execute(csr, x), weighted_sym_dense @ x)
 
     def test_matmat(self, weighted_sym_dense, rng):
         csr = CSRMatrix.from_dense(weighted_sym_dense)
         b = rng.random((weighted_sym_dense.shape[1], 17))
-        assert np.allclose(csr.matmat(b), weighted_sym_dense @ b)
+        assert np.allclose(engine.execute(csr, b), weighted_sym_dense @ b)
 
     def test_matmat_with_empty_rows(self, rng):
         a = np.zeros((6, 6))
@@ -61,16 +63,16 @@ class TestOps:
         a[5, 0] = 3.0  # rows 1-4 empty
         csr = CSRMatrix.from_dense(a)
         b = rng.random((6, 3))
-        assert np.allclose(csr.matmat(b), a @ b)
+        assert np.allclose(engine.execute(csr, b), a @ b)
 
     def test_matmat_empty_matrix(self, rng):
         csr = CSRMatrix.from_coo([], [], [], (4, 4))
-        assert np.allclose(csr.matmat(rng.random((4, 2))), 0.0)
+        assert np.allclose(engine.execute(csr, rng.random((4, 2))), 0.0)
 
     def test_matmat_dim_mismatch(self, rng):
         csr = CSRMatrix.identity(3)
-        with pytest.raises(ValueError):
-            csr.matmat(rng.random((4, 2)))
+        with pytest.raises(BackendExecutionError, match="inner dimension mismatch"):
+            engine.execute(csr, rng.random((4, 2)))
 
     def test_transpose(self, rng):
         a = rng.random((5, 8)) * (rng.random((5, 8)) < 0.4)

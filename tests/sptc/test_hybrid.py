@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import VNMPattern
+from repro.perf import engine
 from repro.sptc import (
     CSRMatrix,
     HybridVNM,
@@ -76,7 +77,7 @@ class TestHybridVNM:
         pat = VNMPattern(4, 2, 8)
         hy = HybridVNM.compress(weighted_sym_dense, pat)
         b = rng.random((weighted_sym_dense.shape[1], 11))
-        assert np.allclose(hy.spmm(b), weighted_sym_dense @ b)
+        assert np.allclose(engine.execute(hy, b), weighted_sym_dense @ b)
 
     def test_no_residual_for_conforming(self):
         pat = VNMPattern(2, 2, 4)

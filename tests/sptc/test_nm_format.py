@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import NMPattern
+from repro.perf import engine
+from repro.pipeline.resilience import BackendExecutionError
 from repro.sptc import NMCompressed, NMFormatError
 
 
@@ -64,7 +66,7 @@ class TestSpmm:
         a = conforming_nm_dense(16, 32, pat, rng)
         c = NMCompressed.compress(a, pat)
         b = rng.random((32, 9))
-        assert np.allclose(c.spmm(b), a @ b)
+        assert np.allclose(engine.execute(c, b), a @ b)
 
     def test_with_padding(self, rng):
         pat = NMPattern(2, 8)
@@ -73,14 +75,14 @@ class TestSpmm:
         a[2, 0] = 1.0
         c = NMCompressed.compress(a, pat)
         b = rng.random((11, 5))
-        assert np.allclose(c.spmm(b), a @ b)
+        assert np.allclose(engine.execute(c, b), a @ b)
 
     def test_dim_mismatch(self, rng):
         pat = NMPattern(2, 4)
         a = conforming_nm_dense(4, 8, pat, rng)
         c = NMCompressed.compress(a, pat)
-        with pytest.raises(ValueError):
-            c.spmm(rng.random((9, 3)))
+        with pytest.raises(BackendExecutionError, match="inner dimension mismatch"):
+            engine.execute(c, rng.random((9, 3)))
 
 
 class TestStorage:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import BitMatrix, VNMPattern, reorder
+from repro.perf import engine
 from repro.sptc import CSRMatrix, HybridVNM
 from repro.sptc.precision import (
     precision_report,
@@ -43,13 +44,13 @@ class TestQuantize:
 class TestFp16Spmm:
     def test_close_to_exact(self, case):
         venom, b = case
-        exact = venom.spmm(b)
+        exact = engine.execute(venom, b)
         approx = venom_spmm_fp16(venom, b)
         assert np.allclose(approx, exact, rtol=5e-2, atol=1e-2)
 
     def test_not_bitwise_identical(self, case):
         venom, b = case
-        exact = venom.spmm(b)
+        exact = engine.execute(venom, b)
         approx = venom_spmm_fp16(venom, b)
         assert not np.array_equal(approx, exact)  # fp16 rounding is real
 
@@ -78,7 +79,7 @@ class TestReport:
         # The end-to-end question: does the fp16 aggregation change argmax
         # predictions?  For well-separated logits it must not.
         venom, b = case
-        exact = venom.spmm(b)
+        exact = engine.execute(venom, b)
         approx = venom_spmm_fp16(venom, b)
         agree = (exact.argmax(axis=1) == approx.argmax(axis=1)).mean()
         assert agree > 0.97

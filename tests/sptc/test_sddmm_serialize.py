@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core import BitMatrix, Permutation, VNMPattern, reorder
+from repro.perf import engine
 from repro.sptc import CSRMatrix, HybridVNM
 from repro.sptc.sddmm import csr_sddmm, venom_sddmm
 from repro.sptc.serialize import load_preprocessed, save_preprocessed
@@ -71,7 +72,7 @@ class TestVenomSddmm:
         wp, venom, q, k, _ = case
         scored = venom_sddmm(venom, q, k)
         features = np.random.default_rng(10).random((wp.shape[1], 8))
-        out = scored.spmm(features)
+        out = engine.execute(scored, features)
         expect = ((q @ k.T) * wp) @ features
         assert np.allclose(out, expect)
 
@@ -113,7 +114,7 @@ class TestSerialize:
         save_preprocessed(path, operand=venom)
         loaded, _ = load_preprocessed(path)
         b = np.random.default_rng(11).random((wp.shape[1], 5))
-        assert np.allclose(loaded.spmm(b), wp @ b)
+        assert np.allclose(engine.execute(loaded, b), wp @ b)
 
     def test_hybrid_roundtrip(self, case, tmp_path):
         wp, _, _, _, perm = case
@@ -126,7 +127,7 @@ class TestSerialize:
         assert loaded.main.pattern == hybrid.main.pattern
         assert loaded_perm == perm
         b = np.random.default_rng(12).random((wp.shape[1], 4))
-        assert np.array_equal(loaded.spmm(b), hybrid.spmm(b))
+        assert np.array_equal(engine.execute(loaded, b), engine.execute(hybrid, b))
 
     def test_version_check(self, case, tmp_path):
         _, venom, _, _, _ = case

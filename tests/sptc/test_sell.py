@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.perf import engine
+from repro.pipeline.resilience import BackendExecutionError
 from repro.sptc import CSRMatrix
 from repro.sptc.sell import SellCSigma
 
@@ -56,19 +58,19 @@ class TestSpmm:
         a, csr = case
         sell = SellCSigma.from_csr(csr, c=8, sigma=16)
         b = rng.random((60, 9))
-        assert np.allclose(sell.matmat(b), a @ b)
+        assert np.allclose(engine.execute(sell, b), a @ b)
 
     def test_non_multiple_rows(self, rng):
         a = rng.random((13, 20)) * (rng.random((13, 20)) < 0.3)
         sell = SellCSigma.from_csr(CSRMatrix.from_dense(a), c=8, sigma=8)
         b = rng.random((20, 4))
-        assert np.allclose(sell.matmat(b), a @ b)
+        assert np.allclose(engine.execute(sell, b), a @ b)
 
     def test_dim_mismatch(self, case, rng):
         _, csr = case
         sell = SellCSigma.from_csr(csr)
-        with pytest.raises(ValueError):
-            sell.matmat(rng.random((7, 2)))
+        with pytest.raises(BackendExecutionError, match="inner dimension mismatch"):
+            engine.execute(sell, rng.random((7, 2)))
 
 
 class TestStorage:

@@ -1,19 +1,11 @@
-"""SpMM kernel dispatch and cross-format agreement."""
+"""Cross-format SpMM agreement through the engine, the one host path."""
 
 import numpy as np
 import pytest
 
 from repro.core import BitMatrix, NMPattern, VNMPattern, reorder
-from repro.sptc import (
-    CSRMatrix,
-    NMCompressed,
-    VNMCompressed,
-    csr_spmm,
-    dense_spmm,
-    nm_spmm,
-    spmm,
-    venom_spmm,
-)
+from repro.perf import engine
+from repro.sptc import CSRMatrix, NMCompressed, VNMCompressed, dense_spmm
 
 
 @pytest.fixture(scope="module")
@@ -40,18 +32,18 @@ class TestAgreement:
         csr = CSRMatrix.from_dense(wp)
         nm = NMCompressed.compress(wp, NMPattern(2, 4))
         vn = VNMCompressed.compress(wp, VNMPattern(1, 2, 4))
-        assert np.allclose(csr_spmm(csr, b), ref)
-        assert np.allclose(nm_spmm(nm, b), ref)
-        assert np.allclose(venom_spmm(vn, b), ref)
+        for op in (csr, nm, vn):
+            assert np.allclose(engine.execute(op, b), ref)
 
     def test_dispatch(self, conforming_case):
         wp, b = conforming_case
         ref = wp @ b
-        assert np.allclose(spmm(CSRMatrix.from_dense(wp), b), ref)
-        assert np.allclose(spmm(NMCompressed.compress(wp, NMPattern(2, 4)), b), ref)
-        assert np.allclose(spmm(VNMCompressed.compress(wp, VNMPattern(1, 2, 4)), b), ref)
-        assert np.allclose(spmm(wp, b), ref)
+        assert np.allclose(engine.execute(CSRMatrix.from_dense(wp), b), ref)
+        assert np.allclose(engine.execute(NMCompressed.compress(wp, NMPattern(2, 4)), b), ref)
+        assert np.allclose(
+            engine.execute(VNMCompressed.compress(wp, VNMPattern(1, 2, 4)), b), ref)
+        assert np.allclose(engine.execute(wp, b), ref)
 
     def test_dispatch_rejects_unknown(self):
         with pytest.raises(TypeError):
-            spmm("nope", np.zeros((2, 2)))
+            engine.execute("nope", np.zeros((2, 2)))

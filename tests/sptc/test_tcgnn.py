@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.perf import engine
+from repro.pipeline.resilience import BackendExecutionError
 from repro.sptc import CSRMatrix, TCGNNBlocked
 
 
@@ -27,14 +29,14 @@ class TestFormat:
         a, csr = sparse_case
         blocked = TCGNNBlocked.from_csr(csr, tile=16)
         b = rng.random((90, 12))
-        assert np.allclose(blocked.spmm(b), a @ b)
+        assert np.allclose(engine.execute(blocked, b), a @ b)
 
     def test_empty_matrix(self):
         csr = CSRMatrix.from_coo([], [], [], (32, 32))
         blocked = TCGNNBlocked.from_csr(csr)
         assert blocked.n_blocks == 0
         assert np.allclose(blocked.to_dense(), 0.0)
-        assert np.allclose(blocked.spmm(np.ones((32, 3))), 0.0)
+        assert np.allclose(engine.execute(blocked, np.ones((32, 3))), 0.0)
 
     def test_empty_window_handled(self, rng):
         a = np.zeros((48, 48))
@@ -46,8 +48,8 @@ class TestFormat:
     def test_dim_mismatch(self, sparse_case, rng):
         _, csr = sparse_case
         blocked = TCGNNBlocked.from_csr(csr)
-        with pytest.raises(ValueError):
-            blocked.spmm(rng.random((5, 2)))
+        with pytest.raises(BackendExecutionError, match="inner dimension mismatch"):
+            engine.execute(blocked, rng.random((5, 2)))
 
 
 class TestMemoryOverhead:

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from repro.core import VNMPattern
+from repro.perf import engine
+from repro.pipeline.resilience import BackendExecutionError
 from repro.sptc import CSRMatrix, VNMCompressed, VNMFormatError
 
 
@@ -112,20 +114,20 @@ class TestSpmm:
         a = conforming_vnm_dense(64, 64, pat, rng)
         c = VNMCompressed.compress(a, pat)
         b = rng.random((64, 13))
-        assert np.allclose(c.spmm(b), a @ b)
+        assert np.allclose(engine.execute(c, b), a @ b)
 
     def test_csr_path_spmm(self, rng):
         pat = VNMPattern(4, 2, 8)
         a = conforming_vnm_dense(32, 40, pat, rng)
         c = VNMCompressed.compress_csr(CSRMatrix.from_dense(a), pat)
         b = rng.random((40, 7))
-        assert np.allclose(c.spmm(b), a @ b)
+        assert np.allclose(engine.execute(c, b), a @ b)
 
     def test_dim_mismatch(self, rng):
         pat = VNMPattern(1, 2, 4)
         c = VNMCompressed.compress(np.zeros((8, 8)), pat)
-        with pytest.raises(ValueError):
-            c.spmm(rng.random((9, 2)))
+        with pytest.raises(BackendExecutionError, match="inner dimension mismatch"):
+            engine.execute(c, rng.random((9, 2)))
 
 
 class TestStorage:
