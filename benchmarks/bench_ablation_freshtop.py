@@ -8,7 +8,6 @@ two policies on quality and wall-clock.
 
 import time
 
-import numpy as np
 import pytest
 
 from repro.bench import render_table

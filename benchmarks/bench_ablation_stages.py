@@ -6,7 +6,6 @@ position codes of invalid vectors so they don't contaminate healthy
 meta-blocks.  This bench quantifies both choices on the medium class.
 """
 
-import numpy as np
 import pytest
 
 from repro.bench import render_table

@@ -8,7 +8,6 @@ For every matrix in the collection: bytes to store it as CSR (fp16 values),
 as the best-pattern V:N:M (+ residual), and as TC-GNN-style dense tiles.
 """
 
-import numpy as np
 import pytest
 
 from repro.bench import geomean, render_table

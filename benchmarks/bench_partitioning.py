@@ -13,7 +13,6 @@ from repro.bench import render_table
 from repro.distributed import (
     edge_cut,
     multilevel_partition,
-    partition_quality,
     partition_rows,
 )
 from repro.graphs import load_dataset, sbm_graph

@@ -7,14 +7,13 @@ adjacency × features): relative errors stay in fp16's nominal range and
 argmax predictions are unaffected.
 """
 
-import numpy as np
 import pytest
 
 from repro.bench import render_table
 from repro.core import VNMPattern
 from repro.gnn.frameworks import reorder_for_graph
 from repro.perf import engine
-from repro.sptc import CSRMatrix, HybridVNM
+from repro.sptc import HybridVNM
 from repro.sptc.precision import precision_report, venom_spmm_fp16
 
 PATTERN = VNMPattern(1, 2, 4)

@@ -232,6 +232,10 @@ def main() -> int:
     if args.json_out:
         payload = {
             "benchmark": "procshard",
+            "measurement": (
+                "synthetic: wall clock of a GIL-bound stand-in kernel (real engine "
+                "SpMM plus a fixed interpreter-lock charge per shard call); the gain "
+                "comes from that charge and is not serving throughput on real compute"),
             "config": {"n": g.n, "edges": g.n_edges, "blocks": blocks,
                        "h": h, "requests": requests, "quick": args.quick,
                        "pattern": str(PATTERN), "cpu_count": cpus,

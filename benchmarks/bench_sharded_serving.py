@@ -159,6 +159,9 @@ def main() -> int:
     if args.json_out:
         payload = {
             "benchmark": "sharded_serving",
+            "measurement": (
+                "modelled: speedup is the makespan of per-shard virtual device "
+                "clocks (cost model), not measured time; wall seconds are context"),
             "config": {"n": g.n, "edges": g.n_edges, "blocks": blocks,
                        "p_in": p_in, "h": h, "requests": requests,
                        "quick": args.quick, "pattern": str(PATTERN),

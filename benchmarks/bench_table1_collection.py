@@ -5,7 +5,6 @@ diameter) for the small/medium/large classes of the synthetic stand-in
 collection and checks they land in the published regimes.
 """
 
-import numpy as np
 import pytest
 
 from repro.bench import render_table

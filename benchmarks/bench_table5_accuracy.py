@@ -15,7 +15,6 @@ import numpy as np
 import pytest
 
 from repro.bench import render_table
-from repro.core import VNMPattern
 from repro.gnn import evaluate, make_aggregator, train_node_classifier
 from repro.gnn.frameworks import reorder_for_graph
 from repro.gnn.training import aggregator_kind_for

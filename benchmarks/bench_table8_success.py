@@ -8,7 +8,6 @@ Shape claims (paper Table 8):
 * V:2:16 is harder than V:2:8 at V = 1.
 """
 
-import numpy as np
 import pytest
 
 from _parallel_search import success_rates

@@ -15,7 +15,6 @@ import re
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from repro.bench import collection_counts

@@ -10,15 +10,32 @@ way here: an :class:`ExecutionPlan` holds the operand's exact CSR triplet
 compiled CSR matmat.  ndarray operands (the ``dense`` fallback rung and
 the reference) run a BLAS GEMM.
 
-The triplet and the scipy matrix over it are **scratch**: built on first
-execute and dropped on pickling.  A plan's persistent state is only its
-backend name and shape, so plan builds are O(1) (no plan build densifies
-or walks the non-zeros), plans persist as tiny ``<key>.plan.pkl``
-sidecars next to their operand in the
+The CSR kernel is row-parallel: above ``PARALLEL_MIN_WORK`` (non-zeros ×
+feature columns) a plan splits its rows into contiguous blocks of about
+equal non-zeros (``BLOCKS_PER_CORE`` per usable core), and the calling
+thread plus one process-wide pool of helper threads claim blocks until
+none is left.  Each block runs scipy's ``csr_matvecs`` (which releases
+the GIL) on a row slice of the plan's triplet and writes, zero-filled
+first, only its own rows of one preallocated output.  A row is summed in
+the same order whichever thread runs it, so the result is bitwise the
+serial kernel's.  The usable cores come from the process's CPU affinity
+(``taskset``/cgroup cpusets cap them); on one core, and below the work
+threshold, the kernel runs as one block on the caller.  The caller never
+waits for a helper that has not started: it runs every unclaimed block
+itself, so concurrent callers (router lanes) cannot stall one another.
+The helper pool is shut down before every ``fork`` and restarted lazily
+on next use, in the parent and in the child.
+
+The triplet, its fp32 cast and the row-block bounds are **scratch**:
+built on first execute and dropped on pickling.  A plan's persistent
+state is only its backend name and shape, so plan builds are O(1) (no
+plan build densifies or walks the non-zeros), plans persist as tiny
+``<key>.plan.pkl`` sidecars next to their operand in the
 :class:`~repro.pipeline.cache.ArtifactCache`, and a loaded plan can never
 disagree with the operand it serves.  ``dtype=np.float32`` selects an
-opt-in fp32 compute path over a cached cast; :func:`fp32_within_bound`
-guards it with the :mod:`repro.sptc.precision` row-scaled error model.
+opt-in fp32 compute path (the same kernel over a cached cast of the
+values); :func:`fp32_within_bound` guards it with the
+:mod:`repro.sptc.precision` row-scaled error model.
 
 :func:`execute` is the integration point: it resolves the operand's plan
 through a per-process id-keyed cache (``weakref.finalize`` eviction) and
@@ -33,6 +50,9 @@ third-party formats) run that kernel instead.
 
 from __future__ import annotations
 
+import os
+import queue
+import threading
 import weakref
 
 import numpy as np
@@ -46,7 +66,135 @@ __all__ = [
     "clear_plan_cache",
     "execute",
     "fp32_within_bound",
+    "usable_cores",
+    "PARALLEL_MIN_WORK",
+    "BLOCKS_PER_CORE",
 ]
+
+# Below this much work (stored non-zeros × feature columns) handing row
+# blocks to helper threads costs more than it saves, so the kernel runs as
+# one block on the caller.  From benchmarks/bench_spmm_engine.py's size
+# sweep on a 2-core host (BENCH_spmm_engine.json): parallel took 1.1-1.9x
+# the serial time up to 0.67M and 0.65x from 1.34M up.
+PARALLEL_MIN_WORK = 1 << 20
+# Row blocks per usable core: enough that a core slowed by another
+# process or a concurrent request leaves its share to the others.
+BLOCKS_PER_CORE = 4
+_THREAD_PREFIX = "repro-engine-"
+
+
+def usable_cores() -> int:
+    """CPUs this process may run on (its affinity mask; ``taskset`` caps it)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # platforms without affinity masks
+        return os.cpu_count() or 1
+
+
+class _RowJob:
+    """One SpMM's row blocks, claimed one at a time by whichever thread asks.
+
+    ``run(lo, hi)`` computes rows ``[lo, hi)``.  The caller runs
+    :meth:`work` too, then :meth:`wait` blocks only on blocks a helper
+    has already claimed, so a helper that never starts delays nothing.
+    """
+
+    def __init__(self, bounds: list[int], run):
+        self._bounds = bounds
+        self._run = run
+        self._next = 0
+        self._left = len(bounds) - 1
+        self._lock = threading.Lock()
+        self._done = threading.Event()
+        self.errors: list[BaseException] = []
+
+    def work(self) -> None:
+        while True:
+            with self._lock:
+                i = self._next
+                if i >= len(self._bounds) - 1:
+                    return
+                self._next = i + 1
+            try:
+                self._run(self._bounds[i], self._bounds[i + 1])
+            except BaseException as exc:  # handed to the caller by wait()
+                self.errors.append(exc)
+                if not isinstance(exc, Exception):
+                    raise
+            finally:
+                with self._lock:
+                    self._left -= 1
+                    if self._left == 0:
+                        self._done.set()
+
+    def wait(self) -> None:
+        """Block until every block is done; re-raise a block's failure."""
+        self._done.wait()
+        if self.errors:
+            raise self.errors[0]
+
+
+class _HelperPool:
+    """Daemon threads that work on every :class:`_RowJob` put on their queue."""
+
+    def __init__(self, size: int):
+        self.jobs: queue.SimpleQueue = queue.SimpleQueue()
+        self.threads = [
+            threading.Thread(target=self._loop, name=f"{_THREAD_PREFIX}{i}", daemon=True)
+            for i in range(size)
+        ]
+        for thread in self.threads:
+            thread.start()
+
+    def _loop(self) -> None:
+        while (job := self.jobs.get()) is not None:
+            job.work()
+
+    def close(self) -> None:
+        for _ in self.threads:
+            self.jobs.put(None)
+        for thread in self.threads:
+            thread.join()
+
+
+# The process-wide helper pool: started on the first parallel SpMM, shut
+# down before a fork (a forked child has none of its threads, and forking
+# with live threads is unsafe) and started again lazily afterwards.
+_POOL: _HelperPool | None = None
+_POOL_LOCK = threading.Lock()
+
+
+def _helper_pool() -> _HelperPool | None:
+    """The running helper pool, started on demand; ``None`` on one core."""
+    global _POOL
+    with _POOL_LOCK:
+        if _POOL is None:
+            size = usable_cores() - 1
+            if size < 1:
+                return None
+            _POOL = _HelperPool(size)
+        return _POOL
+
+
+def _before_fork() -> None:
+    global _POOL
+    _POOL_LOCK.acquire()  # held across the fork: no pool starts meanwhile
+    if _POOL is not None:
+        _POOL.close()
+        _POOL = None
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=_before_fork, after_in_parent=_POOL_LOCK.release,
+                        after_in_child=_POOL_LOCK.release)
+
+
+def _row_blocks(indptr: np.ndarray, n_blocks: int) -> list[int]:
+    """Row bounds of at most ``n_blocks`` contiguous blocks of ~equal nnz."""
+    n_rows = len(indptr) - 1
+    cuts = np.searchsorted(indptr, np.linspace(0, indptr[-1], n_blocks + 1))
+    cuts[0], cuts[-1] = 0, n_rows
+    return np.unique(cuts).tolist()
 
 
 def _backend_of(operand) -> str:
@@ -100,43 +248,81 @@ class ExecutionPlan:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
 
-    def _operator(self, operand):
-        """The float64 matrix the kernel multiplies (built once, cached)."""
-        if self.backend == "dense":
-            return np.asarray(operand, dtype=np.float64)
-        matrix = getattr(self, "_matrix", None)
-        if matrix is None:
+    def _triplet(self, operand):
+        """The operand's exact CSR ``(indptr, indices, float64 data)`` (cached)."""
+        triplet = getattr(self, "_csr", None)
+        if triplet is None:
             import scipy.sparse as sp
 
             if self.backend == "csr":
-                triplet = (operand.data, operand.indices, operand.indptr)
+                source = (operand.data, operand.indices, operand.indptr)
             else:
                 rows, cols, vals = operand.to_coo()
-                triplet = (vals, (rows, cols))
-            matrix = sp.csr_matrix(triplet, shape=self.shape)
-            self._matrix = matrix
-        return matrix
+                source = (vals, (rows, cols))
+            matrix = sp.csr_matrix(source, shape=self.shape, dtype=np.float64)
+            triplet = (matrix.indptr, matrix.indices, matrix.data)
+            self._csr = triplet
+        return triplet
 
-    def _operator32(self, operand):
-        cast = getattr(self, "_matrix32", None)
+    def _data32(self, data: np.ndarray) -> np.ndarray:
+        cast = getattr(self, "_values32", None)
         if cast is None:
-            cast = self._operator(operand).astype(np.float32)
-            self._matrix32 = cast
+            cast = data.astype(np.float32)
+            self._values32 = cast
         return cast
+
+    def _matmat(self, indptr, indices, data, b: np.ndarray) -> np.ndarray:
+        """``A @ b`` for the CSR triplet, in row blocks when the work is large."""
+        from scipy.sparse import _sparsetools  # lazily, like scipy.sparse itself
+
+        x = np.ascontiguousarray(b[:, None] if b.ndim == 1 else b, dtype=data.dtype)
+        n_rows, n_cols = self.shape
+        h = x.shape[1]
+        out = np.empty((n_rows, h), dtype=data.dtype)
+        flat_x = x.ravel()
+
+        def rows(lo: int, hi: int) -> None:
+            block = out[lo:hi]
+            block.fill(0)
+            _sparsetools.csr_matvecs(hi - lo, n_cols, h, indptr[lo:hi + 1], indices,
+                                     data, flat_x, block.ravel())
+
+        pool = None
+        if data.size * h >= PARALLEL_MIN_WORK and n_rows > 1:
+            pool = _helper_pool()
+        if pool is None:
+            rows(0, n_rows)
+        else:
+            bounds = getattr(self, "_bounds", None)
+            if bounds is None:
+                bounds = _row_blocks(indptr, BLOCKS_PER_CORE * (len(pool.threads) + 1))
+                self._bounds = bounds
+            job = _RowJob(bounds, rows)
+            for _ in range(min(len(pool.threads), len(bounds) - 2)):
+                pool.jobs.put(job)
+            job.work()
+            job.wait()
+        return out[:, 0] if b.ndim == 1 else out
 
     def execute(self, operand, b: np.ndarray, *, dtype=None) -> np.ndarray:
         """One SpMM ``operand @ b`` (float64 result either way)."""
         b = np.asarray(b, dtype=np.float64)
-        if b.shape[0] != self.shape[1]:
+        if b.ndim not in (1, 2) or b.shape[0] != self.shape[1]:
             raise ValueError("inner dimension mismatch")
         if tuple(operand.shape) != self.shape:
             raise ValueError(
                 f"plan shape {self.shape} does not match operand shape {operand.shape}"
             )
+        if self.backend == "dense":
+            a = np.asarray(operand, dtype=np.float64)
+            if dtype == np.float32:
+                return (a.astype(np.float32) @ b.astype(np.float32)).astype(np.float64)
+            return a @ b
+        indptr, indices, data = self._triplet(operand)
         if dtype == np.float32:
-            out = self._operator32(operand) @ b.astype(np.float32)
-            return np.asarray(out, dtype=np.float64)
-        return np.asarray(self._operator(operand) @ b)
+            out = self._matmat(indptr, indices, self._data32(data), b)
+            return out.astype(np.float64)
+        return self._matmat(indptr, indices, data, b)
 
     def __repr__(self) -> str:
         return f"ExecutionPlan(backend={self.backend!r}, shape={self.shape})"

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.core import BitMatrix, NMPattern, total_pscore
+from repro.core import BitMatrix, NMPattern
 from repro.baselines import jigsaw_column_reorder
 
 

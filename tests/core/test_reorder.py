@@ -9,7 +9,6 @@ from repro.core import (
     VNMPattern,
     reorder,
     reorder_graph_matrix,
-    total_pscore,
 )
 
 

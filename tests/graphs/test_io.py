@@ -5,7 +5,7 @@ import io
 import numpy as np
 import pytest
 
-from repro.graphs import Graph, graph_from_mtx, graph_to_mtx, read_matrix_market, write_matrix_market
+from repro.graphs import graph_from_mtx, graph_to_mtx, read_matrix_market, write_matrix_market
 from repro.graphs.io import graph_to_mtx_string
 from repro.sptc import CSRMatrix
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from repro.graphs import NeighborSampler, load_dataset, sample_ogbn_like_subgraphs
+from repro.graphs import NeighborSampler, sample_ogbn_like_subgraphs
 
 
 class TestNeighborSampler:

@@ -7,10 +7,14 @@ approximately.
 """
 
 import gc
+import multiprocessing
 import pickle
+import sys
+import threading
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from repro.core import VNMPattern
 from repro.core.patterns import NMPattern
@@ -266,6 +270,170 @@ class TestExecuteIntegration:
         snapshot = obs_metrics.default_registry().snapshot()
         assert "engine_plan_builds_total" in snapshot
         assert "engine_plan_cache_hits_total" in snapshot
+
+
+def row_parallel_cases():
+    """(name, dense matrix, features) edge cases of the row-block split."""
+    rng = np.random.default_rng(21)
+
+    def ints(*shape):
+        return rng.integers(-64, 64, size=shape).astype(np.float64)
+
+    one_row = np.zeros((64, 40))
+    one_row[17] = rng.integers(1, 8, size=40)
+    # Empty rows wherever nnz-balanced cuts land: only every 9th row is
+    # populated, so most blocks start or end on a run of empty rows.
+    edges = sprinkled(90, 30, rng, density=0.6)
+    edges[np.arange(90) % 9 != 0] = 0
+    edges[-5:] = 0
+    few = sprinkled(3, 50, rng, density=0.5)  # fewer rows than blocks
+    wide = sprinkled(120, 80, rng, density=0.2)
+    return [
+        ("one_row", one_row, ints(40, 5)),
+        ("empty_edges", edges, ints(30, 7)),
+        ("few_rows", few, ints(50, 4)),
+        ("h1", wide, ints(80, 1)),
+        ("vector", wide, ints(80)),
+        ("fortran", wide, np.asfortranarray(ints(80, 6))),
+    ]
+
+
+ROW_PARALLEL_CASES = row_parallel_cases()
+# Both sides of the serial/parallel threshold: everything parallel, or
+# nothing (on a one-core host both run serially).
+SIDES = {"parallel": 0, "serial": 1 << 62}
+
+
+class TestRowParallelKernel:
+    @pytest.fixture(params=sorted(SIDES))
+    def side(self, request, monkeypatch):
+        monkeypatch.setattr(engine, "PARALLEL_MIN_WORK", SIDES[request.param])
+        return request.param
+
+    @pytest.mark.parametrize("case", ROW_PARALLEL_CASES, ids=lambda c: c[0])
+    def test_bitwise_vs_scipy_and_dense(self, side, case):
+        _, a, b = case
+        op = CSRMatrix.from_dense(a)
+        out = engine.build_plan(op).execute(op, b)
+        assert out.shape == (a @ b).shape
+        assert np.array_equal(out, sp.csr_matrix(a) @ b)
+        assert np.array_equal(out, a @ b)
+
+    @pytest.mark.parametrize("case", ROW_PARALLEL_CASES, ids=lambda c: c[0])
+    def test_fp32_bitwise_vs_scipy(self, side, case):
+        _, a, b = case
+        op = HybridVNM.compress(a, VNM)
+        out = engine.build_plan(op).execute(op, b, dtype=np.float32)
+        reference = sp.csr_matrix(a, dtype=np.float32) @ b.astype(np.float32)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, reference.astype(np.float64))
+        assert np.array_equal(out, a @ b)  # small integers: exact in fp32 too
+
+    @pytest.mark.parametrize("index_dtype", [np.int32, np.int64])
+    def test_index_dtypes(self, side, index_dtype):
+        # scipy stores int32 indices unless a matrix passes 2**31 entries,
+        # so int64 is fed to the kernel directly rather than built.
+        _, a, b = ROW_PARALLEL_CASES[1]
+        op = CSRMatrix.from_dense(a)
+        plan = engine.build_plan(op)
+        indptr, indices, data = plan._triplet(op)
+        out = plan._matmat(indptr.astype(index_dtype), indices.astype(index_dtype), data, b)
+        assert np.array_equal(out, a @ b)
+
+    def test_blocks_balance_nnz_and_cover_every_row(self):
+        a = sprinkled(400, 60, np.random.default_rng(22), density=0.3)
+        a[:100] = 0
+        indptr = sp.csr_matrix(a).indptr
+        bounds = engine._row_blocks(indptr, 8)
+        assert bounds[0] == 0 and bounds[-1] == 400
+        assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
+        per_block = np.diff(indptr[bounds])
+        assert per_block.max() <= indptr[-1] / 8 + a.shape[1]  # within one row of even
+        assert engine._row_blocks(np.zeros(6, dtype=np.int32), 8) == [0, 5]
+
+    def test_concurrent_callers_all_exact(self, monkeypatch):
+        monkeypatch.setattr(engine, "PARALLEL_MIN_WORK", 0)
+        rng = np.random.default_rng(23)
+        a = sprinkled(300, 200, rng, density=0.1)
+        op = CSRMatrix.from_dense(a)
+        features = [rng.integers(0, 256, size=(200, 16)).astype(np.float64) for _ in range(8)]
+        start = threading.Barrier(8)
+        results: dict[int, bool] = {}
+
+        def caller(i):
+            start.wait(timeout=10)
+            results[i] = all(np.array_equal(engine.execute(op, features[i]), a @ features[i])
+                             for _ in range(25))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert results == {i: True for i in range(8)}
+
+    def test_helper_failure_is_a_backend_execution_error(self, monkeypatch):
+        if engine.usable_cores() < 2:
+            pytest.skip("one usable core: no helper threads")
+        monkeypatch.setattr(engine, "PARALLEL_MIN_WORK", 0)
+        from scipy.sparse import _sparsetools
+
+        real = _sparsetools.csr_matvecs
+        helper_ran = threading.Event()
+
+        def failing_in_helpers(*args):
+            if threading.current_thread().name.startswith(engine._THREAD_PREFIX):
+                helper_ran.set()
+                raise MemoryError("helper block failed")
+            helper_ran.wait(timeout=10)  # hold the caller's first block
+            return real(*args)
+
+        monkeypatch.setattr(_sparsetools, "csr_matvecs", failing_in_helpers)
+        op = CSRMatrix.from_dense(sprinkled(200, 50, np.random.default_rng(24), density=0.3))
+        with pytest.raises(BackendExecutionError, match="helper block failed"):
+            engine.execute(op, np.ones((50, 4)))
+        assert helper_ran.is_set()
+        monkeypatch.setattr(_sparsetools, "csr_matvecs", real)
+        assert np.array_equal(engine.execute(op, np.ones((50, 4))),
+                              registry.densify(op) @ np.ones((50, 4)))
+
+
+def engine_threads() -> list[str]:
+    return [t.name for t in threading.enumerate() if t.name.startswith(engine._THREAD_PREFIX)]
+
+
+def _child_execute(op, b, expected, helpers_expected):
+    ok = np.array_equal(engine.execute(op, b), expected)
+    restarted = bool(engine_threads()) == helpers_expected
+    sys.exit(0 if ok and restarted else 1)
+
+
+class TestForkSafety:
+    def test_forked_child_executes_after_parent_pool_ran(self, monkeypatch):
+        monkeypatch.setattr(engine, "PARALLEL_MIN_WORK", 0)
+        rng = np.random.default_rng(25)
+        a = sprinkled(256, 64, rng, density=0.2)
+        op = CSRMatrix.from_dense(a)
+        b = rng.integers(0, 64, size=(64, 8)).astype(np.float64)
+        assert np.array_equal(engine.execute(op, b), a @ b)
+        helpers = engine.usable_cores() > 1
+        assert bool(engine_threads()) == helpers  # the parent's pool is running
+        proc = multiprocessing.get_context("fork").Process(
+            target=_child_execute, args=(op, b, a @ b, helpers))
+        proc.start()
+        # Shut down before the fork, restarted only on the next parallel run.
+        assert engine_threads() == []
+        proc.join(timeout=60)
+        assert not proc.is_alive(), "forked child hung in execute"
+        assert proc.exitcode == 0
+        assert np.array_equal(engine.execute(op, b), a @ b)
+        assert bool(engine_threads()) == helpers
 
 
 def make_operand(seed=0, n=48, density=0.15):

@@ -9,7 +9,6 @@ from repro.sptc import (
     CSRMatrix,
     CostModel,
     SpmmWorkload,
-    VNMCompressed,
 )
 
 

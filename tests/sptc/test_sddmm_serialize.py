@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import BitMatrix, Permutation, VNMPattern, reorder
+from repro.core import BitMatrix, VNMPattern, reorder
 from repro.perf import engine
 from repro.sptc import CSRMatrix, HybridVNM
 from repro.sptc.sddmm import csr_sddmm, venom_sddmm

@@ -1,6 +1,5 @@
 """Benchmark-harness utilities."""
 
-import numpy as np
 import pytest
 
 from repro.bench import collection_counts, format_cell, full_scale, geomean, render_table

@@ -1,6 +1,5 @@
 """Command-line interface."""
 
-import numpy as np
 import pytest
 
 from repro.cli import build_parser, main, parse_pattern
