@@ -23,8 +23,12 @@ serial kernel's.  The usable cores come from the process's CPU affinity
 threshold, the kernel runs as one block on the caller.  The caller never
 waits for a helper that has not started: it runs every unclaimed block
 itself, so concurrent callers (router lanes) cannot stall one another.
-The helper pool is shut down before every ``fork`` and restarted lazily
-on next use, in the parent and in the child.
+Nor does it wait long for a helper that has stopped running mid-block:
+after ``STALL_BLOCKS`` of its own block times it recomputes that block
+into a copy of the finished rows, so a request's latency does not hang
+on whether a second CPU is free at that moment.  The helper pool is
+shut down before every ``fork`` and restarted lazily on next use, in
+the parent and in the child.
 
 The triplet, its fp32 cast and the row-block bounds are **scratch**:
 built on first execute and dropped on pickling.  A plan's persistent
@@ -53,6 +57,7 @@ from __future__ import annotations
 import os
 import queue
 import threading
+import time
 import weakref
 
 import numpy as np
@@ -69,6 +74,7 @@ __all__ = [
     "usable_cores",
     "PARALLEL_MIN_WORK",
     "BLOCKS_PER_CORE",
+    "STALL_BLOCKS",
 ]
 
 # Below this much work (stored non-zeros × feature columns) handing row
@@ -80,6 +86,11 @@ PARALLEL_MIN_WORK = 1 << 20
 # Row blocks per usable core: enough that a core slowed by another
 # process or a concurrent request leaves its share to the others.
 BLOCKS_PER_CORE = 4
+# How long, in the caller's own time per block, the caller waits for a
+# block a helper still holds before recomputing it itself.  A running
+# helper finishes within about one block; one that has lost its CPU can
+# hold a block for many milliseconds.
+STALL_BLOCKS = 2
 _THREAD_PREFIX = "repro-engine-"
 
 
@@ -94,44 +105,85 @@ def usable_cores() -> int:
 class _RowJob:
     """One SpMM's row blocks, claimed one at a time by whichever thread asks.
 
-    ``run(lo, hi)`` computes rows ``[lo, hi)``.  The caller runs
-    :meth:`work` too, then :meth:`wait` blocks only on blocks a helper
-    has already claimed, so a helper that never starts delays nothing.
+    ``run(target, lo, hi)`` computes rows ``[lo, hi)`` of ``target``; a
+    claimed block is written into ``out``.  The caller works through the
+    blocks too and then finishes the job in :meth:`result`, so a helper
+    that never starts delays nothing, and a helper that has stopped
+    running mid-block (its CPU taken by another thread, or by another
+    guest on a shared host) delays the caller by about ``STALL_BLOCKS``
+    blocks only: the caller then recomputes that block into a copy of
+    the finished rows and leaves ``out`` to the stalled helper.
     """
 
-    def __init__(self, bounds: list[int], run):
+    def __init__(self, bounds: list[int], run, out: np.ndarray):
         self._bounds = bounds
         self._run = run
+        self._out = out
         self._next = 0
         self._left = len(bounds) - 1
+        self._held: set[int] = set()  # claimed, not finished
         self._lock = threading.Lock()
         self._done = threading.Event()
-        self.errors: list[BaseException] = []
+        self._errors: list[BaseException] = []
 
-    def work(self) -> None:
-        while True:
-            with self._lock:
-                i = self._next
-                if i >= len(self._bounds) - 1:
-                    return
-                self._next = i + 1
+    def _claim(self) -> int | None:
+        with self._lock:
+            i = self._next
+            if i >= len(self._bounds) - 1:
+                return None
+            self._next = i + 1
+            self._held.add(i)
+            return i
+
+    def work(self) -> int:
+        """Run blocks until none is left to claim; how many ran here."""
+        ran = 0
+        while (i := self._claim()) is not None:
+            error = None
             try:
-                self._run(self._bounds[i], self._bounds[i + 1])
-            except BaseException as exc:  # handed to the caller by wait()
-                self.errors.append(exc)
+                self._run(self._out, self._bounds[i], self._bounds[i + 1])
+            except BaseException as exc:  # handed to the caller by result()
+                error = exc
                 if not isinstance(exc, Exception):
                     raise
             finally:
                 with self._lock:
+                    self._held.discard(i)
+                    if error is not None:
+                        self._errors.append(error)
                     self._left -= 1
                     if self._left == 0:
                         self._done.set()
+            ran += 1
+        return ran
 
-    def wait(self) -> None:
-        """Block until every block is done; re-raise a block's failure."""
-        self._done.wait()
-        if self.errors:
-            raise self.errors[0]
+    def result(self) -> np.ndarray:
+        """Work on the caller's thread, then return the finished output.
+
+        Re-raises a block's failure.  Blocks a helper still holds after
+        ``STALL_BLOCKS`` times the caller's own time per block are
+        recomputed here, into a new array (see the class docstring).
+        """
+        start = time.perf_counter()
+        ran = self.work()
+        grace = STALL_BLOCKS * (time.perf_counter() - start) / max(ran, 1)
+        if self._done.wait(grace):
+            errors, stalled = self._errors, []
+        else:
+            with self._lock:
+                errors, stalled = list(self._errors), sorted(self._held)
+        if errors:
+            raise errors[0]
+        if not stalled:
+            return self._out
+        out = np.empty_like(self._out)
+        lo = 0
+        for i in stalled:
+            out[lo:self._bounds[i]] = self._out[lo:self._bounds[i]]
+            self._run(out, self._bounds[i], self._bounds[i + 1])
+            lo = self._bounds[i + 1]
+        out[lo:] = self._out[lo:]
+        return out
 
 
 class _HelperPool:
@@ -281,8 +333,8 @@ class ExecutionPlan:
         out = np.empty((n_rows, h), dtype=data.dtype)
         flat_x = x.ravel()
 
-        def rows(lo: int, hi: int) -> None:
-            block = out[lo:hi]
+        def rows(target: np.ndarray, lo: int, hi: int) -> None:
+            block = target[lo:hi]
             block.fill(0)
             _sparsetools.csr_matvecs(hi - lo, n_cols, h, indptr[lo:hi + 1], indices,
                                      data, flat_x, block.ravel())
@@ -291,17 +343,16 @@ class ExecutionPlan:
         if data.size * h >= PARALLEL_MIN_WORK and n_rows > 1:
             pool = _helper_pool()
         if pool is None:
-            rows(0, n_rows)
+            rows(out, 0, n_rows)
         else:
             bounds = getattr(self, "_bounds", None)
             if bounds is None:
                 bounds = _row_blocks(indptr, BLOCKS_PER_CORE * (len(pool.threads) + 1))
                 self._bounds = bounds
-            job = _RowJob(bounds, rows)
+            job = _RowJob(bounds, rows, out)
             for _ in range(min(len(pool.threads), len(bounds) - 2)):
                 pool.jobs.put(job)
-            job.work()
-            job.wait()
+            out = job.result()
         return out[:, 0] if b.ndim == 1 else out
 
     def execute(self, operand, b: np.ndarray, *, dtype=None) -> np.ndarray:

@@ -403,6 +403,44 @@ class TestRowParallelKernel:
         assert np.array_equal(engine.execute(op, np.ones((50, 4))),
                               registry.densify(op) @ np.ones((50, 4)))
 
+    def test_stalled_helper_block_is_recomputed_by_caller(self, monkeypatch):
+        if engine.usable_cores() < 2:
+            pytest.skip("one usable core: no helper threads")
+        monkeypatch.setattr(engine, "PARALLEL_MIN_WORK", 0)
+        from scipy.sparse import _sparsetools
+
+        real = _sparsetools.csr_matvecs
+        first = threading.Lock()
+        held, release, late_write = threading.Event(), threading.Event(), threading.Event()
+
+        def one_helper_stalls(*args):
+            in_helper = threading.current_thread().name.startswith(engine._THREAD_PREFIX)
+            if in_helper and first.acquire(blocking=False):
+                held.set()
+                release.wait(timeout=30)  # the block's rows are zero-filled already
+                real(*args)
+                late_write.set()
+                return
+            held.wait(timeout=10)  # the caller starts once a helper holds a block
+            real(*args)
+
+        rng = np.random.default_rng(26)
+        a = sprinkled(200, 50, rng, density=0.3)
+        op = CSRMatrix.from_dense(a)
+        b = rng.integers(0, 64, size=(50, 4)).astype(np.float64)
+        monkeypatch.setattr(_sparsetools, "csr_matvecs", one_helper_stalls)
+        try:
+            out = engine.execute(op, b)
+            assert held.is_set() and not late_write.is_set()
+            assert np.array_equal(out, a @ b)
+        finally:
+            release.set()
+        # The stalled helper finishes later, into rows nobody returns.
+        assert late_write.wait(timeout=30)
+        assert np.array_equal(out, a @ b)
+        monkeypatch.setattr(_sparsetools, "csr_matvecs", real)
+        assert np.array_equal(engine.execute(op, b), a @ b)
+
 
 def engine_threads() -> list[str]:
     return [t.name for t in threading.enumerate() if t.name.startswith(engine._THREAD_PREFIX)]
