@@ -72,4 +72,5 @@ def test_both_policies_improve(freshtop):
 
 def test_bench_stage2_any_gain(benchmark, collections):
     bm = collections["small"][2].bitmatrix()
-    benchmark.pedantic(stage2_reorder, args=(bm, PATTERN), kwargs={"max_iter": 4}, iterations=1, rounds=3)
+    benchmark.pedantic(stage2_reorder, args=(bm, PATTERN), kwargs={"max_iter": 4},
+                       iterations=1, rounds=3)

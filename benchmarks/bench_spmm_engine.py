@@ -17,6 +17,12 @@ sparse format the serving default's hybrid operand can be rebuilt in
 A size sweep then times the engine's kernel serial (one block on the
 caller) against row-parallel on CSR operands of growing ``nnz × h``;
 ``engine.PARALLEL_MIN_WORK`` is chosen from where parallel starts to win.
+A dense sweep does the same for the engine's dense block kernel
+(:func:`repro.perf.engine.matmul` against one plain ``a @ b`` BLAS call)
+over GEMM shapes ``(m, k, n)`` of growing ``m·k·n``, among them the GNN
+update phase's products; ``engine.DENSE_PARALLEL_MIN_WORK`` is chosen
+from it.  BLAS is pinned to one thread, as in the end-to-end benchmark,
+so the only parallelism measured is the engine's own.
 
 Correctness gates every timing: features are integer-valued so all fp64
 partial sums are exact, and every mode must be **bitwise** identical to
@@ -24,11 +30,15 @@ the dense reference — the benchmark fails hard otherwise.  In full mode
 (h >= 64) it also fails when ``planned / floor`` on the hybrid backend
 exceeds ``MAX_PLANNED_OVER_FLOOR``, or, on a host with two or more usable
 cores, is not below ``MAX_PARALLEL_PLANNED_OVER_FLOOR`` (the row-parallel
-kernel must beat the serial scipy floor).  That ratio is host-dependent,
-so both gates are skipped when this host's CPU count differs from the
-tracked ``BENCH_spmm_engine.json``'s.  ``--quick`` runs a tiny smoke
-configuration and skips the gates too (CI machines are too noisy for
-them).
+kernel must beat the serial scipy floor), or when a dense product at or
+above ``engine.DENSE_PARALLEL_MIN_WORK`` is not faster split than as one
+BLAS call (``MAX_DENSE_PARALLEL_OVER_SERIAL``).  These ratios are
+host-dependent, so the gates are skipped when this host's CPU count
+differs from the tracked ``BENCH_spmm_engine.json``'s (and the dense one
+when BLAS does not report one thread).  Every mode fails when a split
+dense product is not bitwise the single call's.  ``--quick`` runs a
+tiny smoke configuration and skips the speed gates too (CI machines are
+too noisy for them).
 
 Run standalone::
 
@@ -40,22 +50,28 @@ writes ``BENCH_spmm_engine.json`` next to the other tracked
 
 from __future__ import annotations
 
-import argparse
-import json
 import os
-import statistics
-import sys
-import time
-from pathlib import Path
 
-import numpy as np
-import scipy.sparse as sp
+# One BLAS thread, set before numpy loads: a BLAS that runs its own threads
+# already uses every core, and the engine then leaves dense products whole.
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
 
-from repro.core import VNMPattern
-from repro.perf import engine
-from repro.pipeline import registry
-from repro.sptc import CSRMatrix, HybridVNM
-from repro.sptc.spmm import dense_spmm
+import argparse  # noqa: E402
+import json  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+import numpy as np  # noqa: E402
+import scipy.sparse as sp  # noqa: E402
+
+from repro.core import VNMPattern  # noqa: E402
+from repro.perf import engine  # noqa: E402
+from repro.pipeline import registry  # noqa: E402
+from repro.sptc import CSRMatrix, HybridVNM  # noqa: E402
+from repro.sptc.spmm import dense_spmm  # noqa: E402
 
 TRACKED = Path(__file__).resolve().parents[1] / "BENCH_spmm_engine.json"
 PATTERN = VNMPattern(1, 2, 4)
@@ -67,6 +83,20 @@ MAX_PARALLEL_PLANNED_OVER_FLOOR = 1.0
 SWEEP = ((1024, 0.01, 16), (1024, 0.02, 16), (1024, 0.02, 32), (2048, 0.01, 32),
          (2048, 0.02, 32), (2048, 0.02, 64), (4096, 0.011, 64))
 QUICK_SWEEP = ((256, 0.05, 8), (512, 0.05, 32))
+# (m, k, n, layout) of the dense sweep, smallest m·k·n first.  "rows": a is
+# a C-contiguous (m, k) array; "cols": a is x.T for a C-contiguous (k, m)
+# x, split over x's columns.  The GNN update phase of gnn-train (hidden
+# 128, 300 features, 5 classes, 9796 vertices) runs x @ W at
+# (9796, 300, 128) and (9796, 128, 5), x.T @ dy at (300, 9796, 128) and
+# (128, 9796, 5), dy @ W.T at (9796, 128, 300) and (9796, 5, 128).
+DENSE_SWEEP = ((256, 64, 32, "rows"), (512, 64, 64, "rows"), (1024, 64, 64, "rows"),
+               (1024, 128, 64, "rows"), (2048, 128, 32, "rows"), (9796, 5, 128, "rows"),
+               (9796, 128, 5, "rows"), (128, 9796, 5, "cols"), (2048, 128, 64, "rows"),
+               (4096, 128, 64, "rows"), (9796, 300, 128, "rows"),
+               (300, 9796, 128, "cols"), (9796, 128, 300, "rows"))
+QUICK_DENSE_SWEEP = ((96, 32, 8, "rows"), (200, 48, 16, "cols"))
+# Above the dense threshold a split product must beat one BLAS call.
+MAX_DENSE_PARALLEL_OVER_SERIAL = 1.0
 WARMUP_SECONDS = 3.0  # full mode only; see warm_helpers
 
 
@@ -132,6 +162,49 @@ def size_sweep(configs, rounds: int) -> tuple[list[dict], bool]:
                   f"{med['parallel'] / med['serial']:5.2f}x")
     finally:
         engine.PARALLEL_MIN_WORK = threshold
+    return rows, exact
+
+
+def dense_operands(m: int, k: int, n: int, layout: str, rng):
+    """Integer-valued ``(a, b)`` for the product ``a @ b`` of shape (m, k, n)."""
+    b = rng.integers(0, 64, size=(k, n)).astype(np.float64)
+    if layout == "cols":
+        return rng.integers(0, 64, size=(k, m)).astype(np.float64).T, b
+    return rng.integers(0, 64, size=(m, k)).astype(np.float64), b
+
+
+def dense_sweep(configs, rounds: int) -> tuple[list[dict], bool]:
+    """One BLAS call against the engine's row-split dense kernel per shape."""
+    rows, exact = [], True
+    threshold = engine.DENSE_PARALLEL_MIN_WORK
+    rng = np.random.default_rng(4)
+    try:
+        engine.DENSE_PARALLEL_MIN_WORK = 0
+        for m, k, n, layout in configs:
+            a, b = dense_operands(m, k, n, layout, rng)
+            work = m * k * n
+            calls = max(1, (1 << 24) // work)  # ~1 ms or more per timed sample
+
+            def repeat(fn):
+                def run():
+                    for _ in range(calls):
+                        out = fn()
+                    return out
+                return run
+
+            fns = {"serial": repeat(lambda: a @ b),
+                   "parallel": repeat(lambda: engine.matmul(a, b))}
+            times = timed_rounds(fns, rounds)
+            exact &= np.array_equal(fns["parallel"](), fns["serial"]())
+            med = {mode: statistics.median(t) / calls for mode, t in times.items()}
+            rows.append({"m": m, "k": k, "n": n, "layout": layout, "work": work,
+                         "calls_per_sample": calls, "median_seconds": med,
+                         "parallel_over_serial": med["parallel"] / med["serial"]})
+            print(f"dense ({m:5d}, {k:5d}, {n:3d}) {layout:4s} m*k*n={work / 1e6:7.2f}M  "
+                  f"serial {med['serial'] * 1e3:8.3f} ms | parallel "
+                  f"{med['parallel'] * 1e3:8.3f} ms | {med['parallel'] / med['serial']:5.2f}x")
+    finally:
+        engine.DENSE_PARALLEL_MIN_WORK = threshold
     return rows, exact
 
 
@@ -214,6 +287,14 @@ def main() -> int:
     if not sweep_exact:
         print("FAIL: serial and parallel sweep outputs differ from scipy")
         ok = False
+    blas = engine.blas_threads()
+    print(f"dense kernel: BLAS threads {blas}; split from m*k*n >= "
+          f"{engine.DENSE_PARALLEL_MIN_WORK}")
+    dense, dense_exact = dense_sweep(QUICK_DENSE_SWEEP if args.quick else DENSE_SWEEP,
+                                     args.rounds)
+    if not dense_exact:
+        print("FAIL: split dense products differ from one BLAS call")
+        ok = False
 
     gated = not args.quick
     tracked_cpus = (json.loads(TRACKED.read_text())["config"].get("cpu_count")
@@ -238,6 +319,19 @@ def main() -> int:
         print(f"FAIL: planned hybrid path on {threads} cores {gate:.2f}x of the "
               f"one-core scipy floor, not below {MAX_PARALLEL_PLANNED_OVER_FLOOR:.2f}x")
         ok = False
+    dense_gated = gated and threads >= 2 and blas == 1
+    above = [row for row in dense if row["work"] >= engine.DENSE_PARALLEL_MIN_WORK]
+    worst = max((row["parallel_over_serial"] for row in above), default=float("nan"))
+    slow = [row for row in above
+            if row["parallel_over_serial"] >= MAX_DENSE_PARALLEL_OVER_SERIAL]
+    print(f"dense parallel / serial above the threshold: {worst:5.2f}x at worst "
+          f"(threshold < {MAX_DENSE_PARALLEL_OVER_SERIAL:.2f}x, "
+          f"{'enforced' if dense_gated else 'skipped'})")
+    if dense_gated and slow:
+        for row in slow:
+            print(f"FAIL: dense ({row['m']}, {row['k']}, {row['n']}) split took "
+                  f"{row['parallel_over_serial']:.2f}x one BLAS call")
+        ok = False
     if ok:
         print("OK: every backend bitwise-matches the dense reference")
 
@@ -248,11 +342,17 @@ def main() -> int:
                        "rounds": args.rounds, "quick": args.quick,
                        "pattern": str(PATTERN), "cpu_count": os.cpu_count(),
                        "threads": threads, "warmup_seconds": warmup,
-                       "parallel_min_work": engine.PARALLEL_MIN_WORK},
+                       "blas_threads": blas,
+                       "parallel_min_work": engine.PARALLEL_MIN_WORK,
+                       "dense_parallel_min_work": engine.DENSE_PARALLEL_MIN_WORK},
             "baseline": "floor: scipy.sparse csr_matrix @ B on the same matrix "
-                        "(one core); sweep: the engine kernel as one block",
+                        "(one core); sweep: the engine kernel as one block; "
+                        "dense_sweep: one a @ b BLAS call (BLAS at one thread)",
             "backends": results,
             "size_sweep": sweep,
+            "dense_sweep": dense,
+            "max_dense_parallel_over_serial": (MAX_DENSE_PARALLEL_OVER_SERIAL
+                                               if dense_gated else None),
             "max_planned_over_floor": MAX_PLANNED_OVER_FLOOR if gated else None,
             "max_parallel_planned_over_floor": (MAX_PARALLEL_PLANNED_OVER_FLOOR
                                                 if gated and threads >= 2 else None),

@@ -47,7 +47,8 @@ def test_table3_print(table3, best_patterns):
                 row += [s["LYR"], s["ALL"]]
         rows.append(row)
     print()
-    print(render_table("Table 3: GNN speedup (revised-reordered vs default-original)", headers, rows))
+    print(render_table("Table 3: GNN speedup (revised-reordered vs default-original)",
+                       headers, rows))
     lyr = [c["LYR"] for cells in table3.values() for c in cells.values()]
     alls = [c["ALL"] for cells in table3.values() for c in cells.values()]
     print(f"geomean LYR {geomean(lyr):.2f}x  geomean ALL {geomean(alls):.2f}x")

@@ -46,7 +46,8 @@ def table5(gnn_datasets, best_patterns):
         for model_name in MODELS:
             trained = train_node_classifier(g, model_name, epochs=EPOCHS, seed=0)
             kind = aggregator_kind_for(model_name)
-            acc_reorder = evaluate(trained.model, reordered, make_aggregator(reordered, kind))["test"]
+            acc_reorder = evaluate(trained.model, reordered,
+                                   make_aggregator(reordered, kind))["test"]
             acc_pruned = evaluate(trained.model, pruned, make_aggregator(pruned, kind))["test"]
             per_model[model_name] = {
                 "base": trained.test_accuracy,

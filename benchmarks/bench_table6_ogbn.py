@@ -40,8 +40,10 @@ def table6():
             for s, p in zip(samples, perms)
         ]
         cluster = Cluster(n_devices=4, framework="pyg")
-        base = cluster.run_gnn(samples, "sgc", "default-original", PATTERN, hidden=128, prepared=base_prep)
-        fast = cluster.run_gnn(samples, "sgc", "revised-reordered", PATTERN, hidden=128, prepared=fast_prep)
+        base = cluster.run_gnn(samples, "sgc", "default-original", PATTERN, hidden=128,
+                               prepared=base_prep)
+        fast = cluster.run_gnn(samples, "sgc", "revised-reordered", PATTERN, hidden=128,
+                               prepared=fast_prep)
         out[name] = {
             "LYR": base.aggregation_seconds / fast.aggregation_seconds,
             "ALL": base.total_seconds / fast.total_seconds,
@@ -59,7 +61,8 @@ def test_table6_print(table6):
         ["avg #V/sample"] + [table6[n]["avg_sample_vertices"] for n in OGBN],
     ]
     print()
-    print(render_table("Table 6: OGBN large-graph GNN evaluation (SGC, 4 devices)", [""] + list(OGBN), rows))
+    print(render_table("Table 6: OGBN large-graph GNN evaluation (SGC, 4 devices)",
+                       [""] + list(OGBN), rows))
 
 
 def test_all_datasets_speed_up(table6):

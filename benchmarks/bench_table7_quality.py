@@ -72,7 +72,8 @@ def test_table7_print(table7):
     print(
         render_table(
             "Table 7: 1:2:4 reordering quality (SuiteSparse stand-in)",
-            ["Class", "", "Init #inv segvec", "Finl #inv segvec", "Imprv rate", "Iter.", "Reorder time (s)"],
+            ["Class", "", "Init #inv segvec", "Finl #inv segvec", "Imprv rate", "Iter.",
+             "Reorder time (s)"],
             rows,
         )
     )

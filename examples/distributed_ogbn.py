@@ -30,7 +30,8 @@ def main(dataset: str = "ogbn-arxiv") -> None:
     # Sample subgraphs like the paper does for multi-GPU runs.
     target = max(64, OGBN_SAMPLE_SIZES.get(dataset, 2000) // 50)
     samples = sample_ogbn_like_subgraphs(graph, target, 4, seed=0)
-    print(f"sampled {len(samples)} subgraphs, avg {sum(s.n for s in samples) / len(samples):.0f} vertices")
+    avg = sum(s.n for s in samples) / len(samples)
+    print(f"sampled {len(samples)} subgraphs, avg {avg:.0f} vertices")
 
     # Offline reordering per sample, then parallel execution on 4 devices.
     perms = [reorder_for_graph(s, PATTERN) for s in samples]

@@ -43,7 +43,8 @@ def main(class_name: str = "small", count: int = 12) -> None:
         ])
     print(render_table(
         f"Survey of the {class_name!r} class",
-        ["Matrix", "#V", "nnz", "density", "init viol.", "best V:N:M", "reorder s", "SpMM speedup H=128"],
+        ["Matrix", "#V", "nnz", "density", "init viol.", "best V:N:M", "reorder s",
+         "SpMM speedup H=128"],
         rows,
     ))
     conforming = sum(1 for r in rows if r[5] != "(none)")

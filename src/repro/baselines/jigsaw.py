@@ -37,7 +37,8 @@ class JigsawResult:
     def improvement_rate(self) -> float:
         if self.initial_invalid_vectors == 0:
             return 1.0 if self.final_invalid_vectors == 0 else 0.0
-        return (self.initial_invalid_vectors - self.final_invalid_vectors) / self.initial_invalid_vectors
+        fixed = self.initial_invalid_vectors - self.final_invalid_vectors
+        return fixed / self.initial_invalid_vectors
 
 
 def jigsaw_column_reorder(bm: BitMatrix, pattern: NMPattern) -> JigsawResult:

@@ -166,6 +166,7 @@ def reorder(
         )
 
 
-def reorder_graph_matrix(adjacency: np.ndarray, pattern: VNMPattern | NMPattern, **kwargs) -> ReorderResult:
+def reorder_graph_matrix(adjacency: np.ndarray, pattern: VNMPattern | NMPattern,
+                         **kwargs) -> ReorderResult:
     """Convenience wrapper accepting a dense 0/1 adjacency array."""
     return reorder(BitMatrix.from_dense(adjacency), pattern, **kwargs)

@@ -336,7 +336,8 @@ def plan_swaps(
             # A handful of candidates is not enough when the overflowing row
             # already occupies most sparse segments; 4m keeps the odds high
             # at negligible cost (one gain evaluation per candidate).
-            sparse_targets = [int(sg) for sg in order if sg != primary and pscores[sg] <= 0][: 4 * m]
+            sparse_targets = [int(sg) for sg in order
+                              if sg != primary and pscores[sg] <= 0][: 4 * m]
             handle_primary(primary, sparse_targets, removed)
         for t in removed:
             active_set.discard(t)

@@ -254,7 +254,8 @@ def multilevel_partition(
     # the original edge set projected through the first i contraction maps.
     base_u = graph.edges[:, 0].astype(np.int64)
     base_v = graph.edges[:, 1].astype(np.int64)
-    base_w = (graph.weights if graph.weights is not None else np.ones(base_u.size)).astype(np.float64)
+    base_w = (graph.weights if graph.weights is not None
+              else np.ones(base_u.size)).astype(np.float64)
     for i in range(len(levels) - 1, -1, -1):
         coarse_id = levels[i]
         assignment = assignment[coarse_id]

@@ -47,7 +47,8 @@ def cross_entropy(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray | Non
     return float(nll.mean()) if nll.size else 0.0
 
 
-def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray, mask: np.ndarray | None = None) -> np.ndarray:
+def cross_entropy_grad(logits: np.ndarray, labels: np.ndarray,
+                       mask: np.ndarray | None = None) -> np.ndarray:
     """d(mean masked NLL)/d(logits)."""
     p = softmax(logits)
     grad = p.copy()

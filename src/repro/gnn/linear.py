@@ -1,8 +1,14 @@
-"""Parameters and the dense linear layer (the GNN "update" phase)."""
+"""Parameters and the dense linear layer (the GNN "update" phase).
+
+Every product of the layer runs through :func:`repro.perf.engine.matmul`,
+which splits large ones over output rows onto every usable core.
+"""
 
 from __future__ import annotations
 
 import numpy as np
+
+from ..perf import engine
 
 __all__ = ["Parameter", "Linear"]
 
@@ -27,7 +33,8 @@ class Parameter:
 class Linear:
     """Fully connected layer ``y = x @ W + b`` with Glorot init."""
 
-    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator, *, bias: bool = True):
+    def __init__(self, in_features: int, out_features: int, rng: np.random.Generator, *,
+                 bias: bool = True):
         limit = np.sqrt(6.0 / (in_features + out_features))
         self.weight = Parameter(rng.uniform(-limit, limit, size=(in_features, out_features)))
         self.bias = Parameter(np.zeros(out_features)) if bias else None
@@ -44,7 +51,7 @@ class Linear:
         if device is not None:
             y = device.gemm(x, self.weight.value, tag="update")
         else:
-            y = x @ self.weight.value
+            y = engine.matmul(x, self.weight.value)
         if self.bias is not None:
             y = y + self.bias.value
         return y
@@ -52,10 +59,10 @@ class Linear:
     def backward(self, dy: np.ndarray) -> np.ndarray:
         if self._x is None:
             raise RuntimeError("backward called before forward")
-        self.weight.grad += self._x.T @ dy
+        self.weight.grad += engine.matmul(self._x.T, dy)
         if self.bias is not None:
             self.bias.grad += dy.sum(axis=0)
-        return dy @ self.weight.value.T
+        return engine.matmul(dy, self.weight.value.T)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)

@@ -111,7 +111,8 @@ class GraphSAGE(GNNModel):
 class ChebNet(GNNModel):
     """Two-layer ChebNet of order K (K−1 aggregation-chains per layer)."""
 
-    def __init__(self, in_features: int, hidden: int, out_features: int, rng: np.random.Generator, *, k: int = 3):
+    def __init__(self, in_features: int, hidden: int, out_features: int,
+                 rng: np.random.Generator, *, k: int = 3):
         super().__init__()
         self.k = k
         self.convs = [ChebConv(in_features, hidden, k, rng), ChebConv(hidden, out_features, k, rng)]
@@ -125,7 +126,8 @@ class ChebNet(GNNModel):
 class SGC(GNNModel):
     """Single SGConv with K chained propagations."""
 
-    def __init__(self, in_features: int, hidden: int, out_features: int, rng: np.random.Generator, *, k: int = 2):
+    def __init__(self, in_features: int, hidden: int, out_features: int,
+                 rng: np.random.Generator, *, k: int = 2):
         super().__init__()
         del hidden  # SGC is linear: no hidden layer
         self.k = k

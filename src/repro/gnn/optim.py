@@ -12,7 +12,8 @@ __all__ = ["SGD", "Adam"]
 class SGD:
     """Plain (optionally momentum) stochastic gradient descent."""
 
-    def __init__(self, params: list[Parameter], lr: float = 0.1, momentum: float = 0.0, weight_decay: float = 0.0):
+    def __init__(self, params: list[Parameter], lr: float = 0.1, momentum: float = 0.0,
+                 weight_decay: float = 0.0):
         self.params = params
         self.lr = lr
         self.momentum = momentum

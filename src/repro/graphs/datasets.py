@@ -43,13 +43,17 @@ TABLE2_DATASETS: dict[str, DatasetSpec] = {
     "facebook": DatasetSpec("facebook", 4039, 88234, 1283, 193, feature_scale=0.25),
     "computers": DatasetSpec("computers", 13752, 491722, 767, 10, materialize_scale=0.5),
     "cs": DatasetSpec("cs", 18333, 163788, 6805, 15, materialize_scale=0.4, feature_scale=0.05),
-    "corafull": DatasetSpec("corafull", 19793, 126842, 8710, 70, materialize_scale=0.4, feature_scale=0.04),
+    "corafull": DatasetSpec("corafull", 19793, 126842, 8710, 70, materialize_scale=0.4,
+                            feature_scale=0.04),
     "amazon-ratings": DatasetSpec("amazon-ratings", 24492, 93050, 300, 5, materialize_scale=0.4),
-    "physics": DatasetSpec("physics", 34493, 495924, 8415, 5, materialize_scale=0.25, feature_scale=0.04),
+    "physics": DatasetSpec("physics", 34493, 495924, 8415, 5, materialize_scale=0.25,
+                           feature_scale=0.04),
     "ogbn-proteins": DatasetSpec("ogbn-proteins", 132534, 39561252, 128, 2, materialize_scale=0.05),
-    "ogbn-products": DatasetSpec("ogbn-products", 2449029, 61859140, 100, 47, materialize_scale=0.004),
+    "ogbn-products": DatasetSpec("ogbn-products", 2449029, 61859140, 100, 47,
+                                 materialize_scale=0.004),
     "ogbn-arxiv": DatasetSpec("ogbn-arxiv", 169343, 1166243, 128, 40, materialize_scale=0.03),
-    "ogbn-papers100m": DatasetSpec("ogbn-papers100M", 111059956, 1615685872, 128, 172, materialize_scale=0.0001),
+    "ogbn-papers100m": DatasetSpec("ogbn-papers100M", 111059956, 1615685872, 128, 172,
+                                   materialize_scale=0.0001),
 }
 
 # Average sampled-subgraph vertex counts the paper reports for §5.2.

@@ -134,7 +134,8 @@ class Graph:
             self._cache[key] = out
         return out
 
-    def dense_adjacency(self, *, normalized: bool = False, add_self_loops: bool = False) -> np.ndarray:
+    def dense_adjacency(self, *, normalized: bool = False,
+                        add_self_loops: bool = False) -> np.ndarray:
         return self.csr(normalized=normalized, add_self_loops=add_self_loops).to_dense()
 
     # -- transformations ----------------------------------------------------------

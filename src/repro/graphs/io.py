@@ -63,10 +63,12 @@ def read_matrix_market(path_or_file) -> tuple[CSRMatrix, bool]:
             np.concatenate([cols, rows[off]]),
             np.concatenate([data, data[off]]),
         )
-    return CSRMatrix.from_coo(rows, cols, data, (n_rows, n_cols), sum_duplicates=False), symmetry == "symmetric"
+    matrix = CSRMatrix.from_coo(rows, cols, data, (n_rows, n_cols), sum_duplicates=False)
+    return matrix, symmetry == "symmetric"
 
 
-def write_matrix_market(matrix: CSRMatrix, path_or_file, *, symmetric: bool = False, pattern: bool = False) -> None:
+def write_matrix_market(matrix: CSRMatrix, path_or_file, *, symmetric: bool = False,
+                        pattern: bool = False) -> None:
     """Write a CSR matrix in MatrixMarket coordinate format (gzip if ``.gz``)."""
     if isinstance(path_or_file, (str, Path)):
         if str(path_or_file).endswith(".gz"):

@@ -1,4 +1,4 @@
-"""The one SpMM execution path: a scipy CSR plan for every operand.
+"""The one SpMM execution path, and one helper pool for row-parallel work.
 
 Where aggregation *would* run on an A100 — sparse tensor cores for V:N:M,
 CUDA cores for CSR — is decided by the compressed format and the cost
@@ -8,27 +8,41 @@ way here: an :class:`ExecutionPlan` holds the operand's exact CSR triplet
 (:meth:`to_coo` of the compressed format; the arrays themselves for a
 :class:`~repro.sptc.csr.CSRMatrix`) and runs it with scipy.sparse's
 compiled CSR matmat.  ndarray operands (the ``dense`` fallback rung and
-the reference) run a BLAS GEMM.
+the reference) run the dense kernel, :func:`matmul`.
 
-The CSR kernel is row-parallel: above ``PARALLEL_MIN_WORK`` (non-zeros ×
-feature columns) a plan splits its rows into contiguous blocks of about
-equal non-zeros (``BLOCKS_PER_CORE`` per usable core), and the calling
-thread plus one process-wide pool of helper threads claim blocks until
-none is left.  Each block runs scipy's ``csr_matvecs`` (which releases
-the GIL) on a row slice of the plan's triplet and writes, zero-filled
-first, only its own rows of one preallocated output.  A row is summed in
-the same order whichever thread runs it, so the result is bitwise the
-serial kernel's.  The usable cores come from the process's CPU affinity
-(``taskset``/cgroup cpusets cap them); on one core, and below the work
-threshold, the kernel runs as one block on the caller.  The caller never
-waits for a helper that has not started: it runs every unclaimed block
-itself, so concurrent callers (router lanes) cannot stall one another.
-Nor does it wait long for a helper that has stopped running mid-block:
-after ``STALL_BLOCKS`` of its own block times it recomputes that block
-into a copy of the finished rows, so a request's latency does not hang
-on whether a second CPU is free at that moment.  The helper pool is
-shut down before every ``fork`` and restarted lazily on next use, in
-the parent and in the child.
+One pool, two block kernels.  :func:`parallel_rows` is the one entry
+point for row-parallel work: it cuts an output into row blocks, and the
+calling thread plus one process-wide pool of helper threads claim blocks
+until none is left, each block written into its own rows of one
+preallocated output.  Two block kernels run through it:
+
+* **CSR** — above ``PARALLEL_MIN_WORK`` (non-zeros × feature columns) a
+  plan's rows are cut into contiguous blocks of about equal non-zeros,
+  and each block runs scipy's ``csr_matvecs`` (which releases the GIL)
+  on a row slice of the plan's triplet, zero-filling its rows first.
+* **Dense** — above ``DENSE_PARALLEL_MIN_WORK`` (m·k·n), :func:`matmul`
+  cuts ``a @ b`` over the rows of ``a`` (for ``x.T @ dy``, the columns
+  of ``x``) on multiples of ``DENSE_ROW_ALIGN`` rows, and each block is
+  one BLAS call (which releases the GIL too).  Only when the BLAS
+  library runs one thread itself (:func:`blas_threads`); a threaded BLAS
+  already uses every core.  The GNN update phase
+  (:class:`repro.gnn.linear.Linear`, :meth:`EmulatedDevice.gemm
+  <repro.sptc.device.EmulatedDevice.gemm>`) runs every product here.
+
+Neither kernel splits a sum: a CSR row, and a dense output element's
+whole K-sum, are computed by one call whichever thread runs it, so
+outputs are bitwise the serial kernel's.  Blocks are ``BLOCKS_PER_CORE``
+per usable core.  The usable cores come from the process's CPU affinity
+(``taskset``/cgroup cpusets cap them); on one core, and below either
+work threshold, a kernel runs as one call on the caller.  The caller
+never waits for a helper that has not started: it runs every unclaimed
+block itself, so concurrent callers (router lanes) cannot stall one
+another.  Nor does it wait long for a helper that has stopped running
+mid-block: after ``STALL_BLOCKS`` of its own block times it recomputes
+that block into a copy of the finished rows, so a caller's latency does
+not hang on whether a second CPU is free at that moment.  The helper
+pool is shut down before every ``fork`` and restarted lazily on next
+use, in the parent and in the child.
 
 The triplet, its fp32 cast and the row-block bounds are **scratch**:
 built on first execute and dropped on pickling.  A plan's persistent
@@ -70,11 +84,16 @@ __all__ = [
     "adopt_plan",
     "clear_plan_cache",
     "execute",
+    "matmul",
+    "parallel_rows",
+    "blas_threads",
     "fp32_within_bound",
     "usable_cores",
     "PARALLEL_MIN_WORK",
     "BLOCKS_PER_CORE",
     "STALL_BLOCKS",
+    "DENSE_PARALLEL_MIN_WORK",
+    "DENSE_ROW_ALIGN",
 ]
 
 # Below this much work (stored non-zeros × feature columns) handing row
@@ -91,6 +110,19 @@ BLOCKS_PER_CORE = 4
 # helper finishes within about one block; one that has lost its CPU can
 # hold a block for many milliseconds.
 STALL_BLOCKS = 2
+# Below this much work (m·k·n) a dense product runs as one BLAS call on
+# the caller.  From benchmarks/bench_spmm_engine.py's dense sweep on a
+# 2-core host, BLAS at one thread, over three runs: split took 0.90-1.06x
+# one call at 4.2M, up to 1.16x at 6.3M (x.T @ dy with 5 output columns
+# never won), and 0.47-0.93x from 8.4M up.
+DENSE_PARALLEL_MIN_WORK = 1 << 23
+# Dense row blocks are cut on multiples of this many rows, a multiple of
+# the row tiles of OpenBLAS's x86-64 dgemm kernels (2 to 24 rows).  A cut
+# inside a tile sends the rows before it through an edge kernel that can
+# sum in another order; with aligned cuts float outputs came out bitwise
+# equal to the unsplit product on every kernel tried (Haswell, SkylakeX,
+# Cooperlake, SapphireRapids, Zen).
+DENSE_ROW_ALIGN = 48
 _THREAD_PREFIX = "repro-engine-"
 
 
@@ -103,7 +135,7 @@ def usable_cores() -> int:
 
 
 class _RowJob:
-    """One SpMM's row blocks, claimed one at a time by whichever thread asks.
+    """One output's row blocks, claimed one at a time by whichever thread asks.
 
     ``run(target, lo, hi)`` computes rows ``[lo, hi)`` of ``target``; a
     claimed block is written into ``out``.  The caller works through the
@@ -209,7 +241,7 @@ class _HelperPool:
             thread.join()
 
 
-# The process-wide helper pool: started on the first parallel SpMM, shut
+# The process-wide helper pool: started on the first row-parallel job, shut
 # down before a fork (a forked child has none of its threads, and forking
 # with live threads is unsafe) and started again lazily afterwards.
 _POOL: _HelperPool | None = None
@@ -247,6 +279,114 @@ def _row_blocks(indptr: np.ndarray, n_blocks: int) -> list[int]:
     cuts = np.searchsorted(indptr, np.linspace(0, indptr[-1], n_blocks + 1))
     cuts[0], cuts[-1] = 0, n_rows
     return np.unique(cuts).tolist()
+
+
+def parallel_rows(out: np.ndarray, run, blocks) -> np.ndarray:
+    """Fill ``out`` by ``run(target, lo, hi)`` over row blocks on every usable core.
+
+    The one entry point for row-parallel work: both block kernels (CSR
+    :meth:`ExecutionPlan._matmat` and dense :func:`matmul`) run through
+    it, on one helper pool with one claim loop and one ``STALL_BLOCKS``
+    recompute rule.  ``blocks(n)`` returns the row bounds of at most
+    ``n`` blocks.  Returns ``out``, or a new array holding the same rows
+    when a stalled helper's block was recomputed (see :class:`_RowJob`).
+    On one usable core, or when ``blocks`` gives one block, ``run`` fills
+    ``out`` in one call on the caller.
+    """
+    pool = _helper_pool()
+    bounds = None if pool is None else blocks(BLOCKS_PER_CORE * (len(pool.threads) + 1))
+    if bounds is None or len(bounds) < 3:
+        run(out, 0, len(out))
+        return out
+    job = _RowJob(bounds, run, out)
+    for _ in range(min(len(pool.threads), len(bounds) - 2)):
+        pool.jobs.put(job)
+    return job.result()
+
+
+# -- the dense block kernel ----------------------------------------------------------
+
+# ``<library>_get_num_threads`` of the BLAS builds numpy ships with or links to.
+_BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                        "openblas_get_num_threads64_", "openblas_get_num_threads",
+                        "MKL_Get_Max_Threads", "bli_thread_get_num_threads")
+_blas_getters: list | None = None
+
+
+def _find_blas_getters() -> list:
+    """The thread-count getter of every BLAS library mapped into this process."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:  # Linux; elsewhere no BLAS is found
+            fields = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return []
+    paths = {f[5].strip() for f in fields if len(f) == 6}
+    getters = []
+    for path in sorted(paths):
+        name = os.path.basename(path).lower()
+        if not any(tag in name for tag in ("blas", "mkl_rt", "blis")):
+            continue
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _BLAS_THREAD_GETTERS:
+            getter = getattr(lib, symbol, None)
+            if getter is not None:
+                getter.restype, getter.argtypes = ctypes.c_int, ()
+                getters.append(getter)
+                break
+    return getters
+
+
+def blas_threads() -> int | None:
+    """Threads one BLAS call may use: the most any loaded BLAS library reports.
+
+    ``None`` when no known BLAS library is found.  Asked on every large
+    :func:`matmul`, so a thread limit set at run time counts.
+    """
+    global _blas_getters
+    if _blas_getters is None:
+        _blas_getters = _find_blas_getters()
+    return max((int(get()) for get in _blas_getters), default=None)
+
+
+def _dense_blocks(m: int, n_blocks: int) -> list[int]:
+    """Row bounds of at most ``n_blocks`` blocks of ~equal rows: whole
+    ``DENSE_ROW_ALIGN``-row units, the last block taking the remainder."""
+    units = m // DENSE_ROW_ALIGN
+    n_blocks = max(1, min(n_blocks, units))
+    return [DENSE_ROW_ALIGN * (i * units // n_blocks) for i in range(n_blocks)] + [m]
+
+
+def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b``: the engine's dense block kernel.
+
+    Above ``DENSE_PARALLEL_MIN_WORK`` (m·k·n) a product of two 2-D float
+    arrays of one dtype splits over the rows of ``a`` (for ``x.T @ dy``,
+    the columns of ``x``) and runs its blocks through
+    :func:`parallel_rows`.  Each block is one BLAS call
+    ``a[lo:hi] @ b`` written into its own rows of the output, so every
+    output element keeps its whole K-sum inside one BLAS call.  Below
+    the threshold, for any other operands, and when the BLAS library
+    itself runs more than one thread (or cannot be asked), it is the
+    plain ``a @ b`` on the caller; so are operands that share memory,
+    for which numpy may call another BLAS routine (``x.T @ x`` runs SYRK).
+    """
+    if (a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0] or a.dtype != b.dtype
+            or a.dtype not in (np.float32, np.float64) or np.may_share_memory(a, b)
+            or a.shape[0] * a.shape[1] * b.shape[1] < DENSE_PARALLEL_MIN_WORK
+            or blas_threads() != 1):
+        return a @ b
+    m = a.shape[0]
+    out = np.empty((m, b.shape[1]), dtype=a.dtype)
+
+    def rows(target: np.ndarray, lo: int, hi: int) -> None:
+        np.matmul(a[lo:hi], b, out=target[lo:hi])
+
+    return parallel_rows(out, rows, lambda n_blocks: _dense_blocks(m, n_blocks))
 
 
 def _backend_of(operand) -> str:
@@ -339,20 +479,17 @@ class ExecutionPlan:
             _sparsetools.csr_matvecs(hi - lo, n_cols, h, indptr[lo:hi + 1], indices,
                                      data, flat_x, block.ravel())
 
-        pool = None
-        if data.size * h >= PARALLEL_MIN_WORK and n_rows > 1:
-            pool = _helper_pool()
-        if pool is None:
-            rows(out, 0, n_rows)
-        else:
+        def blocks(n_blocks: int) -> list[int]:
             bounds = getattr(self, "_bounds", None)
             if bounds is None:
-                bounds = _row_blocks(indptr, BLOCKS_PER_CORE * (len(pool.threads) + 1))
+                bounds = _row_blocks(indptr, n_blocks)
                 self._bounds = bounds
-            job = _RowJob(bounds, rows, out)
-            for _ in range(min(len(pool.threads), len(bounds) - 2)):
-                pool.jobs.put(job)
-            out = job.result()
+            return bounds
+
+        if data.size * h >= PARALLEL_MIN_WORK and n_rows > 1:
+            out = parallel_rows(out, rows, blocks)
+        else:
+            rows(out, 0, n_rows)
         return out[:, 0] if b.ndim == 1 else out
 
     def execute(self, operand, b: np.ndarray, *, dtype=None) -> np.ndarray:
@@ -367,8 +504,8 @@ class ExecutionPlan:
         if self.backend == "dense":
             a = np.asarray(operand, dtype=np.float64)
             if dtype == np.float32:
-                return (a.astype(np.float32) @ b.astype(np.float32)).astype(np.float64)
-            return a @ b
+                return matmul(a.astype(np.float32), b.astype(np.float32)).astype(np.float64)
+            return matmul(a, b)
         indptr, indices, data = self._triplet(operand)
         if dtype == np.float32:
             out = self._matmat(indptr, indices, self._data32(data), b)

@@ -50,7 +50,8 @@ def magnitude_prune(a: np.ndarray, pattern: VNMPattern) -> PruneResult:
     )
 
 
-def prune_graph(graph: Graph, pattern: VNMPattern, *, symmetrize: bool = True) -> tuple[Graph, PruneResult]:
+def prune_graph(graph: Graph, pattern: VNMPattern, *,
+                symmetrize: bool = True) -> tuple[Graph, PruneResult]:
     """Prune a graph's normalized adjacency to the pattern.
 
     Pruning is generally *asymmetric* (a kept entry's mirror may be pruned in

@@ -28,7 +28,8 @@ class CSRMatrix:
     # plans by operand identity with weakref-finalize eviction.
     __slots__ = ("indptr", "indices", "data", "shape", "__weakref__")
 
-    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, shape: tuple[int, int]):
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+                 shape: tuple[int, int]):
         self.indptr = np.asarray(indptr, dtype=np.int64)
         self.indices = np.asarray(indices, dtype=np.int64)
         self.data = np.asarray(data, dtype=np.float64)
@@ -79,7 +80,8 @@ class CSRMatrix:
     @classmethod
     def from_scipy(cls, m) -> "CSRMatrix":
         m = m.tocsr()
-        return cls(m.indptr.astype(np.int64), m.indices.astype(np.int64), m.data.astype(np.float64), m.shape)
+        return cls(m.indptr.astype(np.int64), m.indices.astype(np.int64),
+                   m.data.astype(np.float64), m.shape)
 
     @classmethod
     def identity(cls, n: int) -> "CSRMatrix":
@@ -116,7 +118,8 @@ class CSRMatrix:
     # -- operations --------------------------------------------------------
     def transpose(self) -> "CSRMatrix":
         rows, cols, data = self.to_coo()
-        return CSRMatrix.from_coo(cols, rows, data, (self.shape[1], self.shape[0]), sum_duplicates=False)
+        return CSRMatrix.from_coo(cols, rows, data, (self.shape[1], self.shape[0]),
+                                  sum_duplicates=False)
 
     def permute_symmetric(self, order: np.ndarray) -> "CSRMatrix":
         """Return ``A[order][:, order]`` (graph relabelling)."""

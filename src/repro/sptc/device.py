@@ -93,13 +93,18 @@ class EmulatedDevice:
         self._launch(backend.kernel_name or backend.name, seconds, tag)
         return engine.execute(a, b)
 
-    def gemm(self, a: np.ndarray, b: np.ndarray, *, tensor_core: bool = True, tag: str = "gemm") -> np.ndarray:
+    def gemm(self, a: np.ndarray, b: np.ndarray, *, tensor_core: bool = True,
+             tag: str = "gemm") -> np.ndarray:
+        """Charge the modelled dense GEMM time, then compute ``a @ b`` on the
+        host with :func:`repro.perf.engine.matmul`."""
+        from ..perf import engine
+
         m, k = a.shape
         n = b.shape[1]
         self._launch(
             "dense_gemm", self.cost_model.time_dense_gemm(m, k, n, tensor_core=tensor_core), tag
         )
-        return a @ b
+        return engine.matmul(a, b)
 
     def elementwise(self, x: np.ndarray, fn, *, tag: str = "elementwise") -> np.ndarray:
         self._launch("elementwise", self.cost_model.time_elementwise(x.size), tag)

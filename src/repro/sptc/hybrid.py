@@ -57,7 +57,8 @@ def split_csr_to_pattern(csr: CSRMatrix, pattern: VNMPattern) -> tuple[CSRMatrix
     ranked_tile = pair_tile[op]
     rstart = np.ones(ranked_tile.size, dtype=bool)
     rstart[1:] = ranked_tile[1:] != ranked_tile[:-1]
-    first = np.repeat(np.nonzero(rstart)[0], np.diff(np.append(np.nonzero(rstart)[0], ranked_tile.size)))
+    tile_starts = np.nonzero(rstart)[0]
+    first = np.repeat(tile_starts, np.diff(np.append(tile_starts, ranked_tile.size)))
     rank_sorted = np.arange(ranked_tile.size) - first
     col_rank = np.empty(pair_tile.size, dtype=np.int64)
     col_rank[op] = rank_sorted
@@ -72,7 +73,8 @@ def split_csr_to_pattern(csr: CSRMatrix, pattern: VNMPattern) -> tuple[CSRMatrix
     final_keep = topn_keep_mask(rows, cols, data, n=n, m=m, n_segs=n_segs, keep=keep)
 
     conforming = CSRMatrix.from_coo(rows[final_keep], cols[final_keep], data[final_keep], csr.shape)
-    residual = CSRMatrix.from_coo(rows[~final_keep], cols[~final_keep], data[~final_keep], csr.shape)
+    residual = CSRMatrix.from_coo(rows[~final_keep], cols[~final_keep], data[~final_keep],
+                                  csr.shape)
     return conforming, residual
 
 

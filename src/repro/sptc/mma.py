@@ -40,7 +40,8 @@ class MmaShape:
 MMA_M16N8K32 = MmaShape(16, 8, 32)
 
 
-def compress_tile_2to4(a: np.ndarray, shape: MmaShape = MMA_M16N8K32) -> tuple[np.ndarray, np.ndarray]:
+def compress_tile_2to4(a: np.ndarray,
+                       shape: MmaShape = MMA_M16N8K32) -> tuple[np.ndarray, np.ndarray]:
     """Compress a conforming ``m × k`` tile into (values, metadata).
 
     ``values`` is ``m × packed_k``; ``meta`` holds, per value, its position
@@ -60,7 +61,8 @@ def compress_tile_2to4(a: np.ndarray, shape: MmaShape = MMA_M16N8K32) -> tuple[n
     return values.reshape(shape.m, shape.packed_k), meta.reshape(shape.m, shape.packed_k)
 
 
-def expand_tile_2to4(values: np.ndarray, meta: np.ndarray, shape: MmaShape = MMA_M16N8K32) -> np.ndarray:
+def expand_tile_2to4(values: np.ndarray, meta: np.ndarray,
+                     shape: MmaShape = MMA_M16N8K32) -> np.ndarray:
     """Inverse of :func:`compress_tile_2to4`."""
     sn, sm = shape.sparsity_n, shape.sparsity_m
     out = np.zeros((shape.m, shape.k), dtype=np.float64)
@@ -92,7 +94,8 @@ def mma_sp(
         raise ValueError(f"B must be {shape.k}x{shape.n}, got {b.shape}")
     if values.shape != (shape.m, shape.packed_k) or meta.shape != values.shape:
         raise ValueError("compressed operand shape mismatch")
-    out = np.zeros((shape.m, shape.n), dtype=np.float64) if c is None else np.array(c, dtype=np.float64)
+    out = (np.zeros((shape.m, shape.n), dtype=np.float64) if c is None
+           else np.array(c, dtype=np.float64))
     sn, sm = shape.sparsity_n, shape.sparsity_m
     group_base = np.repeat(np.arange(shape.k // sm) * sm, sn)  # (packed_k,)
     rows_of_b = group_base[None, :] + meta.astype(np.int64)  # (m, packed_k)

@@ -67,7 +67,8 @@ class NMCompressed:
         order = np.argsort(~nonzero, axis=2, kind="stable")
         meta = order[:, :, :n].astype(np.uint8)
         values = np.take_along_axis(segs, order[:, :, :n], axis=2)
-        return cls(pattern, (n_rows, n_cols), values.reshape(n_rows, n_segs * n), meta.reshape(n_rows, n_segs * n))
+        return cls(pattern, (n_rows, n_cols), values.reshape(n_rows, n_segs * n),
+                   meta.reshape(n_rows, n_segs * n))
 
     @property
     def n_segs(self) -> int:

@@ -78,7 +78,8 @@ def save_preprocessed(
     arrays = {
         "format_version": np.array([_FORMAT_VERSION]),
         "is_hybrid": np.array([int(is_hybrid)]),
-        "pattern": np.array([operand.pattern.v, operand.pattern.n, operand.pattern.m, operand.pattern.k]),
+        "pattern": np.array([operand.pattern.v, operand.pattern.n, operand.pattern.m,
+                             operand.pattern.k]),
         "shape": np.array(operand.shape),
         "tile_ptr": operand.tile_ptr,
         "tile_seg": operand.tile_seg,

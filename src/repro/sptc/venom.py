@@ -91,7 +91,8 @@ class VNMCompressed:
         order = np.argsort(~live_kept, axis=1, kind="stable")[:, :k]  # local cols
         pad_mask = np.take_along_axis(~live_kept, order, axis=1)
         order[pad_mask] = 0
-        col_ids = ts_idx[:, None] * m + order  # global ids (may exceed n_cols in padding; values are 0)
+        # global ids (may exceed n_cols in padding; values are 0)
+        col_ids = ts_idx[:, None] * m + order
 
         # Condense each tile to its k live columns, then N-compress the rows.
         tiles_kept = tiles[tr_idx, ts_idx]  # (n_tiles, v, m)
@@ -150,7 +151,8 @@ class VNMCompressed:
         pair_start = tile_start.copy()
         pair_start[1:] |= lc1[1:] != lc1[:-1]
         c = np.cumsum(pair_start) - 1  # global live-pair counter
-        tile_first_c = np.repeat(c[tile_start], np.diff(np.append(np.nonzero(tile_start)[0], tk1.size)))
+        tile_first_c = np.repeat(c[tile_start],
+                                 np.diff(np.append(np.nonzero(tile_start)[0], tk1.size)))
         rank1 = c - tile_first_c
         if rank1.max(initial=0) >= k:
             raise VNMFormatError(f"a meta-block has more than k={k} live columns")
@@ -161,7 +163,8 @@ class VNMCompressed:
         ts_idx = tiles_keys % n_segs
         tr_idx = tiles_keys // n_segs
         col_ids = np.broadcast_to((ts_idx * m)[:, None], (n_tiles, k)).copy()
-        col_ids[tile_index1[pair_start], rank1[pair_start]] = ts_idx[tile_index1[pair_start]] * m + lc1[pair_start]
+        col_ids[tile_index1[pair_start], rank1[pair_start]] = (
+            ts_idx[tile_index1[pair_start]] * m + lc1[pair_start])
 
         # Per non-zero live rank, back in original order.
         live_rank = np.empty(rows.size, dtype=np.int64)
@@ -173,7 +176,8 @@ class VNMCompressed:
         grp_start = np.ones(tk2.size, dtype=bool)
         grp_start[1:] = (tk2[1:] != tk2[:-1]) | (rv2[1:] != rv2[:-1])
         g = np.cumsum(grp_start) - 1
-        grp_first = np.repeat(np.nonzero(grp_start)[0], np.diff(np.append(np.nonzero(grp_start)[0], tk2.size)))
+        grp_starts = np.nonzero(grp_start)[0]
+        grp_first = np.repeat(grp_starts, np.diff(np.append(grp_starts, tk2.size)))
         slot2 = np.arange(tk2.size) - grp_first
         if slot2.max(initial=0) >= n:
             raise VNMFormatError(f"a segment vector violates the {n}:{m} row constraint")

@@ -39,7 +39,9 @@ class TestCluster:
         base_prep = [prepare_setting(s, "default-original", PATTERN) for s in samples]
         reor_prep = [prepare_setting(s, "revised-reordered", PATTERN) for s in samples]
         c = Cluster(n_devices=4)
-        base = c.run_gnn(samples, "sgc", "default-original", PATTERN, hidden=32, prepared=base_prep)
-        fast = c.run_gnn(samples, "sgc", "revised-reordered", PATTERN, hidden=32, prepared=reor_prep)
+        base = c.run_gnn(samples, "sgc", "default-original", PATTERN, hidden=32,
+                         prepared=base_prep)
+        fast = c.run_gnn(samples, "sgc", "revised-reordered", PATTERN, hidden=32,
+                         prepared=reor_prep)
         assert fast.aggregation_seconds < base.aggregation_seconds
         assert fast.total_seconds < base.total_seconds

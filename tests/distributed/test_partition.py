@@ -99,7 +99,8 @@ class TestEdgeCut:
 class TestReorderPartitions:
     def test_permutation_stays_within_partitions(self, small_community_graph):
         n_parts = 4
-        perm, results = reorder_partitions(small_community_graph, n_parts, VNMPattern(1, 2, 4), max_iter=3)
+        perm, results = reorder_partitions(small_community_graph, n_parts, VNMPattern(1, 2, 4),
+                                           max_iter=3)
         perm.validate()
         parts = partition_rows(small_community_graph.n, n_parts)
         for p in parts:

@@ -92,20 +92,25 @@ class TestTimedForward:
 
 class TestSpeedups:
     def test_revised_reordered_speeds_up(self, prepared):
-        s = gnn_speedups("pyg", "sgc", prepared["default-original"], prepared["revised-reordered"], hidden=64)
+        s = gnn_speedups("pyg", "sgc", prepared["default-original"],
+                         prepared["revised-reordered"], hidden=64)
         assert s["LYR"] > 1.0
         assert s["ALL"] > 1.0
 
     def test_lyr_at_least_all(self, prepared):
-        s = gnn_speedups("pyg", "gcn", prepared["default-original"], prepared["revised-reordered"], hidden=64)
+        s = gnn_speedups("pyg", "gcn", prepared["default-original"],
+                         prepared["revised-reordered"], hidden=64)
         assert s["LYR"] >= s["ALL"] * 0.99
 
     def test_default_reordered_is_neutral(self, prepared):
-        s = gnn_speedups("pyg", "gcn", prepared["default-original"], prepared["default-reordered"], hidden=64)
+        s = gnn_speedups("pyg", "gcn", prepared["default-original"],
+                         prepared["default-reordered"], hidden=64)
         assert s["LYR"] == pytest.approx(1.0, abs=0.1)
         assert s["ALL"] == pytest.approx(1.0, abs=0.1)
 
     def test_pruned_speedup_close_to_reordered(self, prepared):
-        a = gnn_speedups("pyg", "gcn", prepared["default-original"], prepared["revised-pruned"], hidden=64)
-        b = gnn_speedups("pyg", "gcn", prepared["default-original"], prepared["revised-reordered"], hidden=64)
+        a = gnn_speedups("pyg", "gcn", prepared["default-original"],
+                         prepared["revised-pruned"], hidden=64)
+        b = gnn_speedups("pyg", "gcn", prepared["default-original"],
+                         prepared["revised-reordered"], hidden=64)
         assert a["LYR"] == pytest.approx(b["LYR"], rel=0.25)

@@ -64,7 +64,8 @@ class TestCrossEntropy:
                 lp[i, j] += eps
                 lm = logits.copy()
                 lm[i, j] -= eps
-                num = (cross_entropy(lp, labels, mask) - cross_entropy(lm, labels, mask)) / (2 * eps)
+                num = (cross_entropy(lp, labels, mask)
+                       - cross_entropy(lm, labels, mask)) / (2 * eps)
                 assert g[i, j] == pytest.approx(num, abs=1e-5)
 
 

@@ -1,10 +1,14 @@
 """Graph convolution layers: forward correctness and gradient checks."""
 
+import contextlib
+
 import numpy as np
 import pytest
 
 from repro.gnn import Aggregator, ChebConv, GCNConv, Linear, SAGEConv, SGConv
-from repro.sptc import CSRMatrix
+from repro.perf import engine
+from repro.sptc import CSRMatrix, EmulatedDevice
+from repro.sptc.device import use_device
 
 
 @pytest.fixture
@@ -43,6 +47,36 @@ class TestLinear:
     def test_backward_before_forward_rejected(self, rng):
         with pytest.raises(RuntimeError):
             Linear(2, 2, rng).backward(np.zeros((1, 2)))
+
+    def test_host_and_device_paths_bitwise_equal_when_split(self, monkeypatch):
+        # Above the engine's dense threshold every product of the layer is
+        # split over output rows; integer-valued inputs make each K-sum exact.
+        monkeypatch.setattr(engine, "DENSE_PARALLEL_MIN_WORK", 0)
+        monkeypatch.setattr(engine, "blas_threads", lambda: 1)
+        splits = []
+        real = engine.parallel_rows
+
+        def counting(out, run, blocks):
+            splits.append(out.shape)
+            return real(out, run, blocks)
+
+        monkeypatch.setattr(engine, "parallel_rows", counting)
+        data = np.random.default_rng(7)
+        x, dy, w = (data.integers(-8, 8, size=shape).astype(np.float64)
+                    for shape in ((500, 150), (500, 40), (150, 40)))
+        results = []
+        for device in (None, EmulatedDevice()):
+            lin = Linear(150, 40, np.random.default_rng(3))
+            lin.weight.value = w.copy()
+            with use_device(device) if device else contextlib.nullcontext():
+                y = lin.forward(x)
+            dx = lin.backward(dy)
+            results.append((y, dx, lin.weight.grad))
+        for host, dev, reference in zip(*results, (x @ w + lin.bias.value, dy @ w.T, x.T @ dy)):
+            assert np.array_equal(host, dev)
+            assert np.array_equal(host, reference)
+        # x @ W, x.T @ dy (150 rows), dy @ W.T, on each path
+        assert splits == [(500, 40), (150, 40), (500, 150)] * 2
 
 
 class TestGCNConv:
@@ -96,7 +130,8 @@ class TestSAGEConv:
             xp.flat[idx] += eps
             xm = x.copy()
             xm.flat[idx] -= eps
-            num = ((conv.forward(xp, agg) * dy).sum() - (conv.forward(xm, agg) * dy).sum()) / (2 * eps)
+            num = ((conv.forward(xp, agg) * dy).sum()
+                   - (conv.forward(xm, agg) * dy).sum()) / (2 * eps)
             assert dx.flat[idx] == pytest.approx(num, rel=1e-4, abs=1e-7)
 
 
@@ -136,7 +171,8 @@ class TestChebConv:
             xp.flat[idx] += eps
             xm = x.copy()
             xm.flat[idx] -= eps
-            num = ((conv.forward(xp, agg) * dy).sum() - (conv.forward(xm, agg) * dy).sum()) / (2 * eps)
+            num = ((conv.forward(xp, agg) * dy).sum()
+                   - (conv.forward(xm, agg) * dy).sum()) / (2 * eps)
             assert dx.flat[idx] == pytest.approx(num, rel=1e-4, abs=1e-7)
 
     def test_invalid_order(self, rng):
@@ -189,5 +225,6 @@ class TestAsymmetricAggregator:
             xp.flat[idx] += eps
             xm = x.copy()
             xm.flat[idx] -= eps
-            num = ((conv.forward(xp, agg) * dy).sum() - (conv.forward(xm, agg) * dy).sum()) / (2 * eps)
+            num = ((conv.forward(xp, agg) * dy).sum()
+                   - (conv.forward(xm, agg) * dy).sum()) / (2 * eps)
             assert dx.flat[idx] == pytest.approx(num, rel=1e-4, abs=1e-7)

@@ -65,7 +65,8 @@ class TestRelabel:
         g = small_community_graph
         p = Permutation.random(g.n, rng)
         g2 = g.relabel(p)
-        assert np.array_equal(g2.bitmatrix().to_dense(), p.apply_to_matrix(g.bitmatrix().to_dense()))
+        assert np.array_equal(g2.bitmatrix().to_dense(),
+                              p.apply_to_matrix(g.bitmatrix().to_dense()))
 
     def test_relabel_carries_payload(self, cora_like, rng):
         p = Permutation.random(cora_like.n, rng)

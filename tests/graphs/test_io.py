@@ -12,7 +12,8 @@ from repro.sptc import CSRMatrix
 
 class TestRead:
     def test_general_real(self):
-        text = "%%MatrixMarket matrix coordinate real general\n% comment\n2 3 2\n1 2 5.0\n2 1 -1.5\n"
+        text = ("%%MatrixMarket matrix coordinate real general\n% comment\n"
+                "2 3 2\n1 2 5.0\n2 1 -1.5\n")
         m, sym = read_matrix_market(io.StringIO(text))
         assert not sym
         assert m.shape == (2, 3)

@@ -35,14 +35,17 @@ class TestFullPipeline:
     @pytest.mark.parametrize("model_name", ["gcn", "sage", "cheb", "sgc"])
     def test_speedup_hierarchy(self, prepared, model_name):
         s = gnn_speedups(
-            "pyg", model_name, prepared["default-original"], prepared["revised-reordered"], hidden=64
+            "pyg", model_name, prepared["default-original"], prepared["revised-reordered"],
+            hidden=64,
         )
         assert s["LYR"] > 1.0
         assert s["ALL"] >= 0.9  # end-to-end never collapses
 
     def test_sgc_gains_at_least_gcn(self, prepared):
-        gcn = gnn_speedups("pyg", "gcn", prepared["default-original"], prepared["revised-reordered"], hidden=64)
-        sgc = gnn_speedups("pyg", "sgc", prepared["default-original"], prepared["revised-reordered"], hidden=64)
+        gcn = gnn_speedups("pyg", "gcn", prepared["default-original"],
+                           prepared["revised-reordered"], hidden=64)
+        sgc = gnn_speedups("pyg", "sgc", prepared["default-original"],
+                           prepared["revised-reordered"], hidden=64)
         assert sgc["LYR"] >= gcn["LYR"] * 0.9
 
     def test_all_settings_produce_finite_logits(self, prepared):

@@ -442,12 +442,192 @@ class TestRowParallelKernel:
         assert np.array_equal(engine.execute(op, b), a @ b)
 
 
+def dense_cases():
+    """(name, a, b) products for the dense block kernel, integer-valued."""
+    rng = np.random.default_rng(31)
+
+    def ints(*shape):
+        return rng.integers(-32, 32, size=shape).astype(np.float64)
+
+    x, dy, w = ints(1000, 37), ints(1000, 9), ints(37, 9)
+    wide = ints(120, 300)
+    return [
+        ("rows", x, w),  # x @ W: C-contiguous operands, 1000 rows not a multiple of 48
+        ("transposed_a", wide.T, ints(120, 9)),  # x.T @ dy: split over the columns of x
+        ("transposed_b", dy, w.T),  # dy @ W.T
+        ("fortran_a", np.asfortranarray(x), w),
+        ("one_block", ints(60, 37), w),  # fewer rows than two aligned blocks
+        ("n1", x, ints(37, 1)),
+        ("k1", ints(500, 1), ints(1, 7)),
+        ("fp32", x.astype(np.float32), w.astype(np.float32)),
+    ]
+
+
+DENSE_CASES = dense_cases()
+
+
+@pytest.fixture
+def dense_parallel(monkeypatch):
+    """Split every dense product, as if BLAS ran one thread; counts splits."""
+    monkeypatch.setattr(engine, "DENSE_PARALLEL_MIN_WORK", 0)
+    monkeypatch.setattr(engine, "blas_threads", lambda: 1)
+    splits = []
+    real = engine.parallel_rows
+
+    def counting(out, run, blocks):
+        splits.append(out.shape)
+        return real(out, run, blocks)
+
+    monkeypatch.setattr(engine, "parallel_rows", counting)
+    return splits
+
+
+def hold_in_helper(monkeypatch, hook):
+    """Run each dense block as ``hook(in_helper, call)``, where ``call()``
+    runs the block's real ``np.matmul``; returns the real one."""
+    real = np.matmul
+
+    def patched(*args, **kwargs):
+        in_helper = threading.current_thread().name.startswith(engine._THREAD_PREFIX)
+        return hook(in_helper, lambda: real(*args, **kwargs))
+
+    monkeypatch.setattr(np, "matmul", patched)
+    return real
+
+
+class TestDenseKernel:
+    @pytest.mark.parametrize("side", ["parallel", "serial"])
+    @pytest.mark.parametrize("case", DENSE_CASES, ids=lambda c: c[0])
+    def test_bitwise_vs_one_blas_call(self, monkeypatch, side, case):
+        _, a, b = case
+        monkeypatch.setattr(engine, "blas_threads", lambda: 1)
+        monkeypatch.setattr(engine, "DENSE_PARALLEL_MIN_WORK", 0 if side == "parallel" else 1 << 62)
+        out = engine.matmul(a, b)
+        assert out.dtype == (a @ b).dtype
+        assert np.array_equal(out, a @ b)
+
+    def test_large_products_split(self, dense_parallel):
+        _, a, b = DENSE_CASES[0]
+        assert np.array_equal(engine.matmul(a, b), a @ b)
+        assert dense_parallel == [(1000, 9)]
+
+    def test_blocks_are_aligned_and_cover_every_row(self):
+        for m, n_blocks in ((9796, 8), (300, 8), (1000, 3), (97, 8), (47, 4)):
+            bounds = engine._dense_blocks(m, n_blocks)
+            assert bounds[0] == 0 and bounds[-1] == m
+            assert all(lo < hi for lo, hi in zip(bounds, bounds[1:]))
+            assert len(bounds) - 1 <= n_blocks
+            assert all(cut % engine.DENSE_ROW_ALIGN == 0 for cut in bounds[:-1])
+        assert engine._dense_blocks(9796, 8)[1:-1] == [1200, 2448, 3648, 4896, 6096,
+                                                       7344, 8544]
+        assert engine._dense_blocks(60, 8) == [0, 60]
+
+    @pytest.mark.parametrize("blas", [2, None])
+    def test_threaded_or_unknown_blas_runs_one_call(self, monkeypatch, blas):
+        monkeypatch.setattr(engine, "DENSE_PARALLEL_MIN_WORK", 0)
+        monkeypatch.setattr(engine, "blas_threads", lambda: blas)
+        monkeypatch.setattr(engine, "parallel_rows", None)  # any split would fail
+        _, a, b = DENSE_CASES[0]
+        assert np.array_equal(engine.matmul(a, b), a @ b)
+
+    def test_other_operands_run_one_call(self, dense_parallel):
+        _, x, w = DENSE_CASES[0]
+        for a, b in ((x, w[:, 0]), (x, w.astype(np.float32)), (x.T, x),
+                     (x.astype(np.int64), w.astype(np.int64))):
+            assert np.array_equal(engine.matmul(a, b), a @ b)
+        with pytest.raises(ValueError):
+            engine.matmul(x, w.T)
+        assert dense_parallel == []
+
+    def test_below_threshold_runs_one_call(self, dense_parallel, monkeypatch):
+        _, a, b = DENSE_CASES[0]
+        work = a.shape[0] * a.shape[1] * b.shape[1]
+        monkeypatch.setattr(engine, "DENSE_PARALLEL_MIN_WORK", work + 1)
+        assert np.array_equal(engine.matmul(a, b), a @ b)
+        assert dense_parallel == []
+
+    @pytest.mark.parametrize("dtype", [None, np.float32])
+    def test_dense_plan_runs_the_dense_kernel(self, dense_parallel, dtype):
+        _, a, b = DENSE_CASES[0]
+        out = engine.build_plan(a).execute(a, b, dtype=dtype)
+        assert out.dtype == np.float64
+        assert np.array_equal(out, a @ b)
+        assert dense_parallel == [(1000, 9)]
+
+    def test_device_gemm_charges_then_runs_the_dense_kernel(self, dense_parallel):
+        _, a, b = DENSE_CASES[0]
+        device = EmulatedDevice()
+        out = device.gemm(a, b, tag="update")
+        assert np.array_equal(out, a @ b)
+        assert dense_parallel == [(1000, 9)]
+        assert [(r.name, r.tag) for r in device.records] == [("dense_gemm", "update")]
+        assert device.clock == device.cost_model.time_dense_gemm(1000, 37, 9)
+
+    def test_helper_failure_reraises_in_caller(self, dense_parallel, monkeypatch):
+        if engine.usable_cores() < 2:
+            pytest.skip("one usable core: no helper threads")
+        helper_ran = threading.Event()
+
+        def fail_in_helper(in_helper, call):
+            if in_helper:
+                helper_ran.set()
+                raise MemoryError("helper block failed")
+            helper_ran.wait(timeout=10)  # hold the caller's first block
+            return call()
+
+        hold_in_helper(monkeypatch, fail_in_helper)
+        _, a, b = DENSE_CASES[0]
+        with pytest.raises(MemoryError, match="helper block failed"):
+            engine.matmul(a, b)
+        assert helper_ran.is_set()
+
+    def test_stalled_helper_block_is_recomputed_by_caller(self, dense_parallel, monkeypatch):
+        if engine.usable_cores() < 2:
+            pytest.skip("one usable core: no helper threads")
+        first = threading.Lock()
+        held, release, late_write = threading.Event(), threading.Event(), threading.Event()
+
+        def one_helper_stalls(in_helper, call):
+            if in_helper and first.acquire(blocking=False):
+                held.set()
+                release.wait(timeout=30)
+                call()
+                late_write.set()
+                return None
+            held.wait(timeout=10)  # the caller starts once a helper holds a block
+            return call()
+
+        real = hold_in_helper(monkeypatch, one_helper_stalls)
+        _, a, b = DENSE_CASES[1]  # x.T @ dy
+        try:
+            out = engine.matmul(a, b)
+            assert held.is_set() and not late_write.is_set()
+            assert np.array_equal(out, a @ b)
+        finally:
+            release.set()
+        # The stalled helper finishes later, into rows nobody returns.
+        assert late_write.wait(timeout=30)
+        assert np.array_equal(out, a @ b)
+        monkeypatch.setattr(np, "matmul", real)
+        assert np.array_equal(engine.matmul(a, b), a @ b)
+
+    def test_blas_threads_is_read_from_the_loaded_library(self):
+        threads = engine.blas_threads()
+        assert threads is None or threads >= 1
+
+
 def engine_threads() -> list[str]:
     return [t.name for t in threading.enumerate() if t.name.startswith(engine._THREAD_PREFIX)]
 
 
 def _child_execute(op, b, expected, helpers_expected):
     ok = np.array_equal(engine.execute(op, b), expected)
+    restarted = bool(engine_threads()) == helpers_expected
+    sys.exit(0 if ok and restarted else 1)
+
+
+def _child_matmul(a, b, expected, helpers_expected):
+    ok = np.array_equal(engine.matmul(a, b), expected)
     restarted = bool(engine_threads()) == helpers_expected
     sys.exit(0 if ok and restarted else 1)
 
@@ -472,6 +652,20 @@ class TestForkSafety:
         assert proc.exitcode == 0
         assert np.array_equal(engine.execute(op, b), a @ b)
         assert bool(engine_threads()) == helpers
+
+    def test_forked_child_runs_dense_work_after_parent_dense_work(self, dense_parallel):
+        _, a, b = DENSE_CASES[1]
+        assert np.array_equal(engine.matmul(a, b), a @ b)
+        helpers = engine.usable_cores() > 1
+        assert bool(engine_threads()) == helpers
+        proc = multiprocessing.get_context("fork").Process(
+            target=_child_matmul, args=(a, b, a @ b, helpers))
+        proc.start()
+        assert engine_threads() == []
+        proc.join(timeout=60)
+        assert not proc.is_alive(), "forked child hung in matmul"
+        assert proc.exitcode == 0
+        assert np.array_equal(engine.matmul(a, b), a @ b)
 
 
 def make_operand(seed=0, n=48, density=0.15):

@@ -122,7 +122,8 @@ class TestBitMatrixProperties:
 
 class TestReorderProperties:
     @settings(max_examples=20, deadline=None)
-    @given(symmetric_bitmatrices(max_n=40), st.sampled_from([VNMPattern(1, 2, 4), VNMPattern(4, 2, 8)]))
+    @given(symmetric_bitmatrices(max_n=40),
+           st.sampled_from([VNMPattern(1, 2, 4), VNMPattern(4, 2, 8)]))
     def test_reorder_is_lossless_symmetric_and_never_worse(self, bm, pattern):
         res = reorder(bm, pattern, max_iter=3)
         # lossless: exactly the permuted input
