@@ -24,6 +24,16 @@ update phase's products; ``engine.DENSE_PARALLEL_MIN_WORK`` is chosen
 from it.  BLAS is pinned to one thread, as in the end-to-end benchmark,
 so the only parallelism measured is the engine's own.
 
+A permuted request closes the run: on the facebook stand-in (seed 1,
+1:2:32 hybrid, h=64, standard-normal features) a
+:class:`~repro.pipeline.serving.ServingSession` request, whose plan folds
+the permutation into its triplet (``folded``), against the reference
+cycle ``reference``: gather ``x[order]``, serve it in the reordered
+basis, scatter the output back.  The two must be bitwise equal in every
+mode, on float features; in full mode on two or more usable cores the
+run fails unless ``folded / reference`` is below
+``MAX_FOLDED_OVER_REFERENCE``.
+
 Correctness gates every timing: features are integer-valued so all fp64
 partial sums are exact, and every mode must be **bitwise** identical to
 the dense reference — the benchmark fails hard otherwise.  In full mode
@@ -97,6 +107,11 @@ DENSE_SWEEP = ((256, 64, 32, "rows"), (512, 64, 64, "rows"), (1024, 64, 64, "row
 QUICK_DENSE_SWEEP = ((96, 32, 8, "rows"), (200, 48, 16, "cols"))
 # Above the dense threshold a split product must beat one BLAS call.
 MAX_DENSE_PARALLEL_OVER_SERIAL = 1.0
+# The permuted request: folded into the plan, it must beat gather → SpMM → scatter.
+PERMUTED_GRAPH, PERMUTED_SEED, PERMUTED_PATTERN = "facebook", 1, VNMPattern(1, 2, 32)
+PERMUTED_H = 64
+PERMUTED_ROUNDS, QUICK_PERMUTED_ROUNDS = 40, 3
+MAX_FOLDED_OVER_REFERENCE = 1.0
 WARMUP_SECONDS = 3.0  # full mode only; see warm_helpers
 
 
@@ -206,6 +221,37 @@ def dense_sweep(configs, rounds: int) -> tuple[list[dict], bool]:
     finally:
         engine.DENSE_PARALLEL_MIN_WORK = threshold
     return rows, exact
+
+
+def permuted_request(rounds: int) -> dict:
+    """A folded session request against gather → execute → scatter."""
+    from repro import pipeline
+    from repro.graphs import load_dataset
+
+    graph = load_dataset(PERMUTED_GRAPH, seed=PERMUTED_SEED)
+    result = pipeline.preprocess(graph, pipeline.PreprocessPlan(pattern=PERMUTED_PATTERN,
+                                                                backend="hybrid"))
+    order = result.permutation.order
+    folded = pipeline.ServingSession(result.operand, result.permutation)
+    unpermuted = pipeline.ServingSession(result.operand)
+    x = np.random.default_rng(5).standard_normal((graph.n, PERMUTED_H))
+
+    def reference() -> np.ndarray:
+        out = unpermuted.spmm(x[order])
+        restored = np.empty_like(out)
+        restored[order] = out
+        return restored
+
+    times = timed_rounds({"folded": lambda: folded.spmm(x), "reference": reference}, rounds)
+    exact = bool(np.array_equal(folded.spmm(x), reference()))
+    med = {mode: statistics.median(t) for mode, t in times.items()}
+    ratio = med["folded"] / med["reference"]
+    print(f"permuted request ({PERMUTED_GRAPH}, {graph.n} rows, h={PERMUTED_H}): "
+          f"folded {med['folded'] * 1e3:7.3f} ms | "
+          f"gather+execute+scatter {med['reference'] * 1e3:7.3f} ms | {ratio:5.2f}x")
+    return {"graph": PERMUTED_GRAPH, "seed": PERMUTED_SEED, "pattern": str(PERMUTED_PATTERN),
+            "h": PERMUTED_H, "rounds": rounds, "seconds": times, "median_seconds": med,
+            "folded_over_reference": ratio, "bitwise_equal": exact}
 
 
 def warm_helpers(seconds: float) -> None:
@@ -332,6 +378,18 @@ def main() -> int:
             print(f"FAIL: dense ({row['m']}, {row['k']}, {row['n']}) split took "
                   f"{row['parallel_over_serial']:.2f}x one BLAS call")
         ok = False
+    permuted = permuted_request(QUICK_PERMUTED_ROUNDS if args.quick else PERMUTED_ROUNDS)
+    if not permuted["bitwise_equal"]:
+        print("FAIL: the folded permuted request differs from gather -> execute -> scatter")
+        ok = False
+    permuted_gated = not args.quick and threads >= 2
+    print(f"permuted request folded / reference: {permuted['folded_over_reference']:5.2f}x "
+          f"(threshold < {MAX_FOLDED_OVER_REFERENCE:.2f}x, "
+          f"{'enforced' if permuted_gated else 'skipped'})")
+    if permuted_gated and permuted["folded_over_reference"] >= MAX_FOLDED_OVER_REFERENCE:
+        print(f"FAIL: the folded permuted request took {permuted['folded_over_reference']:.2f}x "
+              "the gather -> execute -> scatter reference")
+        ok = False
     if ok:
         print("OK: every backend bitwise-matches the dense reference")
 
@@ -347,10 +405,14 @@ def main() -> int:
                        "dense_parallel_min_work": engine.DENSE_PARALLEL_MIN_WORK},
             "baseline": "floor: scipy.sparse csr_matrix @ B on the same matrix "
                         "(one core); sweep: the engine kernel as one block; "
-                        "dense_sweep: one a @ b BLAS call (BLAS at one thread)",
+                        "dense_sweep: one a @ b BLAS call (BLAS at one thread); "
+                        "permuted_request: gather x[order], serve, scatter the output",
             "backends": results,
             "size_sweep": sweep,
             "dense_sweep": dense,
+            "permuted_request": permuted,
+            "max_folded_over_reference": (MAX_FOLDED_OVER_REFERENCE if permuted_gated
+                                          else None),
             "max_dense_parallel_over_serial": (MAX_DENSE_PARALLEL_OVER_SERIAL
                                                if dense_gated else None),
             "max_planned_over_floor": MAX_PLANNED_OVER_FLOOR if gated else None,

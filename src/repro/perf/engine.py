@@ -44,8 +44,17 @@ not hang on whether a second CPU is free at that moment.  The helper
 pool is shut down before every ``fork`` and restarted lazily on next
 use, in the parent and in the child.
 
-The triplet, its fp32 cast and the row-block bounds are **scratch**:
-built on first execute and dropped on pickling.  A plan's persistent
+A permuted request runs in the caller's vertex order with no copy:
+``execute(..., order=)`` returns ``out[order] = A @ b[order]`` (the
+serving session's gather → SpMM → scatter) as one kernel pass over a
+**folded** triplet, where original row ``r`` holds reordered row
+``inv[r]``'s entries in the same sequence and column ``j`` becomes
+``order[j]``.  The products and each row's summation order are the
+unfolded kernel's, so outputs are bitwise equal for any float input.
+
+The triplet, the folded triplet of the latest ``order``, and each
+one's fp32 cast and row-block bounds are **scratch**: built on first
+execute and dropped on pickling.  A plan's persistent
 state is only its backend name and shape, so plan builds are O(1) (no
 plan build densifies or walks the non-zeros), plans persist as tiny
 ``<key>.plan.pkl`` sidecars next to their operand in the
@@ -413,6 +422,70 @@ def _counters():
     )
 
 
+class _Triplet:
+    """One CSR triplet a plan runs, with its fp32 cast and row-block bounds.
+
+    Both are cached on first use, per triplet: a folded triplet's rows hold
+    other non-zeros than the unfolded one's, so it gets its own cuts.
+    """
+
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray):
+        self.indptr, self.indices, self.data = indptr, indices, data
+        self._data32: np.ndarray | None = None
+        self._bounds: list[int] | None = None
+
+    def values(self, dtype=None) -> np.ndarray:
+        """The values, or their cached float32 cast for ``dtype=np.float32``."""
+        if dtype != np.float32:
+            return self.data
+        if self._data32 is None:
+            self._data32 = self.data.astype(np.float32)
+        return self._data32
+
+    def blocks(self, n_blocks: int) -> list[int]:
+        if self._bounds is None:
+            self._bounds = _row_blocks(self.indptr, n_blocks)
+        return self._bounds
+
+
+def _fold(base: _Triplet, order: np.ndarray) -> tuple[np.ndarray, _Triplet]:
+    """``(order, folded triplet)``: ``base`` relabelled into the caller's order.
+
+    For ``A' = base`` and ``inv`` the inverse of ``order``, original row
+    ``r`` takes reordered row ``inv[r]``'s entries in the same sequence,
+    and column ``j`` becomes ``order[j]``; so ``folded @ b`` is
+    ``out[order] = A' @ b[order]`` in one pass.
+    """
+    n = len(order)
+    if order.dtype.kind not in "iu" or (n and (order.min() < 0 or order.max() >= n)):
+        raise ValueError("order is not a permutation of the operand's rows")
+    inv = np.full(n, -1, dtype=np.int64)
+    inv[order] = np.arange(n)
+    if (inv < 0).any():
+        raise ValueError("order is not a permutation of the operand's rows")
+    indptr, indices, data = base.indptr, base.indices, base.data
+    counts = np.diff(indptr)[inv]
+    folded_ptr = np.zeros(n + 1, dtype=indptr.dtype)
+    np.cumsum(counts, out=folded_ptr[1:])
+    src = np.arange(indptr[-1], dtype=np.int64)
+    src += np.repeat(indptr[inv] - folded_ptr[:-1], counts)
+    if order.flags.writeable:  # keyed by a copy; a read-only order by identity
+        order = np.array(order)
+        order.setflags(write=False)
+    return order, _Triplet(folded_ptr, order[indices[src]].astype(indices.dtype), data[src])
+
+
+def _permuted(kernel, b, order) -> np.ndarray:
+    """``kernel(b)``, or with ``order`` the gathered-and-scattered
+    ``out[order] = kernel(b[order])``: for operands with no triplet to fold."""
+    if order is None:
+        return kernel(b)
+    out = kernel(np.asarray(b)[order])
+    restored = np.empty_like(out)
+    restored[order] = out
+    return restored
+
+
 class ExecutionPlan:
     """How one operand executes: scipy CSR matmat, or a GEMM for ndarrays.
 
@@ -440,10 +513,16 @@ class ExecutionPlan:
     def __setstate__(self, state: dict) -> None:
         self.__dict__.update(state)
 
-    def _triplet(self, operand):
-        """The operand's exact CSR ``(indptr, indices, float64 data)`` (cached)."""
-        triplet = getattr(self, "_csr", None)
-        if triplet is None:
+    def _triplet(self, operand, order=None) -> _Triplet:
+        """The operand's exact CSR triplet (cached); folded by ``order`` when given.
+
+        One folded triplet is cached per plan, for the latest ``order``:
+        a session serves one permutation for its whole life.  A read-only
+        ``order`` (a :class:`~repro.core.permutation.Permutation`'s) is
+        matched by identity, any other by value.
+        """
+        base = getattr(self, "_csr", None)
+        if base is None:
             import scipy.sparse as sp
 
             if self.backend == "csr":
@@ -452,19 +531,22 @@ class ExecutionPlan:
                 rows, cols, vals = operand.to_coo()
                 source = (vals, (rows, cols))
             matrix = sp.csr_matrix(source, shape=self.shape, dtype=np.float64)
-            triplet = (matrix.indptr, matrix.indices, matrix.data)
-            self._csr = triplet
-        return triplet
+            base = _Triplet(matrix.indptr, matrix.indices, matrix.data)
+            self._csr = base
+        if order is None:
+            return base
+        fold = getattr(self, "_fold", None)
+        if fold is None or not (fold[0] is order or np.array_equal(fold[0], order)):
+            fold = _fold(base, order)
+            self._fold = fold
+        return fold[1]
 
-    def _data32(self, data: np.ndarray) -> np.ndarray:
-        cast = getattr(self, "_values32", None)
-        if cast is None:
-            cast = data.astype(np.float32)
-            self._values32 = cast
-        return cast
+    def _matmat(self, indptr, indices, data, b: np.ndarray, blocks) -> np.ndarray:
+        """``A @ b`` for the CSR triplet, in row blocks when the work is large.
 
-    def _matmat(self, indptr, indices, data, b: np.ndarray) -> np.ndarray:
-        """``A @ b`` for the CSR triplet, in row blocks when the work is large."""
+        ``blocks(n)`` gives the row bounds of at most ``n`` blocks (the
+        triplet's cached :meth:`_Triplet.blocks`).
+        """
         from scipy.sparse import _sparsetools  # lazily, like scipy.sparse itself
 
         x = np.ascontiguousarray(b[:, None] if b.ndim == 1 else b, dtype=data.dtype)
@@ -479,21 +561,23 @@ class ExecutionPlan:
             _sparsetools.csr_matvecs(hi - lo, n_cols, h, indptr[lo:hi + 1], indices,
                                      data, flat_x, block.ravel())
 
-        def blocks(n_blocks: int) -> list[int]:
-            bounds = getattr(self, "_bounds", None)
-            if bounds is None:
-                bounds = _row_blocks(indptr, n_blocks)
-                self._bounds = bounds
-            return bounds
-
         if data.size * h >= PARALLEL_MIN_WORK and n_rows > 1:
             out = parallel_rows(out, rows, blocks)
         else:
             rows(out, 0, n_rows)
         return out[:, 0] if b.ndim == 1 else out
 
-    def execute(self, operand, b: np.ndarray, *, dtype=None) -> np.ndarray:
-        """One SpMM ``operand @ b`` (float64 result either way)."""
+    def execute(self, operand, b: np.ndarray, *, dtype=None, order=None) -> np.ndarray:
+        """One SpMM ``operand @ b`` (float64 result either way).
+
+        With ``order`` (a permutation of the rows, in gather form) it
+        returns what gather → execute → scatter returns, ``out[order] =
+        operand @ b[order]``, as one kernel pass over the folded triplet:
+        no copy of ``b`` or of the output.  The products and each row's
+        summation order are the unfolded kernel's, so the output is
+        bitwise equal for any float input.  The ``dense`` plan has no
+        triplet and gathers and scatters around its product.
+        """
         b = np.asarray(b, dtype=np.float64)
         if b.ndim not in (1, 2) or b.shape[0] != self.shape[1]:
             raise ValueError("inner dimension mismatch")
@@ -501,16 +585,22 @@ class ExecutionPlan:
             raise ValueError(
                 f"plan shape {self.shape} does not match operand shape {operand.shape}"
             )
+        if order is not None:
+            order = np.asarray(order)
+            if self.shape[0] != self.shape[1] or order.shape != (self.shape[0],):
+                raise ValueError(f"order of shape {order.shape} cannot permute a "
+                                 f"{self.shape[0]}x{self.shape[1]} operand")
         if self.backend == "dense":
             a = np.asarray(operand, dtype=np.float64)
             if dtype == np.float32:
-                return matmul(a.astype(np.float32), b.astype(np.float32)).astype(np.float64)
-            return matmul(a, b)
-        indptr, indices, data = self._triplet(operand)
-        if dtype == np.float32:
-            out = self._matmat(indptr, indices, self._data32(data), b)
-            return out.astype(np.float64)
-        return self._matmat(indptr, indices, data, b)
+                a32 = a.astype(np.float32)
+                return _permuted(lambda x: matmul(a32, x.astype(np.float32)), b,
+                                 order).astype(np.float64)
+            return _permuted(lambda x: matmul(a, x), b, order)
+        triplet = self._triplet(operand, order)
+        out = self._matmat(triplet.indptr, triplet.indices, triplet.values(dtype), b,
+                           triplet.blocks)
+        return out.astype(np.float64) if dtype == np.float32 else out
 
     def __repr__(self) -> str:
         return f"ExecutionPlan(backend={self.backend!r}, shape={self.shape})"
@@ -586,25 +676,32 @@ def clear_plan_cache() -> int:
     return n
 
 
-def execute(operand, b: np.ndarray, *, dtype=None) -> np.ndarray:
+def execute(operand, b: np.ndarray, *, dtype=None, order=None) -> np.ndarray:
     """One planned SpMM through the registry's kernel choke point.
 
     The one place that picks the kernel: operands whose backend registers
     its own kernel run that kernel, every other operand runs its plan;
     either way the call goes through
     :func:`~repro.pipeline.registry.run_kernel`, so fault injection and
-    ``BackendExecutionError`` wrapping apply uniformly.
+    ``BackendExecutionError`` wrapping apply uniformly.  ``order`` (a
+    permutation in gather form) returns ``out[order] = operand @
+    b[order]``: a plan folds it into its triplet (:meth:`ExecutionPlan.
+    execute`), and a registered kernel runs between a gather and a
+    scatter, the only place left that copies for it.
     """
     from ..pipeline import registry
 
     backend = registry.backend_for(operand)
     if backend.spmm is not None:
-        kernel = backend.spmm
+        spmm = backend.spmm
+
+        def kernel(a, x):
+            return _permuted(lambda y: spmm(a, y), x, order)
     else:
         plan = plan_for(operand)
 
         def kernel(a, x):
-            return plan.execute(a, x, dtype=dtype)
+            return plan.execute(a, x, dtype=dtype, order=order)
 
     return registry.run_kernel(backend, operand, b, kernel=kernel)
 

@@ -10,8 +10,9 @@
 * :mod:`repro.pipeline.cache` — content-addressed artifact cache so the
   reorder search runs once per (graph, plan); checksummed, atomically
   written, with corrupt-entry quarantine.
-* :mod:`repro.pipeline.serving` — the shard executor: the permute-in /
-  SpMM / permute-back request cycle, consumable by
+* :mod:`repro.pipeline.serving` — the shard executor: one SpMM per
+  request in the caller's vertex order, the permutation folded into the
+  execution plan, consumable by
   :class:`repro.gnn.layers.Aggregator`, with retry/backoff/deadline and
   backend fallback.
 * :mod:`repro.pipeline.resilience` — the shared error taxonomy

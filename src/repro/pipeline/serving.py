@@ -1,11 +1,13 @@
-"""The shard executor: one permute → SpMM → un-permute cycle per request.
+"""The shard executor: one SpMM per request, in the caller's vertex order.
 
 A :class:`ServingSession` owns the request cycle the paper's §4.4
-deployment runs per inference: gather the features into the reordered basis
-(``x[perm]``), SpMM on the compressed operand through
-:func:`repro.perf.engine.execute` (or a virtual-clock device), and scatter
-the result back to the original vertex order.  Sessions are themselves
-registered as a registry backend with their own kernel, so
+deployment runs per inference: the compressed operand lives in the
+reordered basis, and a request is answered in the original vertex order,
+``out[perm] = A' @ x[perm]``.  The session passes the permutation's order
+to :func:`repro.perf.engine.execute` (or a virtual-clock device), whose
+plan folds it into the operand's CSR triplet, so a request is one kernel
+pass with no gather of ``x`` and no scatter of the output.  Sessions are
+themselves registered as a registry backend with their own kernel, so
 :class:`repro.gnn.layers.Aggregator` — and anything else that executes
 through the engine — consumes them like any other operand.
 
@@ -76,12 +78,15 @@ def validate_features(x, n_cols: int) -> tuple[np.ndarray, bool]:
 
 
 class ServingSession:
-    """Permute-in / SpMM / permute-back over one preprocessed operand.
+    """SpMM in the caller's vertex order over one preprocessed, reordered operand.
 
     ``operand`` is any registry-dispatchable format (typically the
     ``HybridVNM`` or ``VNMCompressed`` a :func:`~repro.pipeline.preprocess.
     preprocess` run produced).  ``permutation`` maps the reordered basis back
     to the caller's vertex order; ``None`` serves in the operand's own basis.
+    Every kernel attempt (retries and fallback rungs too) gets the
+    permutation's order, and the engine folds it into the plan, so the
+    session itself never copies a request or its result.
     With a ``device`` every request advances that device's virtual clock
     under ``tag``; without one, requests accumulate cost-model time locally
     in :attr:`modelled_seconds`.
@@ -239,7 +244,7 @@ class ServingSession:
         if self._metrics is None and self.recorder is None:
             # Observability off: the unchanged hot path — no clocks, no
             # bookkeeping beyond the request counter.
-            out = self._serve_cycle(x)
+            out = self._execute_with_recovery(x)
             self.n_requests += 1
             return out
         probe = None
@@ -256,10 +261,10 @@ class ServingSession:
                 # The probe installs a local tracer for sampled requests,
                 # so the serve.request span tree lands on the exemplar.
                 with probe, obs_trace.span("serve.request", h=x.shape[1]):
-                    out = self._serve_cycle(x)
+                    out = self._execute_with_recovery(x)
             else:
                 with obs_trace.span("serve.request", h=x.shape[1]):
-                    out = self._serve_cycle(x)
+                    out = self._execute_with_recovery(x)
         except Exception as exc:
             if probe is not None:
                 probe.finish("error", error=exc,
@@ -304,17 +309,6 @@ class ServingSession:
             )
         return self._path_counter
 
-    def _serve_cycle(self, x: np.ndarray) -> np.ndarray:
-        """Permute in, execute with recovery, permute back."""
-        if self.permutation is not None:
-            x = x[self.permutation.order]
-        out = self._execute_with_recovery(x)
-        if self.permutation is not None:
-            restored = np.empty_like(out)
-            restored[self.permutation.order] = out
-            out = restored
-        return out
-
     def _enable_float32(self) -> None:
         """Turn on the engine's fp32 compute path if the precision model
         admits it for this operand; otherwise stay on float64 (logged)."""
@@ -332,11 +326,13 @@ class ServingSession:
             )
 
     def _execute(self, operand, x: np.ndarray) -> np.ndarray:
-        """One kernel attempt on ``operand`` (device clock or local model)."""
+        """One kernel attempt on ``operand`` (device clock or local model),
+        answered in the caller's vertex order."""
+        order = None if self.permutation is None else self.permutation.order
         if self.device is not None:
-            return self.device.spmm(operand, x, tag=self.tag)
+            return self.device.spmm(operand, x, tag=self.tag, order=order)
         if self._metrics is None:
-            out = perf_engine.execute(operand, x, dtype=self._dtype)
+            out = perf_engine.execute(operand, x, dtype=self._dtype, order=order)
             self.modelled_seconds += registry.model_spmm_time(
                 self.cost_model, operand, x.shape[1]
             )
@@ -344,7 +340,7 @@ class ServingSession:
         # Metrics on: measure the kernel and feed the cost model's
         # calibration so predicted-vs-measured residuals stay observable.
         t0 = time.perf_counter()
-        out = perf_engine.execute(operand, x, dtype=self._dtype)
+        out = perf_engine.execute(operand, x, dtype=self._dtype, order=order)
         measured = time.perf_counter() - t0
         predicted = registry.model_spmm_time(self.cost_model, operand, x.shape[1])
         self.modelled_seconds += predicted

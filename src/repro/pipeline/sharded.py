@@ -331,13 +331,13 @@ class ShardRouter:
 
     One request: validate → admit → permute the features into the reordered
     basis **once** → dispatch one sub-request per shard onto that shard's
-    least-loaded live replica lane → merge the row partials (shard order,
-    then permute back) into a result bit-identical to single-session
-    serving.  :meth:`aspmm` is the asyncio face of the same cycle;
-    :meth:`submit` pipelines synchronous callers (consecutive requests
-    overlap across shard lanes) and runs the door — validation and
-    admission — on the caller's thread, so a malformed or shed request
-    raises from ``submit`` itself.
+    least-loaded live replica lane → merge the row partials, each written
+    straight into its rows of the caller's order, into a result
+    bit-identical to single-session serving.  :meth:`aspmm` is the
+    asyncio face of the same cycle; :meth:`submit` pipelines synchronous
+    callers (consecutive requests overlap across shard lanes) and runs
+    the door — validation and admission — on the caller's thread, so a
+    malformed or shed request raises from ``submit`` itself.
 
     ``replicas`` seeds every shard with that many replicas; it is where
     concurrency comes from (scipy's matmat runs in parallel across lane
@@ -709,11 +709,17 @@ class ShardRouter:
                     self._queued -= 1
 
     def _merge(self, partials: list[np.ndarray], squeeze: bool) -> np.ndarray:
-        out = np.concatenate(partials, axis=0)
-        if self.permutation is not None:
-            restored = np.empty_like(out)
-            restored[self.permutation.order] = out
-            out = restored
+        """Stack the shards' row blocks; with a permutation, each block is
+        written straight into its rows of the caller's vertex order."""
+        if self.permutation is None:
+            out = np.concatenate(partials, axis=0)
+        else:
+            order = self.permutation.order
+            out = np.empty((len(order), partials[0].shape[1]), dtype=partials[0].dtype)
+            lo = 0
+            for partial in partials:
+                out[order[lo:lo + len(partial)]] = partial
+                lo += len(partial)
         return out[:, 0] if squeeze else out
 
     def _finish(self, t0: float) -> None:

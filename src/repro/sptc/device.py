@@ -73,7 +73,7 @@ class EmulatedDevice:
         return sum(r.seconds for r in self.records if r.tag == tag)
 
     # -- kernels ---------------------------------------------------------------
-    def spmm(self, a, b: np.ndarray, *, tag: str = "spmm") -> np.ndarray:
+    def spmm(self, a, b: np.ndarray, *, tag: str = "spmm", order=None) -> np.ndarray:
         """Charge ``a``'s modelled SpMM time, then execute it on the host path.
 
         One registry lookup supplies the cost-model entry and the record
@@ -81,7 +81,9 @@ class EmulatedDevice:
         :func:`repro.pipeline.registry.register_backend` (including
         third-party ones) runs on the virtual clock without device changes.
         Execution goes through :func:`repro.perf.engine.execute`, so faults,
-        breakers and the error taxonomy apply as on the host.
+        breakers and the error taxonomy apply as on the host.  ``order``
+        passes through to it: ``out[order] = a @ b[order]`` at the same
+        clock charge.
         """
         from ..perf import engine  # lazy: repro.perf sits above repro.sptc
         from ..pipeline.registry import backend_for
@@ -91,7 +93,7 @@ class EmulatedDevice:
         if backend.model_time is not None:
             seconds = backend.model_time(self.cost_model, a, b.shape[1])
         self._launch(backend.kernel_name or backend.name, seconds, tag)
-        return engine.execute(a, b)
+        return engine.execute(a, b, order=order)
 
     def gemm(self, a: np.ndarray, b: np.ndarray, *, tensor_core: bool = True,
              tag: str = "gemm") -> np.ndarray:

@@ -336,8 +336,9 @@ class TestRowParallelKernel:
         _, a, b = ROW_PARALLEL_CASES[1]
         op = CSRMatrix.from_dense(a)
         plan = engine.build_plan(op)
-        indptr, indices, data = plan._triplet(op)
-        out = plan._matmat(indptr.astype(index_dtype), indices.astype(index_dtype), data, b)
+        t = plan._triplet(op)
+        out = plan._matmat(t.indptr.astype(index_dtype), t.indices.astype(index_dtype), t.data, b,
+                           t.blocks)
         assert np.array_equal(out, a @ b)
 
     def test_blocks_balance_nnz_and_cover_every_row(self):
@@ -440,6 +441,181 @@ class TestRowParallelKernel:
         assert np.array_equal(out, a @ b)
         monkeypatch.setattr(_sparsetools, "csr_matvecs", real)
         assert np.array_equal(engine.execute(op, b), a @ b)
+
+
+def gathered(op, b, order, dtype=None):
+    """The reference a folded ``execute(order=)`` must equal bitwise:
+    gather, execute in the operand's basis, scatter."""
+    out = engine.execute(op, b[order], dtype=dtype)
+    restored = np.empty_like(out)
+    restored[order] = out
+    return restored
+
+
+ORDER = np.random.default_rng(30).permutation(48)
+
+
+class TestFoldedOrder:
+    """``execute(order=)``: the permutation folded into the plan's triplet."""
+
+    @pytest.fixture(params=sorted(SIDES))
+    def side(self, request, monkeypatch):
+        monkeypatch.setattr(engine, "PARALLEL_MIN_WORK", SIDES[request.param])
+        return request.param
+
+    @pytest.mark.parametrize("dtype", [None, np.float32], ids=["fp64", "fp32"])
+    @pytest.mark.parametrize("name", BACKENDS)
+    def test_bitwise_equal_to_gather_execute_scatter(self, operands, side, name, dtype):
+        # Standard-normal features: partial sums round, so only the same
+        # products summed in the same order per row come out bitwise equal.
+        op = operands[name]
+        b = np.random.default_rng(31).standard_normal((48, 6))
+        out = engine.execute(op, b, order=ORDER, dtype=dtype)
+        assert np.array_equal(out, gathered(op, b, ORDER, dtype))
+        # The operand is A in the basis ORDER gathers into: A[ix_(o, o)] = op.
+        original = np.empty_like(SOURCE[name])
+        original[np.ix_(ORDER, ORDER)] = SOURCE[name]
+        assert np.allclose(out, original @ b, atol=1e-3 if dtype else 1e-12)
+
+    @pytest.mark.parametrize("name", ["csr", "hybrid", "dense"])
+    def test_vector_and_strided_features(self, operands, side, name):
+        op = operands[name]
+        b = np.random.default_rng(32).standard_normal((48, 4))
+        for x in (b[:, 1], features(b, "gathered")):
+            assert np.array_equal(engine.execute(op, x, order=ORDER), gathered(op, x, ORDER))
+
+    def test_plan_alternating_with_and_without_order(self, monkeypatch):
+        if engine.usable_cores() < 2:
+            pytest.skip("one usable core: no row blocks")
+        monkeypatch.setattr(engine, "PARALLEL_MIN_WORK", 0)
+        rng = np.random.default_rng(33)
+        a = sprinkled(200, 200, rng, density=0.1)
+        a[:60] = sprinkled(60, 200, rng, density=0.8)  # dense rows first
+        op = CSRMatrix.from_dense(a)
+        order = rng.permutation(200)
+        plan = engine.build_plan(op)
+        b = rng.standard_normal((200, 8))
+        plain = sp.csr_matrix(a) @ b
+        folded = gathered(op, b, order)
+        for _ in range(3):
+            assert np.array_equal(plan.execute(op, b), plain)
+            assert np.array_equal(plan.execute(op, b, order=order), folded)
+        base, fold = plan._triplet(op), plan._triplet(op, order)
+        assert base is not fold
+        n_blocks = engine.BLOCKS_PER_CORE * engine.usable_cores()
+        assert base._bounds == engine._row_blocks(base.indptr, n_blocks)
+        assert fold._bounds == engine._row_blocks(fold.indptr, n_blocks)
+        assert base._bounds != fold._bounds  # the heavy rows moved
+
+    def test_concurrent_callers_with_different_orders_all_exact(self, monkeypatch):
+        # One plan, callers alternating between two orders and none: the
+        # cached fold is replaced under them, and every answer stays exact.
+        monkeypatch.setattr(engine, "PARALLEL_MIN_WORK", 0)
+        rng = np.random.default_rng(39)
+        a = sprinkled(300, 300, rng, density=0.1)
+        op = CSRMatrix.from_dense(a)
+        orders = [None, rng.permutation(300), rng.permutation(300)]
+        b = rng.standard_normal((300, 8))
+        expected = [gathered(op, b, o) if o is not None else engine.execute(op, b)
+                    for o in orders]
+        start = threading.Barrier(6)
+        results: dict[int, bool] = {}
+
+        def caller(i):
+            start.wait(timeout=10)
+            results[i] = all(np.array_equal(engine.execute(op, b, order=orders[(i + k) % 3]),
+                                            expected[(i + k) % 3]) for k in range(30))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(i,)) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(t.is_alive() for t in threads)
+        assert results == {i: True for i in range(6)}
+
+    def test_fold_built_once_per_order(self, operands):
+        op = operands["hybrid"]
+        plan = engine.build_plan(op)
+        b = np.random.default_rng(34).standard_normal((48, 3))
+        frozen = np.array(ORDER)
+        frozen.setflags(write=False)
+        plan.execute(op, b, order=frozen)
+        fold = plan._fold
+        assert fold[0] is frozen  # a read-only order is the key itself
+        plan.execute(op, b, order=frozen)
+        plan.execute(op, b, order=ORDER.copy())  # an equal order, by value
+        assert plan._fold is fold
+        other = ORDER[::-1].copy()
+        assert np.array_equal(plan.execute(op, b, order=other), gathered(op, b, other))
+        assert plan._fold is not fold and np.array_equal(plan._fold[0], other)
+        other[:] = ORDER  # the cached key is a copy: mutating the caller's array
+        assert np.array_equal(plan._fold[0], ORDER[::-1])  # changes nothing
+
+    @pytest.mark.parametrize("order", [np.arange(47), np.zeros(48, dtype=np.int64),
+                                       np.arange(48) - 1, np.arange(48.0)],
+                             ids=["short", "repeated", "negative", "float"])
+    def test_invalid_order_raises(self, operands, order):
+        op = operands["hybrid"]
+        with pytest.raises(ValueError):
+            engine.build_plan(op).execute(op, np.ones((48, 2)), order=order)
+
+    def test_non_square_operand_rejects_order(self):
+        op = CSRMatrix.from_dense(sprinkled(20, 30, np.random.default_rng(35)))
+        with pytest.raises(ValueError, match="cannot permute"):
+            engine.build_plan(op).execute(op, np.ones((30, 2)), order=np.arange(20))
+
+    def test_pickling_drops_the_fold(self, operands):
+        op = operands["vnm"]
+        plan = engine.build_plan(op)
+        b = np.random.default_rng(36).standard_normal((48, 3))
+        before = plan.execute(op, b, order=ORDER)
+        assert set(plan.__getstate__()) == {"backend", "shape"}
+        loaded = pickle.loads(pickle.dumps(plan))
+        assert not hasattr(loaded, "_fold")
+        assert np.array_equal(loaded.execute(op, b, order=ORDER), before)
+
+    def test_own_kernel_backend_gathers_and_scatters(self):
+        rng = np.random.default_rng(37)
+        a = sprinkled(48, 48, rng)
+        b = rng.standard_normal((48, 4))
+        seen = []
+
+        def kernel(op, x):
+            seen.append(x)
+            return op.a @ x
+
+        registry.register_backend(registry.Backend(
+            name="opaque", operand_types=(OpaqueOperand,), spmm=kernel,
+            kernel_name="opaque_spmm"))
+        try:
+            out = engine.execute(OpaqueOperand(a), b, order=ORDER)
+        finally:
+            registry.unregister_backend("opaque")
+        assert np.array_equal(seen[0], b[ORDER])
+        expected = np.empty_like(out)
+        expected[ORDER] = a @ b[ORDER]
+        assert np.array_equal(out, expected)
+
+    def test_device_passes_order_at_the_same_charge(self, operands):
+        op = operands["hybrid"]
+        b = np.random.default_rng(38).standard_normal((48, 5))
+        plain, folded = EmulatedDevice(), EmulatedDevice()
+        plain.spmm(op, b[ORDER], tag="t")
+        out = folded.spmm(op, b, tag="t", order=ORDER)
+        assert np.array_equal(out, gathered(op, b, ORDER))
+        assert folded.records == plain.records and folded.clock == plain.clock
+
+    def test_faults_cover_the_folded_path(self, operands):
+        b = np.ones((48, 2))
+        with faults.inject(faults.FaultPlan(kernel_failures={"hybrid": 1})):
+            with pytest.raises(BackendExecutionError):
+                engine.execute(operands["hybrid"], b, order=ORDER)
 
 
 def dense_cases():

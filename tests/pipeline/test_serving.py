@@ -6,6 +6,7 @@ import pytest
 from repro.core import VNMPattern
 from repro.gnn.layers import Aggregator, GCNConv
 from repro.graphs import sbm_graph
+from repro.perf import engine as perf_engine
 from repro.pipeline import PreprocessPlan, ServingSession, preprocess
 from repro.sptc import EmulatedDevice
 
@@ -26,8 +27,8 @@ class TestRequestCycle:
         x = np.random.default_rng(0).integers(0, 1 << 10, size=(g.n, 8)).astype(np.float64)
         out = session.spmm(x)
         # Integer-valued features make every partial sum exact, so the
-        # permute-in / SpMM / permute-back cycle must match the dense
-        # reference bitwise.
+        # request, served in the caller's vertex order, must match the
+        # dense reference bitwise.
         assert np.array_equal(out, g.dense_adjacency() @ x)
 
     def test_float_features_allclose(self, served):
@@ -67,6 +68,89 @@ class TestRequestCycle:
         session.spmm(np.random.default_rng(4).random((g.n, 4)))
         assert device.elapsed("serve") > 0
         assert session.modelled_seconds == 0.0  # the device owns the clock
+
+
+def gathered(operand, x, order):
+    """A request answered by gather → SpMM in the reordered basis → scatter."""
+    out = perf_engine.execute(operand, x[order])
+    restored = np.empty_like(out)
+    restored[order] = out
+    return restored
+
+
+def float_features(n, h=6, seed=0):
+    return np.random.default_rng(seed).standard_normal((n, h))
+
+
+class TestFoldedRequests:
+    """A permuted session request is one kernel pass in the caller's order,
+    bitwise equal to gather → execute → scatter on float features too."""
+
+    def test_float_request_bitwise_equal_to_gather_execute_scatter(self, served):
+        g, result = served
+        session = ServingSession.from_result(result)
+        order = result.permutation.order
+        for seed in range(3):
+            x = float_features(g.n, seed=seed)
+            assert np.array_equal(session.spmm(x), gathered(result.operand, x, order))
+
+    def test_no_gather_or_scatter_around_the_kernel(self, served, monkeypatch):
+        g, result = served
+        session = ServingSession.from_result(result)
+        seen = []
+        real = perf_engine.execute
+
+        def spy(operand, x, **kwargs):
+            seen.append((x, kwargs.get("order")))
+            return real(operand, x, **kwargs)
+
+        monkeypatch.setattr(perf_engine, "execute", spy)
+        x = float_features(g.n, seed=4)
+        out = session.spmm(x)
+        ((passed, order),) = seen
+        assert passed is x  # the caller's features reach the kernel uncopied
+        assert order is result.permutation.order
+        assert np.array_equal(out, gathered(result.operand, x, order))
+
+    def test_device_session_bitwise_equal_to_host_session(self, served):
+        g, result = served
+        device = EmulatedDevice()
+        with_device = ServingSession.from_result(result, device=device, tag="serve")
+        host = ServingSession.from_result(result)
+        for seed in range(3):
+            x = float_features(g.n, seed=10 + seed)
+            assert np.array_equal(with_device.spmm(x), host.spmm(x))
+        assert len(device.records) == 3 and device.elapsed("serve") > 0
+
+    def test_downgrade_mid_stream_keeps_outputs_bitwise_equal(self, served):
+        g, result = served
+        session = ServingSession.from_result(result, retry_policy=FAST)
+        order = result.permutation.order
+        requests = [float_features(g.n, seed=20 + i) for i in range(6)]
+        # Request 2 forces hybrid → csr (bsr fails too), request 4 csr → dense.
+        forced = {2: {"hybrid": 100, "bsr": 100}, 4: {"csr": 100}}
+        served_by = []
+        for i, x in enumerate(requests):
+            with inject(FaultPlan(kernel_failures=forced.get(i, {}))):
+                out = session.spmm(x)
+            served_by.append(session.backend_name)
+            assert np.array_equal(out, gathered(session.operand, x, order))
+            if session.backend_name != "dense":
+                # Every planned format runs the same canonical CSR triplet.
+                assert np.array_equal(out, gathered(result.operand, x, order))
+        assert served_by == ["hybrid", "hybrid", "csr", "csr", "dense", "dense"]
+
+    def test_serving_backend_honours_order(self, served):
+        # A session is an operand whose backend runs its own kernel: the
+        # engine gathers and scatters around it.
+        g, result = served
+        session = ServingSession.from_result(result)
+        x = float_features(g.n, seed=30)
+        order = np.random.default_rng(31).permutation(g.n)
+        out = perf_engine.execute(session, x, order=order)
+        expected = np.empty_like(out)
+        expected[order] = session.spmm(x[order])
+        assert np.array_equal(out, expected)
 
 
 class TestAggregatorConsumption:

@@ -74,6 +74,16 @@ class TestBitwiseEquivalence:
         # bit-identical for every backend, including lossy compressions.
         assert np.array_equal(out, session.spmm(x))
 
+    @pytest.mark.parametrize("n_shards", [1, 3])
+    def test_float_features_match_single_session(self, hybrid_result, n_shards):
+        # Standard-normal features round their partial sums: the merge
+        # writes each shard's rows into the caller's order unchanged.
+        session = ServingSession.from_result(hybrid_result)
+        x = np.random.default_rng(11).standard_normal((hybrid_result.operand.shape[1], 6))
+        with ShardRouter(shard_result(hybrid_result, n_shards=n_shards)) as router:
+            assert np.array_equal(router.spmm(x), session.spmm(x))
+            assert np.array_equal(router.spmm(x[:, 2]), session.spmm(x[:, 2]))
+
     @pytest.mark.parametrize("n_shards", [1, 2, 3, 4])
     def test_matches_dense_reference(self, hybrid_result, n_shards):
         shards = shard_result(hybrid_result, n_shards=n_shards)
