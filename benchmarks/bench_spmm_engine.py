@@ -107,6 +107,10 @@ DENSE_SWEEP = ((256, 64, 32, "rows"), (512, 64, 64, "rows"), (1024, 64, 64, "row
 QUICK_DENSE_SWEEP = ((96, 32, 8, "rows"), (200, 48, 16, "cols"))
 # Above the dense threshold a split product must beat one BLAS call.
 MAX_DENSE_PARALLEL_OVER_SERIAL = 1.0
+# m·k·n each dense timing sample repeats a product up to: the gated
+# products at the threshold (m·k·n = 2^23) run 16 back-to-back calls, so
+# each of their samples lasts several ms instead of one or two calls.
+DENSE_SAMPLE_WORK = 1 << 27
 # The permuted request: folded into the plan, it must beat gather → SpMM → scatter.
 PERMUTED_GRAPH, PERMUTED_SEED, PERMUTED_PATTERN = "facebook", 1, VNMPattern(1, 2, 32)
 PERMUTED_H = 64
@@ -198,7 +202,7 @@ def dense_sweep(configs, rounds: int) -> tuple[list[dict], bool]:
         for m, k, n, layout in configs:
             a, b = dense_operands(m, k, n, layout, rng)
             work = m * k * n
-            calls = max(1, (1 << 24) // work)  # ~1 ms or more per timed sample
+            calls = max(1, DENSE_SAMPLE_WORK // work)
 
             def repeat(fn):
                 def run():

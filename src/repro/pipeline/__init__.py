@@ -28,8 +28,8 @@
   serving fabric: v-aligned row partitioning of one preprocessed operand
   into per-shard cached artefacts (:func:`build_shards`) and the
   fan-out/merge :class:`ShardRouter` — validation, admission, deadlines,
-  ``submit``/close, health, replica failover, hot-shard replication, and
-  online rebalance (an unsharded deployment is a 1-shard router).
+  ``submit``/close, health and replica failover over a shard layout fixed
+  at construction (an unsharded deployment is a 1-shard router).
 * :mod:`repro.pipeline.procshard` — the router's ``executor="process"``
   back-end: one supervised, fork-spawned :class:`ProcessShardWorker` per
   shard replica, serving over zero-copy shared-memory rings so GIL-bound

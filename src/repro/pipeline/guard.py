@@ -328,10 +328,6 @@ class BreakerBoard:
             name for name, b in self._breakers.items() if b.state == STATE_OPEN
         )
 
-    def any_open(self) -> bool:
-        """Whether any breaker on the board is open right now."""
-        return any(b.state == STATE_OPEN for b in self._breakers.values())
-
     def reset(self) -> None:
         with self._lock:
             self._breakers.clear()

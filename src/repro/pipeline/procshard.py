@@ -10,8 +10,9 @@ shard replica becomes one persistent **worker process** that
 * attaches its shard's compressed operand and ``.plan.pkl`` sidecar
   **once at spawn** — from the content-addressed
   :class:`~repro.pipeline.cache.ArtifactCache` when the shard has a cache
-  key, else by inheriting the in-memory operand through ``fork`` (the
-  post-rebalance case) — and never ships operand bytes per request;
+  key, else by inheriting the in-memory operand through ``fork`` (a
+  router built without ``cache=``) — and never ships operand bytes per
+  request;
 * serves sub-requests over a per-lane **shared-memory ring**
   (:func:`repro.perf.shm.create_segment`): the parent writes the permuted
   feature block into a request slot and bumps the slot's sequence stamp,

@@ -37,26 +37,19 @@ Operations hooks:
   (least-in-flight pick, round-robin tie-break).  A replica that dies
   mid-request (:class:`~repro.pipeline.resilience.PipelineError`) is
   stepped over; the sub-request re-serves on a surviving replica.
-* **hot-shard replication** — :meth:`ShardRouter.replicate` adds a replica
-  over the same shard operand; :meth:`ShardRouter.maybe_replicate` does it
-  automatically when one shard's live load runs ahead of the mean.
-* **online rebalance** — :meth:`ShardRouter.rebalance` splits the hottest
-  shard at a v-aligned midpoint into two shards (densify → slice →
-  recompress through the registry), without stopping traffic: in-flight
-  requests finish on the old layout, new requests fan out over the new one.
 * **health** — :meth:`ShardRouter.health` reports per-shard liveness;
   a *minority* of unhealthy shards marks the payload ``degraded`` while
   ``healthy`` stays true (``/healthz`` 200), a majority flips ``healthy``
   (503).  See :func:`repro.obs.server.session_health`.
 
 See ``docs/sharding.md`` for the operator's view and
-``benchmarks/bench_sharded_serving.py`` for the tracked throughput scaling
-numbers.
+``benchmarks/bench_sharded_serving.py`` for the tracked multi-device
+scaling, which is modelled (the makespan of per-shard virtual device
+clocks), not measured throughput.
 """
 
 from __future__ import annotations
 
-import asyncio
 import copy
 import logging
 import threading
@@ -292,23 +285,19 @@ class _Replica:
     (``executor="thread"``) or a
     :class:`~repro.pipeline.procshard.ProcessShardWorker`
     (``executor="process"``); exactly one of ``session`` / ``worker`` is
-    set.  ``operand`` is the shard operand this replica serves, kept here
-    so replication and rebalance never need to reach into a back-end.
+    set.
     """
 
     __slots__ = ("shard_index", "replica_index", "session", "worker",
-                 "operand", "lane", "alive", "in_flight", "served",
-                 "failures", "serve_lock")
+                 "lane", "alive", "in_flight", "served", "failures",
+                 "serve_lock")
 
     def __init__(self, shard_index: int, replica_index: int,
-                 session: ServingSession | None = None, *, worker=None,
-                 operand=None):
+                 session: ServingSession | None = None, *, worker=None):
         self.shard_index = shard_index
         self.replica_index = replica_index
         self.session = session
         self.worker = worker
-        self.operand = operand if operand is not None else (
-            session.operand if session is not None else None)
         self.lane = ThreadPoolExecutor(
             max_workers=1,
             thread_name_prefix=f"repro-shard{shard_index}r{replica_index}")
@@ -333,13 +322,12 @@ class ShardRouter:
     basis **once** → dispatch one sub-request per shard onto that shard's
     least-loaded live replica lane → merge the row partials, each written
     straight into its rows of the caller's order, into a result
-    bit-identical to single-session serving.  :meth:`aspmm` is the
-    asyncio face of the same cycle; :meth:`submit` pipelines synchronous
-    callers (consecutive requests overlap across shard lanes) and runs
-    the door — validation and admission — on the caller's thread, so a
-    malformed or shed request raises from ``submit`` itself.
+    bit-identical to single-session serving.  :meth:`submit` pipelines
+    synchronous callers (consecutive requests overlap across shard lanes)
+    and runs the door — validation and admission — on the caller's thread,
+    so a malformed or shed request raises from ``submit`` itself.
 
-    ``replicas`` seeds every shard with that many replicas; it is where
+    ``replicas`` gives every shard that many replicas; it is where
     concurrency comes from (scipy's matmat runs in parallel across lane
     threads).  ``admission`` (or the ``max_queue_depth`` / ``deadline``
     shorthands) sheds at the door: per shard, the queue depth the new
@@ -374,9 +362,12 @@ class ShardRouter:
     worker process that attaches the shard operand once (from ``cache``
     when the shard has a cache key) and serves over a zero-copy shm ring,
     so CPU-bound shards escape the GIL and a SIGKILLed worker costs one
-    failover, not the fabric.  Fan-out/merge, admission, deadline,
-    failover, and rebalance semantics are identical in both modes, and so
-    are the merged bits; see ``docs/sharding.md`` ("Executors").
+    failover, not the fabric.  Fan-out/merge, admission, deadline and
+    failover semantics are identical in both modes, and so are the merged
+    bits; see ``docs/sharding.md`` ("Executors").
+
+    The shard layout (specs, operands, devices, replicas per shard) is
+    fixed at construction; nothing on the request path changes it.
     """
 
     def __init__(
@@ -424,13 +415,11 @@ class ShardRouter:
         self._session_kwargs = dict(session_kwargs or {})
         self.executor = executor
         self._cache = cache
-        self._retired: list[_Replica] = []
         self._lock = threading.Lock()
         self._rr = 0
         self.n_requests = 0
         self.n_shed = 0
         self.n_failovers = 0
-        self.n_rebalances = 0
         self._closed = False
         # The door lock makes close-check, admission and submit's hand-off
         # to the front pool one step, so the admission depth counts every
@@ -445,8 +434,10 @@ class ShardRouter:
             group = [self._make_replica(i, r, shards.operands[i])
                      for r in range(replicas)]
             self._replicas.append(group)
-            self._set_replica_gauge(i, len(group))
         if metrics is not None:
+            for i in range(shards.n_shards):
+                metrics.gauge("router_replicas", help="replicas per shard",
+                              shard=str(i)).set(float(replicas))
             self._m_requests = metrics.counter(
                 "router_requests_total", help="sharded spmm requests merged")
             self._m_latency = metrics.histogram(
@@ -484,7 +475,7 @@ class ShardRouter:
             # Replicas get a private copy of the operand: the engine's plan
             # cache is keyed by operand identity, so each replica builds
             # its own plan and scratch instead of contending on one — and
-            # replication is real parallel capacity, not lock convoy.
+            # a replica is real parallel capacity, not lock convoy.
             operand = copy.deepcopy(operand)
         kwargs = dict(self._session_kwargs)
         if self._devices is not None:
@@ -509,15 +500,13 @@ class ShardRouter:
         No operand deepcopy even for extra replicas: each worker computes
         in its own address space, so plan scratch can never be shared.
         The worker prefers re-attaching the shard artefact from the cache
-        (its sidecar plan included); post-rebalance shards have no cache
-        key and fall back to inheriting the in-memory operand via fork.
+        (its sidecar plan included); a shard without a cache key, or a
+        router built without ``cache=``, falls back to inheriting the
+        in-memory operand via fork.
         """
         from .procshard import ProcessShardWorker
 
-        specs = self.shards.specs
-        plans = self.shards.plans
-        cache_key = (specs[shard_index].cache_key
-                     if shard_index < len(specs) else None)
+        cache_key = self.shards.specs[shard_index].cache_key
         cache_dir = (str(self._cache.cache_dir)
                      if self._cache is not None and cache_key else None)
         kwargs = dict(self._session_kwargs)
@@ -525,19 +514,12 @@ class ShardRouter:
             kwargs.setdefault("device", self._devices[shard_index])
         worker = ProcessShardWorker(
             shard_index, replica_index, operand,
-            plan=plans[shard_index] if shard_index < len(plans) else None,
+            plan=self.shards.plans[shard_index],
             cache_dir=cache_dir, cache_key=cache_key,
             session_kwargs=kwargs, metrics=self._metrics,
             recorder=self._recorder,
         )
-        return _Replica(shard_index, replica_index, worker=worker,
-                        operand=operand)
-
-    def _set_replica_gauge(self, shard_index: int, count: int) -> None:
-        if self._metrics is not None:
-            self._metrics.gauge(
-                "router_replicas", help="live replicas per shard",
-                shard=str(shard_index)).set(float(count))
+        return _Replica(shard_index, replica_index, worker=worker)
 
     # -- properties ---------------------------------------------------------
     @property
@@ -556,17 +538,13 @@ class ShardRouter:
             raise OverloadError("router is closed", reason="closed")
         if self.admission is None:
             return
-        with self._lock:
-            groups = list(self._replicas)
-            views = list(self._latency_views)
         try:
-            for i, group in enumerate(groups):
+            for group, view in zip(self._replicas, self._latency_views):
                 live = [rep for rep in group if rep.alive]
                 if not live:
                     continue  # dispatch surfaces the dead shard, not admit
                 depth = self._queued + min(rep.in_flight for rep in live)
-                self.admission.admit(
-                    depth=depth, latency=views[i] if i < len(views) else None)
+                self.admission.admit(depth=depth, latency=view)
         except OverloadError as exc:
             self.n_shed += 1
             reason = str(exc.context.get("reason", "overload"))
@@ -602,8 +580,7 @@ class ShardRouter:
     def _inc(self, rep: _Replica) -> None:
         with self._lock:
             rep.in_flight += 1
-            total = sum(r.in_flight for r in self._replicas[rep.shard_index]
-                        ) if rep.shard_index < len(self._replicas) else rep.in_flight
+            total = sum(r.in_flight for r in self._replicas[rep.shard_index])
         if self._metrics is not None:
             self._metrics.gauge(
                 "router_in_flight", help="sub-requests in flight per shard",
@@ -612,9 +589,7 @@ class ShardRouter:
     def _dec(self, rep: _Replica) -> None:
         with self._lock:
             rep.in_flight = max(0, rep.in_flight - 1)
-            group = (self._replicas[rep.shard_index]
-                     if rep.shard_index < len(self._replicas) else [rep])
-            total = sum(r.in_flight for r in group)
+            total = sum(r.in_flight for r in self._replicas[rep.shard_index])
         if self._metrics is not None:
             self._metrics.gauge(
                 "router_in_flight", help="sub-requests in flight per shard",
@@ -700,9 +675,7 @@ class ShardRouter:
         try:
             xr = (x2d[self.permutation.order]
                   if self.permutation is not None else x2d)
-            with self._lock:
-                groups = list(self._replicas)  # layout snapshot: rebalance-safe
-            return [self._dispatch(group, xr) for group in groups], squeeze
+            return [self._dispatch(group, xr) for group in self._replicas], squeeze
         finally:
             if admitted is not None:
                 with self._door_lock:
@@ -760,23 +733,6 @@ class ShardRouter:
         self._finish(t0)
         return out
 
-    async def aspmm(self, x: np.ndarray, *,
-                    deadline: float | None = None) -> np.ndarray:
-        """The same request cycle, awaitable: fan out, await, merge."""
-        t0 = time.perf_counter()
-        budget = self.deadline if deadline is None else deadline
-        futures, squeeze = self._fan_out(x, None)
-        gathered = asyncio.gather(*(asyncio.wrap_future(f) for f in futures))
-        try:
-            partials = await asyncio.wait_for(gathered, timeout=budget)
-        except asyncio.TimeoutError:
-            raise DeadlineExceeded(
-                f"sharded request missed its {budget:.3f}s deadline",
-                deadline=budget, n_shards=len(futures)) from None
-        out = self._merge(partials, squeeze)
-        self._finish(t0)
-        return out
-
     def submit(self, x: np.ndarray):
         """Pipeline one request; returns a future of the merged result.
 
@@ -799,10 +755,8 @@ class ShardRouter:
     # -- load management ----------------------------------------------------
     def shard_load(self) -> list[dict]:
         """Live per-shard load: in-flight, served, failures, replicas."""
-        with self._lock:
-            groups = list(self._replicas)
         out = []
-        for i, group in enumerate(groups):
+        for i, group in enumerate(self._replicas):
             out.append({
                 "shard": i,
                 "rows": [self.shards.specs[i].start, self.shards.specs[i].stop],
@@ -813,147 +767,6 @@ class ShardRouter:
                 "failures": sum(rep.failures for rep in group),
             })
         return out
-
-    def hottest_shard(self) -> int:
-        """The shard with the most live load (in-flight, then served)."""
-        load = self.shard_load()
-        return max(load, key=lambda s: (s["in_flight"], s["served"]))["shard"]
-
-    def replicate(self, shard_index: int) -> int:
-        """Add one replica over ``shard_index``'s operand; returns the count.
-
-        The new replica shares the shard's operand (and therefore the
-        engine's cached execution plan) but owns its own session and lane,
-        so the shard's sub-requests immediately spread over one more
-        serial queue.
-        """
-        with self._lock:
-            group = self._replicas[shard_index]
-            operand = group[0].operand
-            rep = self._make_replica(shard_index, len(group), operand)
-            group.append(rep)
-            count = len(group)
-        self._set_replica_gauge(shard_index, count)
-        obs_events.emit("router.replicate", shard=shard_index, replicas=count)
-        logger.info("shard %d replicated: %d replica(s)", shard_index, count)
-        return count
-
-    def maybe_replicate(self, *, factor: float = 1.5,
-                        max_replicas: int = 4) -> int | None:
-        """Replicate the hottest shard when its load runs ahead of the mean.
-
-        Load is the live in-flight depth plus lifetime served count per
-        shard; when the hottest shard's load exceeds ``factor`` times the
-        mean (and it has fewer than ``max_replicas`` replicas), one replica
-        is added.  Returns the replicated shard index, or ``None``.
-        """
-        load = self.shard_load()
-        if len(load) < 2:
-            return None
-        scores = [s["in_flight"] + s["served"] for s in load]
-        mean = sum(scores) / len(scores)
-        hot = max(range(len(load)), key=lambda i: scores[i])
-        if mean <= 0 or scores[hot] <= factor * mean:
-            return None
-        if load[hot]["replicas"] >= max_replicas:
-            return None
-        self.replicate(hot)
-        return hot
-
-    def rebalance(self) -> tuple[int, int] | None:
-        """Split the hottest shard at a v-aligned midpoint into two shards.
-
-        The hot shard's operand is row-sliced (densify → cut → recompress
-        through the registry) into two conforming halves; the router's
-        layout is swapped wholesale under the lock, so in-flight requests
-        merge on the snapshot they fanned out over while new requests see
-        the finer layout.  Shards after the split point are re-indexed
-        (sessions rebuilt so their ``shard`` metric labels stay truthful).
-        Returns the new ``(left, right)`` indices, or ``None`` when the
-        hottest shard is a single tile and cannot split.
-        """
-        hot = self.hottest_shard()
-        spec = self.shards.specs[hot]
-        align = self.shards.align
-        tiles = max(1, spec.size // align)
-        mid = spec.start + (tiles // 2) * align
-        if mid <= spec.start or mid >= spec.stop:
-            return None
-        with self._lock:
-            old_groups = self._replicas
-            operand = old_groups[hot][0].operand
-            hot_replicas = len(old_groups[hot])
-        halves = [ShardSpec(0, 0, mid - spec.start),
-                  ShardSpec(1, mid - spec.start, spec.size)]
-        compressed = [
-            registry.compress(sl, self.shards.backend, self.shards.pattern)
-            for sl in split_operand_rows(operand, halves)
-        ]
-
-        new_specs: list[ShardSpec] = []
-        new_operands = []
-        new_devices = [] if self._devices is not None else None
-        for s, op in zip(self.shards.specs, self.shards.operands):
-            if s.index != hot:
-                new_specs.append(ShardSpec(len(new_specs), s.start, s.stop,
-                                           cache_key=s.cache_key,
-                                           cached=s.cached))
-                new_operands.append(op)
-                if new_devices is not None:
-                    new_devices.append(self._devices[s.index])
-                continue
-            # The split halves are in-memory only (no cache key: their
-            # geometry no longer matches the build-time shard layout).
-            new_specs.append(ShardSpec(len(new_specs), spec.start, mid))
-            new_specs.append(ShardSpec(len(new_specs), mid, spec.stop))
-            new_operands.extend(compressed)
-            if new_devices is not None:
-                # Both halves stay on the parent shard's device until the
-                # operator reassigns one — splitting does not conjure
-                # hardware out of thin air.
-                new_devices.extend([self._devices[s.index]] * 2)
-
-        with self._lock:
-            self._devices = new_devices
-            self.shards.specs = new_specs
-            self.shards.operands = new_operands
-            self.shards.plans = [None] * len(new_specs)
-            self._latency_views = [self._latency_view(i)
-                                   for i in range(len(new_specs))]
-            new_groups: list[list[_Replica]] = []
-            retired: list[_Replica] = []
-            for i, s in enumerate(new_specs):
-                if i < hot:
-                    new_groups.append(old_groups[i])
-                    continue
-                count = hot_replicas if i in (hot, hot + 1) else len(
-                    old_groups[i - 1])
-                new_groups.append([
-                    self._make_replica(i, r, new_operands[i])
-                    for r in range(count)
-                ])
-                if i > hot + 1:
-                    retired.extend(old_groups[i - 1])
-            retired.extend(old_groups[hot])
-            self._replicas = new_groups
-        for i, group in enumerate(self._replicas):
-            self._set_replica_gauge(i, len(group))
-        for rep in retired:
-            if rep.worker is not None:
-                # Queue the worker shutdown *behind* any in-flight ring
-                # round-trip on its own lane: the old layout finishes its
-                # requests, then the process exits and the segment unlinks.
-                rep.lane.submit(rep.worker.close)
-        with self._lock:
-            self._retired.extend(retired)
-        for rep in retired:
-            rep.lane.shutdown(wait=False)  # drains queued work, then exits
-        self.n_rebalances += 1
-        obs_events.emit("router.rebalance", shard=hot, at=mid,
-                        n_shards=len(new_specs))
-        logger.info("rebalanced: split shard %d at row %d (%d shard(s) now)",
-                    hot, mid, len(new_specs))
-        return hot, hot + 1
 
     # -- health --------------------------------------------------------------
     def health(self) -> dict:
@@ -998,19 +811,11 @@ class ShardRouter:
                 return
             self._closed = True  # every submit from here on is refused
         self._front.shutdown(wait=True)  # drains what the door admitted
-        with self._lock:
-            groups = list(self._replicas)
-            retired = list(self._retired)
-            self._retired = []
-        for group in groups:
+        for group in self._replicas:
             for rep in group:
                 rep.lane.shutdown(wait=True)
                 if rep.worker is not None:
                     rep.worker.close()  # joins the process, unlinks the ring
-        for rep in retired:
-            rep.lane.shutdown(wait=True)  # runs any queued worker.close
-            if rep.worker is not None:
-                rep.worker.close()  # idempotent: covers a skipped queue
 
     def __enter__(self) -> "ShardRouter":
         return self
