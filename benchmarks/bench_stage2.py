@@ -29,6 +29,9 @@ Run standalone::
     PYTHONPATH=src python benchmarks/bench_stage2.py --json-out .
 
 writes ``BENCH_stage2.json`` next to the other tracked ``BENCH_*.json``.
+The JSON records the sha256 of this file (``benchmark_sha256``), and a
+tier-1 test checks it against the committed script, so a tracked result
+always names the code that wrote it.
 """
 
 from __future__ import annotations
@@ -157,6 +160,7 @@ def main() -> int:
     if args.json_out:
         payload = {
             "benchmark": "stage2",
+            "benchmark_sha256": hashlib.sha256(Path(__file__).read_bytes()).hexdigest(),
             "config": {"rounds": rounds, "quick": args.quick, "seed": SEED,
                        "graphs": list(GRAPHS), "stage2_pattern": str(STAGE2_PATTERN),
                        "cpu_count": os.cpu_count()},

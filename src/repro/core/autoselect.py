@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .bitmatrix import BitMatrix
 from .patterns import VNMPattern
 from .reorder import ReorderResult, reorder
@@ -57,23 +59,21 @@ def reordering_succeeds(
     return res if res.conforms else None
 
 
-def _model_spmm_time(res: ReorderResult, h: int, csrs: dict) -> float:
+def _model_spmm_time(res: ReorderResult, h: int) -> float:
     """Cost-model SpMM time of the reordered matrix in its V:N:M form.
 
-    ``csrs`` maps permutation bytes to the reordered CSR: candidates whose
-    permutations are byte-equal share one reordered matrix, so its CSR is
-    built once.
+    The model reads only the operand's shape, its non-empty meta-block
+    count and their live columns.  Both counts come from the pattern's tile
+    column masks on the bit matrix, so no candidate is compressed: the time
+    equals ``time_venom_spmm`` of the compressed operand exactly.
     """
     from ..sptc.costmodel import CostModel
-    from ..sptc.csr import CSRMatrix
-    from ..sptc.venom import VNMCompressed
 
-    key = res.permutation.order.tobytes()
-    csr = csrs.get(key)
-    if csr is None:
-        csr = csrs[key] = CSRMatrix.from_scipy(res.matrix.to_scipy())
-    compressed = VNMCompressed.compress_csr(csr, res.pattern)
-    return CostModel().time_venom_spmm(compressed, h)
+    masks = res.pattern.tile_column_masks(res.matrix)
+    return CostModel().time_venom_tiles(
+        res.pattern, res.matrix.shape, int(np.count_nonzero(masks)),
+        int(np.bitwise_count(masks).sum()), h,
+    )
 
 
 def find_best_pattern(
@@ -128,9 +128,8 @@ def find_best_pattern(
     if select == "largest":
         pattern, result = candidates[-1]
     else:
-        csrs: dict[bytes, object] = {}
         timed = [
-            (_model_spmm_time(res, h_ref, csrs), -pat.m, -pat.v, pat, res)
+            (_model_spmm_time(res, h_ref), -pat.m, -pat.v, pat, res)
             for pat, res in candidates
         ]
         timed.sort(key=lambda entry: entry[:3])

@@ -124,24 +124,33 @@ class BitMatrix:
     def nonzero(self) -> tuple[np.ndarray, np.ndarray]:
         """Coordinates of all set bits, in row-major order.
 
-        Scans for non-zero *words* first, then unpacks only those — one pass
-        over the packed array plus O(nnz) work, instead of 64 full scans.
+        Scans for non-zero *words* first, then peels their set bits lowest
+        first, one bit of every still-live word per round: O(nnz) work and
+        at most 64 rounds, never a 64-byte unpack per word.  Word ``i``'s
+        bits land at ``cumsum(popcount)`` offsets, so the output stays in
+        row-major, increasing-column order.
         """
-        w_rows, w_cols = np.nonzero(self.words)
-        if w_rows.size == 0:
+        flat = self.words.reshape(-1)
+        idx = np.flatnonzero(flat)
+        if idx.size == 0:
             return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-        values = self.words[w_rows, w_cols]
-        # Little-endian byte view + bitorder="little" makes unpacked bit k of
-        # a word equal column offset k.
-        bytes_view = values[:, None].view(np.uint8)
-        if bytes_view.dtype.byteorder == ">" or (values.dtype.byteorder == ">"):  # pragma: no cover
-            raise RuntimeError("big-endian platforms are not supported")
-        bits = np.unpackbits(bytes_view, axis=1, bitorder="little")
-        k_idx, bit = np.nonzero(bits)
-        rows = w_rows[k_idx].astype(np.int64)
-        cols = (w_cols[k_idx] * _WORD + bit).astype(np.int64)
-        # np.nonzero on the word matrix is already row-major; within a word
-        # bits come out in increasing column order, so (rows, cols) is sorted.
+        n_words = self.words.shape[1]
+        v = flat[idx]
+        counts = np.bitwise_count(v)
+        ends = np.cumsum(counts, dtype=np.int64)
+        cols = np.empty(int(ends[-1]), dtype=np.int64)
+        pos = ends - counts
+        base = (idx % n_words) * _WORD
+        one = np.uint64(1)
+        while v.size:
+            low = v & (~v + one)  # lowest set bit (two's complement)
+            cols[pos] = base + np.bitwise_count(low - one)
+            v = v ^ low
+            pos += 1
+            live = v != 0
+            if not live.all():
+                v, pos, base = v[live], pos[live], base[live]
+        rows = np.repeat(idx // n_words, counts)
         return rows, cols
 
     # -- statistics --------------------------------------------------------

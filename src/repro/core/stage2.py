@@ -77,6 +77,9 @@ class _WorkingState:
 
     Row swaps are deferred: a consistent row permutation leaves every per-row
     gain sum unchanged, so planning against column-swapped state is exact.
+    The packed per-segment values and their per-row counts are the whole
+    state; ``pair_gains`` reads its candidate rows straight from the counts,
+    so a swap updates no further cache.
     """
 
     def __init__(self, bm: BitMatrix, pattern: NMPattern):
@@ -89,11 +92,6 @@ class _WorkingState:
         # swaps are applied with XOR, so no per-segment bool caches exist.
         self._seg_vals_t = bm.segment_values_t(pattern.m)
         self.counts_t = np.bitwise_count(self._seg_vals_t).astype(np.int16)
-        # Per-segment cache of the rows with count >= N — the only rows a
-        # single swap can move w.r.t. either the violation count (boundary
-        # rows at N / N+1) or the excess mass (rows above N).  Gains are
-        # evaluated on these rows instead of all n per candidate pair.
-        self._active: dict[int, np.ndarray] = {}
         self.n_segs = self.counts_t.shape[0]
         self.seg_nnz = self.counts_t.sum(axis=1).astype(np.int64)
 
@@ -112,13 +110,6 @@ class _WorkingState:
     def segment_nnz(self) -> np.ndarray:
         return self.seg_nnz
 
-    def active_rows(self, seg: int) -> np.ndarray:
-        rows = self._active.get(seg)
-        if rows is None:
-            rows = np.nonzero(self.counts_t[seg] >= self.n)[0]
-            self._active[seg] = rows
-        return rows
-
     def pair_gains(self, p: int, t: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Gain matrices ``(Gp, Gt, Ge)`` of shape (m, m) for swapping local
         column ``u`` of ``p`` with ``v`` of ``t``.
@@ -128,8 +119,12 @@ class _WorkingState:
         mass ``Σ_r max(0, cnt(r) − N)`` over both segments — a secondary
         objective that keeps the greedy progressing on rows far above the N
         budget, where a single swap cannot yet remove a violation.
+
+        Only rows with count >= N in ``p`` or ``t`` can move either score
+        (boundary rows at N / N+1, or rows above N), so the products run
+        over those rows alone, read from the live counts on every call.
         """
-        rows = np.union1d(self.active_rows(p), self.active_rows(t))
+        rows = np.flatnonzero((self.counts_t[p] >= self.n) | (self.counts_t[t] >= self.n))
         m = self.m
         if rows.size == 0:
             z = np.zeros((m, m), dtype=np.int64)
@@ -177,23 +172,6 @@ class _WorkingState:
         moved = int(delta.sum())
         self.seg_nnz[p] += moved
         self.seg_nnz[t] -= moved
-        self._update_active(p, changed)
-        self._update_active(t, changed)
-
-    def _update_active(self, seg: int, changed: np.ndarray) -> None:
-        """Incrementally repair the active-row cache on the changed rows.
-
-        A swap touches only a handful of rows; rebuilding the cache from the
-        full count column per swap would dominate the runtime on large
-        matrices.
-        """
-        rows = self._active.get(seg)
-        if rows is None:
-            return
-        c = self.counts_t[seg, changed]
-        now_active = changed[c >= self.n]
-        kept = rows[~np.isin(rows, changed, assume_unique=True)]
-        self._active[seg] = np.union1d(kept, now_active)
 
 
 _MASKED = np.iinfo(np.int64).min

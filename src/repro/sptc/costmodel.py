@@ -31,7 +31,8 @@ import math
 
 from .csr import CSRMatrix
 from .nm_format import NMCompressed
-from .venom import VNMCompressed
+from ..core.patterns import VNMPattern
+from .venom import VNMCompressed, vnm_storage_bytes
 
 __all__ = ["A100Params", "Calibration", "CostModel", "SpmmWorkload", "DEFAULT_PARAMS"]
 
@@ -175,13 +176,25 @@ class CostModel:
 
     # -- SPTC structured kernels -------------------------------------------------
     def time_venom_spmm(self, a: VNMCompressed, h: int) -> float:
-        live = a.n_live_cols if a.n_live_cols else a.n_tiles * a.pattern.k
+        return self.time_venom_tiles(a.pattern, a.shape, a.n_tiles, a.n_live_cols, h)
+
+    def time_venom_tiles(
+        self, pattern: VNMPattern, shape: tuple[int, int], n_tiles: int,
+        n_live_cols: int, h: int,
+    ) -> float:
+        """V:N:M SpMM time from the operand's tile counts alone.
+
+        ``n_tiles`` (non-empty meta-blocks) and ``n_live_cols`` (their live
+        columns, summed) are all the model reads of a compressed operand, so
+        a caller that has only the tile column masks need not compress.
+        """
+        live = n_live_cols if n_live_cols else n_tiles * pattern.k
         return self._time_sptc(
-            n_rows=a.shape[0],
-            n_cols=a.shape[1],
-            stored_slots=a.values.size,
+            n_rows=shape[0],
+            n_cols=shape[1],
+            stored_slots=n_tiles * pattern.v * pattern.n,
             live_b_rows=live,
-            a_bytes=a.storage_bytes(),
+            a_bytes=vnm_storage_bytes(pattern, (shape[0] + pattern.v - 1) // pattern.v, n_tiles),
             h=h,
         )
 

@@ -19,7 +19,24 @@ import numpy as np
 from ..core.patterns import VNMPattern
 from .csr import coo_to_dense
 
-__all__ = ["VNMCompressed", "VNMFormatError"]
+__all__ = ["VNMCompressed", "VNMFormatError", "vnm_storage_bytes"]
+
+
+def vnm_storage_bytes(pattern: VNMPattern, n_tile_rows: int, n_tiles: int,
+                      value_bytes: int = 2, meta_bits: int = 2, col_id_bytes: int = 4) -> int:
+    """Modelled footprint of a V:N:M operand from its tile counts alone.
+
+    Per stored tile: ``V·N`` values with their metadata, ``k`` column ids
+    and a segment index; plus the ``n_tile_rows + 1`` tile-row pointers.
+    """
+    slots = n_tiles * pattern.v * pattern.n
+    return (
+        slots * value_bytes
+        + (slots * meta_bits + 7) // 8
+        + n_tiles * pattern.k * col_id_bytes
+        + (n_tile_rows + 1) * 8
+        + n_tiles * 4
+    )
 
 
 class VNMFormatError(ValueError):
@@ -218,13 +235,8 @@ class VNMCompressed:
 
     def storage_bytes(self, value_bytes: int = 2, meta_bits: int = 2, col_id_bytes: int = 4) -> int:
         """Modelled footprint: fp16 values, 2-bit metadata, 32-bit column ids."""
-        return (
-            self.values.size * value_bytes
-            + (self.meta.size * meta_bits + 7) // 8
-            + self.col_ids.size * col_id_bytes
-            + self.tile_ptr.size * 8
-            + self.tile_seg.size * 4
-        )
+        return vnm_storage_bytes(self.pattern, self.n_tile_rows, self.n_tiles,
+                                 value_bytes, meta_bits, col_id_bytes)
 
     # -- numerics --------------------------------------------------------------
     def to_coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

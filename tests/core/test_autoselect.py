@@ -1,13 +1,21 @@
 """Best V:N:M auto-selection (paper §5 methodology)."""
 
 import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import (
     BitMatrix,
+    Permutation,
     VNMPattern,
     find_best_pattern,
     reordering_succeeds,
 )
+from repro.core.autoselect import _model_spmm_time
+from repro.core.reorder import ReorderResult
+from repro.sptc.costmodel import CostModel
+from repro.sptc.csr import CSRMatrix
+from repro.sptc.venom import VNMCompressed
 
 
 def sparse_sym(n, density, seed):
@@ -52,7 +60,10 @@ class TestFindBestPattern:
         assert out.succeeded
         assert out.pattern in [p for p, _ in out.candidates]
 
-    def test_fastest_policy_builds_one_csr_per_distinct_permutation(self, monkeypatch):
+    def test_fastest_policy_models_time_from_tile_masks(self, monkeypatch):
+        # The search ranks candidates from tile column masks, never building
+        # a CSR; the time must equal the model's time for the compressed
+        # operand exactly.
         calls = []
         to_scipy = BitMatrix.to_scipy
 
@@ -62,9 +73,36 @@ class TestFindBestPattern:
 
         monkeypatch.setattr(BitMatrix, "to_scipy", counting_to_scipy)
         out = find_best_pattern(sparse_sym(96, 0.02, 6), max_iter=4)
-        distinct = {res.permutation.order.tobytes() for _, res in out.candidates}
-        assert len(distinct) < len(out.candidates)
-        assert len(calls) == len(distinct)
+        assert out.succeeded and calls == []
+        monkeypatch.undo()
+
+        h = 128
+        cm = CostModel()
+        for pat, res in out.candidates:
+            compressed = VNMCompressed.compress_csr(
+                CSRMatrix.from_scipy(res.matrix.to_scipy()), pat)
+            assert _model_spmm_time(res, h) == cm.time_venom_spmm(compressed, h)
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(2, 35).map(lambda k: 2 * k + 1),
+           density=st.sampled_from([0.0, 0.005, 0.02, 0.1, 0.4]),
+           seed=st.integers(0, 2**32 - 1), h=st.sampled_from([16, 128]))
+    def test_tile_mask_model_time_equals_compressed(self, n, density, seed, h):
+        # Random symmetric graphs with odd row counts (off every V > 1
+        # multiple), every V and M of the search.  The counts do not need a reorder: where the
+        # graph does not conform to V:2:M as drawn, V:M:M with k = M (which
+        # every matrix meets) stands in, so the compressor accepts it.
+        bm = sparse_sym(n, density, seed)
+        csr = CSRMatrix.from_scipy(bm.to_scipy())
+        cm = CostModel()
+        for v in (1, 2, 4, 8, 16, 32):
+            for m in (4, 8, 16, 32):
+                pat = VNMPattern(v, 2, m)
+                if not pat.matrix_conforms(bm):
+                    pat = VNMPattern(v, m, m, k=m)
+                res = ReorderResult(pat, Permutation.identity(n), bm, 0, 0, 0, 0, 0, 0.0)
+                compressed = VNMCompressed.compress_csr(csr, pat)
+                assert _model_spmm_time(res, h) == cm.time_venom_spmm(compressed, h), (v, m)
 
     def test_unknown_policy_rejected(self):
         import pytest

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import BitMatrix, min_uint_dtype
 
@@ -30,6 +32,37 @@ class TestRoundtrip:
         rr, cc = np.nonzero(small_sym_dense)
         assert np.array_equal(r, rr)
         assert np.array_equal(c, cc)
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n_rows=st.integers(0, 9),
+        n_cols=st.integers(0, 200),
+        density=st.sampled_from([0.0, 0.05, 0.5, 1.0]),
+        zero_rows=st.integers(0, 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_nonzero_matches_dense(self, n_rows, n_cols, density, zero_rows, seed):
+        # Widths off the 64-bit word boundary, empty shapes, all-zero rows
+        # and (at density 1.0) words with all 64 bits set.
+        rng = np.random.default_rng(seed)
+        a = (rng.random((n_rows, n_cols)) < density).astype(np.uint8)
+        a[:zero_rows] = 0
+        bm = BitMatrix.from_dense(a)
+        r, c = bm.nonzero()
+        rr, cc = np.nonzero(bm.to_dense())
+        assert r.dtype == np.int64 and c.dtype == np.int64
+        assert np.array_equal(r, rr) and np.array_equal(c, cc)
+        # row-major: sorted by (row, col)
+        assert np.all(np.diff(r * max(n_cols, 1) + c) > 0)
+
+    @pytest.mark.parametrize("shape, fill", [((1, 1), 1), ((1, 1), 0), ((3, 64), 1),
+                                             ((2, 128), 1), ((4, 65), 1)])
+    def test_nonzero_edge_shapes(self, shape, fill):
+        a = np.full(shape, fill, dtype=np.uint8)
+        r, c = BitMatrix.from_dense(a).nonzero()
+        rr, cc = np.nonzero(a)
+        assert r.dtype == np.int64 and c.dtype == np.int64
+        assert np.array_equal(r, rr) and np.array_equal(c, cc)
 
     def test_from_edges(self):
         bm = BitMatrix.from_edges(5, [0, 4], [4, 0])

@@ -40,7 +40,7 @@ def freshtop_loop(gp, gt, ge, p, t, m, used, valid_p, valid_t, require_positive_
 
 def pair_gains_int64(state, p, t):
     """Oracle: the six gain products in int64 (no BLAS)."""
-    rows = np.union1d(state.active_rows(p), state.active_rows(t))
+    rows = np.nonzero((state.counts_t[p] >= state.n) | (state.counts_t[t] >= state.n))[0]
     m = state.m
     if rows.size == 0:
         z = np.zeros((m, m), dtype=np.int64)

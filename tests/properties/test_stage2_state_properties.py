@@ -55,20 +55,6 @@ class TestWorkingStateInvariants:
             state.apply_swap(p, u, t, v)
         assert np.array_equal(state.seg_nnz, state.counts_t.sum(axis=1))
 
-    @settings(max_examples=60, deadline=None)
-    @given(state_and_swaps())
-    def test_active_rows_cache_consistent(self, case):
-        bm, pattern, swaps = case
-        state = _WorkingState(bm, pattern)
-        # touch every segment's cache first so the incremental path is tested
-        for seg in range(state.n_segs):
-            state.active_rows(seg)
-        for p, u, t, v in swaps:
-            state.apply_swap(p, u, t, v)
-        for seg in range(state.n_segs):
-            expect = np.nonzero(state.counts_t[seg] >= state.n)[0]
-            assert np.array_equal(state.active_rows(seg), expect), seg
-
     @settings(max_examples=40, deadline=None)
     @given(state_and_swaps())
     def test_total_nnz_preserved(self, case):

@@ -89,6 +89,25 @@ class TestSptcModel:
         assert big_v.values.size > small_v.values.size
         assert model.time_venom_spmm(big_v, 64) > model.time_venom_spmm(small_v, 64)
 
+    @pytest.mark.parametrize("pat", [VNMPattern(1, 2, 4), VNMPattern(4, 2, 8),
+                                     VNMPattern(8, 2, 16), VNMPattern(3, 4, 8, k=8)])
+    def test_tile_counts_match_operand_arrays(self, model, pat):
+        # time_venom_spmm charges from tile counts alone; those counts must
+        # reproduce the sizes of the operand's own arrays, empty one included.
+        from repro.sptc import HybridVNM, VNMCompressed
+
+        w = sparse_weighted(101, 0.03, 4)
+        for a in (HybridVNM.compress(w, pat).main,
+                  VNMCompressed.compress_csr(CSRMatrix.from_dense(np.zeros((37, 50))), pat)):
+            from_arrays = (a.values.size * 2 + (a.meta.size * 2 + 7) // 8
+                           + a.col_ids.size * 4 + a.tile_ptr.size * 8 + a.tile_seg.size * 4)
+            assert a.storage_bytes() == from_arrays
+            live = a.n_live_cols if a.n_live_cols else a.n_tiles * pat.k
+            want = model._time_sptc(n_rows=a.shape[0], n_cols=a.shape[1],
+                                    stored_slots=a.values.size, live_b_rows=live,
+                                    a_bytes=from_arrays, h=64)
+            assert model.time_venom_spmm(a, 64) == want
+
 
 class TestDenseModel:
     def test_tensor_core_beats_cuda_cores(self, model):

@@ -55,3 +55,16 @@ class TestRenderTable:
         assert format_cell(1234567.0) == "1,234,567"
         assert format_cell("text") == "text"
         assert format_cell(7) == "7"
+
+
+def test_bench_stage2_json_names_its_script():
+    # A tracked result must come from the committed benchmark: regenerate
+    # BENCH_stage2.json whenever benchmarks/bench_stage2.py changes.
+    import hashlib
+    import json
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    tracked = json.loads((root / "BENCH_stage2.json").read_text())
+    script = (root / "benchmarks" / "bench_stage2.py").read_bytes()
+    assert tracked["benchmark_sha256"] == hashlib.sha256(script).hexdigest()
