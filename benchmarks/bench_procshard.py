@@ -102,8 +102,8 @@ class GILBoundDevice:
             while time.perf_counter() < deadline:
                 x += 1
 
-    def spmm(self, a, b, *, tag: str = "spmm") -> np.ndarray:
-        out = engine.execute(a, b)
+    def spmm(self, a, b, *, tag: str = "spmm", order=None) -> np.ndarray:
+        out = engine.execute(a, b, order=order)
         self._hold_gil()
         self.calls += 1
         return out

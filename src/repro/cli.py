@@ -303,7 +303,7 @@ def _cmd_serve(args) -> int:
             shards, metrics=metrics, windows=windows,
             replicas=args.replicas, retry_policy=policy,
             admission=admission, deadline=args.deadline,
-            recorder=recorder, executor=args.executor, cache=cache,
+            recorder=recorder, executor=args.executor,
         )
         holder["router"] = router
 
@@ -818,8 +818,9 @@ def build_parser() -> argparse.ArgumentParser:
                     default="thread",
                     help="shard replica back-end: "
                          "'thread' = in-process session lanes; 'process' = "
-                         "one forked worker per replica over a zero-copy "
-                         "shm ring — GIL-free shard parallelism "
+                         "one forked worker per replica, inheriting its "
+                         "shard operand, over a zero-copy shm ring — fault "
+                         "isolation: a killed worker costs one failover "
                          "(docs/sharding.md; default %(default)s)")
     sv.set_defaults(fn=_cmd_serve)
 

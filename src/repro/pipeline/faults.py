@@ -30,7 +30,7 @@ Three hook sites consult the active plan:
   (:class:`repro.pipeline.procshard.ProcessShardWorker`) also consults
   :func:`procshard_directive` before each ring round-trip; ``"sigkill"``
   sends the worker process a *real* ``SIGKILL`` mid-request (exercising
-  death detection, replica failover, and respawn-with-reattach), and
+  death detection, replica failover, and respawn by re-fork), and
   ``"stall"`` makes the worker sleep inside the serve loop (exercising
   the job-timeout watchdog and deadline-bounded merging).
 

@@ -7,12 +7,10 @@ shard serializes its peers and a crashed lane is a crashed process.  This
 module is the process-isolation residual named by ROADMAP item 1: each
 shard replica becomes one persistent **worker process** that
 
-* attaches its shard's compressed operand and ``.plan.pkl`` sidecar
-  **once at spawn** — from the content-addressed
-  :class:`~repro.pipeline.cache.ArtifactCache` when the shard has a cache
-  key, else by inheriting the in-memory operand through ``fork`` (a
-  router built without ``cache=``) — and never ships operand bytes per
-  request;
+* inherits its shard's compressed operand **once at spawn**, through
+  ``fork``, together with the parent engine's plan-cache entry for it
+  (:func:`~repro.pipeline.sharded.shard_result` put that entry there),
+  and never ships operand bytes per request;
 * serves sub-requests over a per-lane **shared-memory ring**
   (:func:`repro.perf.shm.create_segment`): the parent writes the permuted
   feature block into a request slot and bumps the slot's sequence stamp,
@@ -35,7 +33,8 @@ worker is killed) and caps respawns — a crash-looping lane surfaces as
 replica dead) after a flight-recorder crash dump, through the same code
 path as the worker pool.  A worker that dies once self-heals: the serve
 that detects the death fails fast (one failover), the *next* serve
-respawns the worker, which re-attaches its artefact from the cache and
+respawns the worker by forking again from the parent, whose
+:class:`~repro.pipeline.sharded.ShardSet` still holds the operand, and it
 answers bit-identically.
 
 Worker-side errors cross the boundary as structured JSON in the response
@@ -44,7 +43,7 @@ slot — type name, message, and context — and are rebuilt into the same
 raises, so the router's failover/degradation semantics are unchanged.
 
 Observability (all parent-side, so one registry tells the whole story):
-``procshard_worker_attach_total{shard,source}``,
+``procshard_worker_attach_total{shard}``,
 ``procshard_worker_restarts_total{shard}``,
 ``procshard_worker_deaths_total{shard}``,
 ``procshard_job_timeouts_total{shard}``, the
@@ -103,10 +102,9 @@ _HDR_I64 = 8
 _REQ_SEQ, _REQ_ROWS, _REQ_COLS, _REQ_STALL = 0, 1, 2, 3
 _RESP_SEQ, _RESP_STATUS, _RESP_ROWS, _RESP_COLS, _RESP_SERVE_NS, _RESP_ERR = (
     0, 1, 2, 3, 4, 5)
-# Control header (one per segment): magic, worker pid, attach source,
-# attach nanoseconds, ready flag.
-_CTRL_MAGIC, _CTRL_PID, _CTRL_SOURCE, _CTRL_ATTACH_NS, _CTRL_READY = 0, 1, 2, 3, 4
-_SRC_INHERIT, _SRC_CACHE = 0, 1
+# Control header (one per segment): magic, worker pid, attach
+# nanoseconds, ready flag.
+_CTRL_MAGIC, _CTRL_PID, _CTRL_ATTACH_NS, _CTRL_READY = 0, 1, 2, 3
 
 # Session kwargs that only make sense in the parent process: the worker
 # has no reachable registry/recorder, so shipping them is pure confusion.
@@ -210,9 +208,6 @@ class _WorkerSpec:
     resp_r: int
     resp_w: int
     operand: object
-    plan: object
-    cache_dir: str | None
-    cache_key: str | None
     session_kwargs: dict
 
 
@@ -229,38 +224,14 @@ def _worker_main(spec: _WorkerSpec) -> None:
     seg = shm_transport._attach_untracked(spec.segment)
     views = _RingViews(seg.buf, spec.geometry)
 
-    operand, plan, source = spec.operand, spec.plan, _SRC_INHERIT
-    if spec.cache_dir and spec.cache_key:
-        try:
-            from .cache import ArtifactCache
-
-            cache = ArtifactCache(spec.cache_dir)
-            hit = cache.load(spec.cache_key)
-            if hit is not None:
-                operand = hit[0]
-                plan = cache.load_plan(spec.cache_key) or plan
-                source = _SRC_CACHE
-        except Exception:
-            logger.exception(
-                "shard %d worker: cache attach for %s failed; serving the "
-                "inherited operand", spec.shard_index, spec.cache_key)
-    if operand is None:
-        return  # nothing to serve: the parent's handshake wait surfaces it
-    if plan is not None:
-        try:
-            from ..perf import engine as perf_engine
-
-            perf_engine.adopt_plan(operand, plan)
-        except Exception:
-            logger.exception("shard %d worker: plan adoption failed; the "
-                             "session will build its own", spec.shard_index)
-
     from .serving import ServingSession
 
-    session = ServingSession(operand, None, **spec.session_kwargs)
+    # The forked operand is the parent's object, so the engine's plan-cache
+    # entry for it came along; without one, the first request builds the
+    # plan from the operand's backend and shape.
+    session = ServingSession(spec.operand, None, **spec.session_kwargs)
 
     views.ctrl[_CTRL_PID] = os.getpid()
-    views.ctrl[_CTRL_SOURCE] = source
     views.ctrl[_CTRL_ATTACH_NS] = int((time.perf_counter() - t_attach) * 1e9)
     views.ctrl[_CTRL_READY] = 1
     views.ctrl[_CTRL_MAGIC] = _MAGIC
@@ -374,9 +345,6 @@ class ProcessShardWorker:
         replica_index: int,
         operand,
         *,
-        plan=None,
-        cache_dir: str | None = None,
-        cache_key: str | None = None,
         session_kwargs: dict | None = None,
         supervision: SupervisionPolicy | None = None,
         metrics=None,
@@ -394,9 +362,6 @@ class ProcessShardWorker:
         self.shard_index = shard_index
         self.replica_index = replica_index
         self.operand = operand
-        self._plan = plan
-        self._cache_dir = cache_dir
-        self._cache_key = cache_key
         self._session_kwargs = {
             k: v for k, v in dict(session_kwargs or {}).items()
             if k not in _PARENT_ONLY_SESSION_KWARGS
@@ -410,7 +375,6 @@ class ProcessShardWorker:
                                      out_rows=rows, h_max=h_max)
         self.alive = False
         self.pid: int | None = None
-        self.attach_source: str | None = None
         self._closed = False
         self._lock = threading.RLock()
         self._seg = None
@@ -462,9 +426,7 @@ class ProcessShardWorker:
             shard_index=self.shard_index, replica_index=self.replica_index,
             segment=seg.name, geometry=geom,
             req_r=req_r, req_w=req_w, resp_r=resp_r, resp_w=resp_w,
-            operand=self.operand, plan=self._plan,
-            cache_dir=self._cache_dir, cache_key=self._cache_key,
-            session_kwargs=self._session_kwargs,
+            operand=self.operand, session_kwargs=self._session_kwargs,
         )
         ctx = multiprocessing.get_context("fork")
         proc = ctx.Process(
@@ -486,23 +448,21 @@ class ProcessShardWorker:
                 f"{self._spawn_timeout:.1f}s)",
                 shard=self.shard_index, replica=self.replica_index)
         self.pid = int(views.ctrl[_CTRL_PID])
-        self.attach_source = ("cache" if int(views.ctrl[_CTRL_SOURCE]) ==
-                              _SRC_CACHE else "inherited")
         attach_seconds = int(views.ctrl[_CTRL_ATTACH_NS]) / 1e9
         self.alive = True
         if self._metrics is not None:
             self._metrics.counter(
                 "procshard_worker_attach_total",
                 help="shard worker operand attachments at spawn",
-                shard=str(self.shard_index), source=self.attach_source).inc()
+                shard=str(self.shard_index)).inc()
         obs_events.emit(
             "procshard.worker_attached", shard=self.shard_index,
             replica=self.replica_index, pid=self.pid,
-            source=self.attach_source, attach_seconds=attach_seconds)
+            attach_seconds=attach_seconds)
         logger.debug(
-            "shard %d replica %d worker pid %d up (operand %s, %.1fms)",
+            "shard %d replica %d worker pid %d up (%.1fms)",
             self.shard_index, self.replica_index, self.pid,
-            self.attach_source, attach_seconds * 1e3)
+            attach_seconds * 1e3)
 
     def _poll_byte(self, timeout: float) -> bytes:
         """Read one doorbell byte within ``timeout``; ``b""`` on EOF/expiry."""

@@ -201,16 +201,10 @@ class ServingSession:
     def from_result(cls, result, **kwargs) -> "ServingSession":
         """Open a session over a :class:`PreprocessResult`.
 
-        A plan attached by :func:`~repro.pipeline.preprocess.preprocess`
-        (built fresh or loaded from the artefact cache) is adopted into the
-        engine's plan cache, so the first request skips the plan build.
+        :func:`~repro.pipeline.preprocess.preprocess` already put the
+        result's plan (built fresh or loaded from the artefact cache) in
+        the engine's plan cache, so the first request skips the plan build.
         """
-        plan = getattr(result, "plan", None)
-        if plan is not None:
-            try:
-                perf_engine.adopt_plan(result.operand, plan)
-            except (TypeError, ValueError):
-                logger.debug("stale plan on preprocess result ignored", exc_info=True)
         return cls(result.operand, result.permutation, **kwargs)
 
     # -- properties --------------------------------------------------------

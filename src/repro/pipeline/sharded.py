@@ -329,8 +329,8 @@ class ShardRouter:
 
     ``replicas`` gives every shard that many replicas; it is where
     concurrency comes from (scipy's matmat runs in parallel across lane
-    threads).  ``admission`` (or the ``max_queue_depth`` / ``deadline``
-    shorthands) sheds at the door: per shard, the queue depth the new
+    threads).  ``admission`` (or, without it, a policy built from
+    ``deadline``) sheds at the door: per shard, the queue depth the new
     sub-request would wait behind (requests admitted by :meth:`submit` but
     not yet fanned out, plus the least-loaded replica's in-flight count)
     and the p95 of that shard's ``spmm_latency_seconds{shard=...}`` series
@@ -359,8 +359,8 @@ class ShardRouter:
     each replica as an in-process :class:`ServingSession` on its own lane;
     ``"process"`` runs each replica as a persistent
     :class:`~repro.pipeline.procshard.ProcessShardWorker` — a forked
-    worker process that attaches the shard operand once (from ``cache``
-    when the shard has a cache key) and serves over a zero-copy shm ring,
+    worker process that inherits the shard operand and its plan through
+    ``fork`` and serves over a zero-copy shm ring,
     so CPU-bound shards escape the GIL and a SIGKILLed worker costs one
     failover, not the fabric.  Fan-out/merge, admission, deadline and
     failover semantics are identical in both modes, and so are the merged
@@ -368,6 +368,8 @@ class ShardRouter:
 
     The shard layout (specs, operands, devices, replicas per shard) is
     fixed at construction; nothing on the request path changes it.
+    ``cache`` is accepted and unused: shard artefacts are loaded by
+    :func:`shard_result`, before the router exists.
     """
 
     def __init__(
@@ -379,7 +381,6 @@ class ShardRouter:
         replicas: int = 1,
         devices=None,
         admission: AdmissionPolicy | None = None,
-        max_queue_depth: int | None = None,
         deadline: float | None = None,
         retry_policy: RetryPolicy | None = None,
         recorder=None,
@@ -403,10 +404,8 @@ class ShardRouter:
         self.shards = shards
         self.permutation = shards.permutation
         self.deadline = deadline
-        if admission is None and (max_queue_depth is not None
-                                  or deadline is not None):
-            admission = AdmissionPolicy(max_queue_depth=max_queue_depth,
-                                        deadline=deadline)
+        if admission is None and deadline is not None:
+            admission = AdmissionPolicy(deadline=deadline)
         self.admission = admission
         self._metrics = metrics
         self._windows = windows
@@ -414,7 +413,6 @@ class ShardRouter:
         self._retry_policy = retry_policy
         self._session_kwargs = dict(session_kwargs or {})
         self.executor = executor
-        self._cache = cache
         self._lock = threading.Lock()
         self._rr = 0
         self.n_requests = 0
@@ -499,23 +497,17 @@ class ShardRouter:
 
         No operand deepcopy even for extra replicas: each worker computes
         in its own address space, so plan scratch can never be shared.
-        The worker prefers re-attaching the shard artefact from the cache
-        (its sidecar plan included); a shard without a cache key, or a
-        router built without ``cache=``, falls back to inheriting the
-        in-memory operand via fork.
+        The worker inherits the shard operand through fork, and with it
+        the plan :func:`shard_result` put in the engine's plan cache; a
+        respawn forks again from this process, which still holds both.
         """
         from .procshard import ProcessShardWorker
 
-        cache_key = self.shards.specs[shard_index].cache_key
-        cache_dir = (str(self._cache.cache_dir)
-                     if self._cache is not None and cache_key else None)
         kwargs = dict(self._session_kwargs)
         if self._devices is not None:
             kwargs.setdefault("device", self._devices[shard_index])
         worker = ProcessShardWorker(
             shard_index, replica_index, operand,
-            plan=self.shards.plans[shard_index],
-            cache_dir=cache_dir, cache_key=cache_key,
             session_kwargs=kwargs, metrics=self._metrics,
             recorder=self._recorder,
         )

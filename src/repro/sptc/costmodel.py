@@ -160,23 +160,32 @@ class CostModel:
         return 1.0 + self.params.imbalance_weight * float(np.log2(1.0 + skew))
 
     # -- CSR on CUDA cores -----------------------------------------------------
-    def time_csr_spmm(self, wl: SpmmWorkload) -> float:
+    def csr_traffic(self, wl: SpmmWorkload) -> float:
+        """Bytes the CSR SpMM moves: the memory term of :meth:`time_csr_spmm`."""
         p = self.params
-        flops = 2.0 * wl.nnz * wl.h
-        compute = flops / p.cuda_spmm_flops * self._imbalance_penalty(wl)
         b_bytes = wl.n_cols * wl.h * p.value_bytes_dense
         miss = self._miss_fraction(b_bytes, p.csr_gather_miss_floor)
-        traffic = (
+        return (
             wl.nnz * (4 + p.value_bytes_dense)          # column index + value stream
             + (wl.n_rows + 1) * 4                        # indptr
             + wl.nnz * wl.h * p.value_bytes_dense * miss  # gathered B rows
             + wl.n_rows * wl.h * p.value_bytes_dense      # C write
         )
-        return p.kernel_launch + max(compute, traffic / p.mem_bandwidth)
+
+    def time_csr_spmm(self, wl: SpmmWorkload) -> float:
+        p = self.params
+        flops = 2.0 * wl.nnz * wl.h
+        compute = flops / p.cuda_spmm_flops * self._imbalance_penalty(wl)
+        return p.kernel_launch + max(compute, self.csr_traffic(wl) / p.mem_bandwidth)
 
     # -- SPTC structured kernels -------------------------------------------------
     def time_venom_spmm(self, a: VNMCompressed, h: int) -> float:
         return self.time_venom_tiles(a.pattern, a.shape, a.n_tiles, a.n_live_cols, h)
+
+    def venom_traffic(self, a: VNMCompressed, h: int) -> float:
+        """Bytes the V:N:M SpMM moves: the memory term of :meth:`time_venom_spmm`."""
+        live, a_bytes = self._venom_tile_terms(a.pattern, a.shape, a.n_tiles, a.n_live_cols)
+        return self._sptc_traffic(a.shape, live, a_bytes, h)
 
     def time_venom_tiles(
         self, pattern: VNMPattern, shape: tuple[int, int], n_tiles: int,
@@ -188,15 +197,24 @@ class CostModel:
         columns, summed) are all the model reads of a compressed operand, so
         a caller that has only the tile column masks need not compress.
         """
-        live = n_live_cols if n_live_cols else n_tiles * pattern.k
+        live, a_bytes = self._venom_tile_terms(pattern, shape, n_tiles, n_live_cols)
         return self._time_sptc(
             n_rows=shape[0],
             n_cols=shape[1],
             stored_slots=n_tiles * pattern.v * pattern.n,
             live_b_rows=live,
-            a_bytes=vnm_storage_bytes(pattern, (shape[0] + pattern.v - 1) // pattern.v, n_tiles),
+            a_bytes=a_bytes,
             h=h,
         )
+
+    @staticmethod
+    def _venom_tile_terms(
+        pattern: VNMPattern, shape: tuple[int, int], n_tiles: int, n_live_cols: int,
+    ) -> tuple[int, int]:
+        """``(live B rows fetched, operand bytes)`` from the tile counts."""
+        live = n_live_cols if n_live_cols else n_tiles * pattern.k
+        n_tile_rows = (shape[0] + pattern.v - 1) // pattern.v
+        return live, vnm_storage_bytes(pattern, n_tile_rows, n_tiles)
 
     def time_nm_spmm(self, a: NMCompressed, h: int) -> float:
         return self._time_sptc(
@@ -208,6 +226,18 @@ class CostModel:
             h=h,
         )
 
+    def _sptc_traffic(
+        self, shape: tuple[int, int], live_b_rows: int, a_bytes: int, h: int,
+    ) -> float:
+        p = self.params
+        b_bytes = shape[1] * h * p.value_bytes_tc
+        miss = self._miss_fraction(b_bytes, p.sptc_gather_miss_floor) * p.sptc_locality
+        return (
+            a_bytes
+            + live_b_rows * h * p.value_bytes_tc * miss  # per-tile live-column B fetch
+            + shape[0] * h * p.value_bytes_tc             # C write
+        )
+
     def _time_sptc(
         self, *, n_rows: int, n_cols: int, stored_slots: int,
         live_b_rows: int, a_bytes: int, h: int,
@@ -215,13 +245,7 @@ class CostModel:
         p = self.params
         flops = 2.0 * stored_slots * h  # every stored slot computes, padding included
         compute = flops / p.sptc_flops
-        b_bytes = n_cols * h * p.value_bytes_tc
-        miss = self._miss_fraction(b_bytes, p.sptc_gather_miss_floor) * p.sptc_locality
-        traffic = (
-            a_bytes
-            + live_b_rows * h * p.value_bytes_tc * miss  # per-tile live-column B fetch
-            + n_rows * h * p.value_bytes_tc               # C write
-        )
+        traffic = self._sptc_traffic((n_rows, n_cols), live_b_rows, a_bytes, h)
         return p.kernel_launch + max(compute, traffic / p.mem_bandwidth)
 
     def time_bsr_spmm(self, a, h: int) -> float:

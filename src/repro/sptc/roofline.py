@@ -48,34 +48,16 @@ class RooflinePoint:
 def csr_roofline(csr: CSRMatrix, h: int, model: CostModel | None = None) -> RooflinePoint:
     """Roofline point of the CUDA-core CSR SpMM on this operand."""
     cm = model or CostModel()
-    p = cm.params
     wl = SpmmWorkload.from_csr(csr, h)
     flops = 2.0 * wl.nnz * h
-    b_bytes = wl.n_cols * h * p.value_bytes_dense
-    miss = cm._miss_fraction(b_bytes, p.csr_gather_miss_floor)
-    traffic = (
-        wl.nnz * (4 + p.value_bytes_dense)
-        + (wl.n_rows + 1) * 4
-        + wl.nnz * h * p.value_bytes_dense * miss
-        + wl.n_rows * h * p.value_bytes_dense
-    )
-    return RooflinePoint("csr", h, flops, traffic, cm.time_csr_spmm(wl))
+    return RooflinePoint("csr", h, flops, cm.csr_traffic(wl), cm.time_csr_spmm(wl))
 
 
 def venom_roofline(a: VNMCompressed, h: int, model: CostModel | None = None) -> RooflinePoint:
     """Roofline point of the SPTC V:N:M SpMM on this operand."""
     cm = model or CostModel()
-    p = cm.params
     flops = 2.0 * a.values.size * h
-    live = a.n_live_cols if a.n_live_cols else a.n_tiles * a.pattern.k
-    b_bytes = a.shape[1] * h * p.value_bytes_tc
-    miss = cm._miss_fraction(b_bytes, p.sptc_gather_miss_floor) * p.sptc_locality
-    traffic = (
-        a.storage_bytes()
-        + live * h * p.value_bytes_tc * miss
-        + a.shape[0] * h * p.value_bytes_tc
-    )
-    return RooflinePoint("venom", h, flops, traffic, cm.time_venom_spmm(a, h))
+    return RooflinePoint("venom", h, flops, cm.venom_traffic(a, h), cm.time_venom_spmm(a, h))
 
 
 def roofline_series(

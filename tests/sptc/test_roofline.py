@@ -40,6 +40,17 @@ class TestRooflinePoints:
         assert pt.modelled_seconds == pytest.approx(cm.time_venom_spmm(venom, 128))
         assert pt.flops == 2.0 * venom.values.size * 128
 
+    @pytest.mark.parametrize("h", [16, 128, 512])
+    def test_memory_bound_time_is_launch_plus_traffic(self, case, h):
+        # The bytes on the roofline are the model's own traffic term: where
+        # memory binds, the modelled time is exactly launch + bytes / BW.
+        csr, venom = case
+        cm = CostModel().with_params(cuda_spmm_flops=1e18, sptc_flops=1e18)
+        p = cm.params
+        for pt in (csr_roofline(csr, h, cm), venom_roofline(venom, h, cm)):
+            assert pt.bound(p) == "memory"
+            assert pt.modelled_seconds == p.kernel_launch + pt.bytes_moved / p.mem_bandwidth
+
     def test_intensity_positive(self, case):
         csr, venom = case
         for pt in roofline_series(csr, venom):

@@ -97,6 +97,17 @@ class TestPipelineCommands:
         assert "bitwise-equal to dense reference: True" in text
         assert "False" not in text
 
+    def test_serve_process_shards_is_bitwise_exact(self, mtx_file, tmp_path, capsys):
+        code = main(["serve", mtx_file, "--pattern", "2:4",
+                     "--cache-dir", str(tmp_path / "cache"),
+                     "--shards", "2", "--executor", "process",
+                     "--requests", "2", "--h", "16"])
+        text = capsys.readouterr().out
+        assert code == 0
+        assert "2 shard(s) x 1 replica(s) on process lanes" in text
+        assert "bitwise-equal to dense reference: True" in text
+        assert "False" not in text
+
     def test_stats_counts_plan_sidecars(self, mtx_file, tmp_path, capsys):
         cache_dir = str(tmp_path / "cache")
         assert main(["preprocess", mtx_file, "--pattern", "2:4",
