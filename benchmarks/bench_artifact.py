@@ -7,19 +7,24 @@ with the lossless ``hybrid`` backend, plus its permutation:
 * ``store_s``  — :meth:`ArtifactCache.store` (serialize + atomic replace);
 * ``load_s``   — :meth:`ArtifactCache.load`, a warm open with the checksum
   verified, as every cache hit does;
-* ``verify_s`` — the payload sha256 alone (:func:`payload_checksum` over the
-  arrays the artefact holds), reported as its own number so the integrity
-  check's share of ``load_s`` stays visible.
+* ``verify_s`` — the format-4 sha256 alone (:func:`file_digest` over the
+  file's bytes, already in memory), reported as its own number so the
+  integrity check's share of ``load_s`` stays visible;
+* ``key_s``    — :func:`repro.pipeline.cache_key` on the graph (its CSR
+  already built, as a warm open finds it), the fingerprint every cache
+  lookup pays before it can load anything.
 
 It also records each artefact's size on disk.  Every run hard-fails when a
 loaded operand or permutation differs from the stored one (array bytes,
-dtypes, shapes, pattern) or when a session opened on the loaded artefact
-answers an integer-feature ``spmm`` differently from scipy.
+dtypes, shapes, pattern), when a session opened on the loaded artefact
+answers an integer-feature ``spmm`` differently from scipy, or when the
+graph's cache key differs from the one its bit matrix gives.
 
 The baseline is a recorded run of this script on the reference commit:
 ``--record-baseline LABEL`` stores that run's medians, labelled, as the
 baseline block, and later runs carry it forward from the tracked
-``BENCH_artifact.json``.  Full mode runs ``ROUNDS`` timed rounds and fails
+``BENCH_artifact.json``; a timed column the baseline lacks is shown
+without one.  Full mode runs ``ROUNDS`` timed rounds and fails
 when the summed ``load_s`` median is not at least ``MIN_SPEEDUP`` x faster
 than the baseline's.  That gate compares against seconds recorded once, so
 it is only meaningful on the host that recorded the baseline: when this
@@ -33,11 +38,15 @@ Run standalone::
     PYTHONPATH=src python benchmarks/bench_artifact.py --json-out .
 
 writes ``BENCH_artifact.json`` next to the other tracked ``BENCH_*.json``.
+The JSON records the sha256 of this file (``benchmark_sha256``), and a
+tier-1 test checks it against the committed script, so the tracked numbers
+are regenerated whenever the benchmark changes.
 """
 
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import statistics
@@ -51,14 +60,14 @@ import numpy as np
 from repro import pipeline
 from repro.graphs import load_dataset
 from repro.sptc import HybridVNM
-from repro.sptc.serialize import payload_checksum
+from repro.sptc.serialize import file_digest
 
 ROOT = Path(__file__).resolve().parents[1]
 TRACKED = ROOT / "BENCH_artifact.json"
 GRAPHS = ("cora", "facebook", "amazon-ratings")
 SEED = 1
 PLAN = pipeline.PreprocessPlan(pattern=None, backend="hybrid")
-TIMED = ("store_s", "load_s", "verify_s")
+TIMED = ("store_s", "load_s", "verify_s", "key_s")
 ROUNDS = 20
 QUICK_ROUNDS = 3
 MIN_SPEEDUP = 2.0
@@ -125,9 +134,10 @@ def main() -> int:
         cache = pipeline.ArtifactCache(tmp)
         for name, g in graphs.items():
             result = pipeline.preprocess(g, PLAN)
+            result_key = pipeline.cache_key(g.bitmatrix(), PLAN)  # the slow, independent route
             stored = (result.operand, result.permutation)
             selected[name] = str(result.pattern)
-            adj = g.csr().to_scipy()
+            adj = g.csr().to_scipy()  # also the CSR a warm open fingerprints
             for _ in range(rounds):
                 took, path = timed(lambda: cache.store(name, *stored))
                 seconds[name]["store_s"].append(took)
@@ -138,10 +148,17 @@ def main() -> int:
                     print(f"FAIL: {name}: loaded artefact differs from the stored one")
                     ok = False
                     continue
-                with np.load(path) as npz:
-                    data = {k: npz[k] for k in npz.files}
-                took, _ = timed(lambda: payload_checksum(data))
+                raw = path.read_bytes()
+                took, digest = timed(lambda: file_digest(raw))
                 seconds[name]["verify_s"].append(took)
+                if digest != raw[8:40]:
+                    print(f"FAIL: {name}: the stored digest does not match the file")
+                    ok = False
+                took, key = timed(lambda: pipeline.cache_key(g, PLAN))
+                seconds[name]["key_s"].append(took)
+                if key != result_key:
+                    print(f"FAIL: {name}: the graph and bit-matrix cache keys differ")
+                    ok = False
             if loaded is not None and not serves_like_scipy(*loaded, adj):
                 print(f"FAIL: {name}: spmm on the loaded artefact differs from scipy")
                 ok = False
@@ -168,13 +185,13 @@ def main() -> int:
         line = f"{name:<15} {file_bytes[name] / 1e6:6.2f} MB"
         for t in TIMED:
             line += f"  {t} {medians[name][t] * 1e3:7.2f} ms"
-            if baseline is not None:
+            if baseline is not None and t in baseline["median_seconds"][name]:
                 line += f" (baseline {baseline['median_seconds'][name][t] * 1e3:7.2f})"
         print(line)
     speedups = {}
     for t in TIMED:
         line = f"total {t:<9} {totals[t] * 1e3:7.2f} ms"
-        if baseline is not None:
+        if baseline is not None and t in baseline["median_seconds"][GRAPHS[0]]:
             before = sum(baseline["median_seconds"][name][t] for name in GRAPHS)
             speedups[t] = before / totals[t] if totals[t] > 0 else float("inf")
             line += f" vs baseline {before * 1e3:7.2f} ms: {speedups[t]:5.2f}x"
@@ -192,6 +209,7 @@ def main() -> int:
     if args.json_out:
         payload = {
             "benchmark": "artifact",
+            "benchmark_sha256": hashlib.sha256(Path(__file__).read_bytes()).hexdigest(),
             "config": {"rounds": rounds, "quick": args.quick, "seed": SEED,
                        "graphs": list(GRAPHS), "plan": "pattern=auto backend=hybrid",
                        "cpu_count": os.cpu_count()},

@@ -2,15 +2,24 @@
 
 Reordering is the expensive offline step; its outputs (permutation +
 compressed operand) are pure functions of the adjacency structure and the
-preprocessing plan.  This cache keys artefacts by
-``sha256(adjacency bytes, pattern, plan knobs, serialize format version)``
+preprocessing plan.  This cache keys artefacts by a sha256 over the
+structure's fingerprint, the plan knobs and the serialize format version,
 and stores them via :mod:`repro.sptc.serialize`, so preprocessing the same
 graph twice is a file load, not a re-search — the paper's §4.4 "reorder
 once, reuse across many inferences" deployment story made automatic.
 
 The key covers everything that changes the artefact:
 
-* the exact bit structure of the (self-looped, if requested) adjacency,
+* the sparsity structure the reordering optimises (the adjacency, with
+  self-loops when the plan adds them), fingerprinted as
+  ``sha256(b"<rows>x<cols>:" + indptr + indices)`` over its CSR ``indptr``
+  and ``indices`` as little-endian int64 (column indices sorted within each
+  row, duplicates merged, explicit zeros kept as structure).  A
+  :class:`~repro.graphs.Graph` supplies its cached
+  ``csr(add_self_loops=...)``; a :class:`BitMatrix` supplies its
+  ``nonzero()`` coordinates.  Both routes give the same key for the same
+  structure; the graph's is the cheap one (it never builds the dense bit
+  matrix on a warm open);
 * the target pattern (or ``"auto"`` plus the selection policy),
 * every reorder knob (``max_iter``, ``time_budget``, extra kwargs),
 * the backend name and the on-disk ``_FORMAT_VERSION`` — bumping the
@@ -18,12 +27,15 @@ The key covers everything that changes the artefact:
 
 Integrity (robustness PR): stores are **atomic** (written to a ``.tmp``
 sibling, then ``os.replace``'d into place) so a killed preprocess never
-leaves a half-written artefact, and artefacts carry an embedded checksum
-(see :mod:`repro.sptc.serialize`).  A corrupt or unreadable entry is
-**quarantined** to a ``.corrupt/`` sidecar directory — counted in
-:attr:`CacheStats.quarantined`, never silently deleted — and the read is
+leaves a half-written artefact, and artefacts carry an embedded sha256
+verified on every load (see :mod:`repro.sptc.serialize`).  A corrupt or
+unreadable entry — including a leftover zip-based artefact of an older
+format — is **quarantined** to a ``.corrupt/`` sidecar directory — counted
+in :attr:`CacheStats.quarantined`, never silently deleted — and the read is
 answered as a miss.  :meth:`ArtifactCache.fsck` checks every entry offline
-(the CLI ``doctor`` subcommand).
+(the CLI ``doctor`` subcommand).  Files keep the ``.npz`` suffix of the
+older zip formats; it is now only a name, so ``clear``, ``fsck`` and
+quarantine cover old and new artefacts alike.
 """
 
 from __future__ import annotations
@@ -32,18 +44,18 @@ import hashlib
 import json
 import os
 import time
-import zipfile
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from ..core.bitmatrix import BitMatrix
+from ..graphs.graph import Graph
 from ..obs import events as obs_events
+from ..sptc.csr import CSRMatrix
 from ..sptc import serialize
 from . import faults
-from .preprocess import PreprocessPlan
+from .preprocess import PreprocessPlan, _reorder_target
 
 __all__ = [
     "ArtifactCache",
@@ -53,25 +65,41 @@ __all__ = [
     "shard_cache_key",
 ]
 
-# Failure modes a damaged .npz can surface: structural (BadZipFile/OSError/
-# EOFError), compressed-stream damage (zlib.error), missing arrays
-# (KeyError), or content-level (ValueError, which includes serialize's
-# ArtifactCorruptError checksum failures).
-_CORRUPT_ERRORS = (ValueError, KeyError, OSError, EOFError, zipfile.BadZipFile, zlib.error)
+# Failure modes a damaged artefact can surface: an unreadable file
+# (OSError) or content-level damage (ValueError, which includes serialize's
+# ArtifactCorruptError for every structural and checksum failure).
+_CORRUPT_ERRORS = (ValueError, OSError)
 
 
-def adjacency_fingerprint(bm: BitMatrix) -> str:
-    """Hex digest of the exact bit structure (shape + packed words)."""
-    digest = hashlib.sha256()
-    digest.update(f"{bm.n_rows}x{bm.n_cols}:".encode())
-    digest.update(np.ascontiguousarray(bm.words))  # byte view, no tobytes() copy
+def adjacency_fingerprint(structure: BitMatrix | CSRMatrix) -> str:
+    """Hex digest of a sparsity structure: shape, CSR ``indptr``, ``indices``.
+
+    A :class:`CSRMatrix` must be canonical (sorted column indices within
+    each row, no duplicate entries), as every ``CSRMatrix.from_coo`` and
+    ``Graph.csr`` is; its values are ignored.  A :class:`BitMatrix` is
+    turned into the same arrays from its set bits.
+    """
+    if isinstance(structure, BitMatrix):
+        rows, indices = structure.nonzero()
+        indptr = np.zeros(structure.n_rows + 1, dtype=np.int64)
+        np.cumsum(np.bincount(rows, minlength=structure.n_rows), out=indptr[1:])
+    else:
+        indptr, indices = structure.indptr, structure.indices
+    n_rows, n_cols = structure.shape
+    digest = hashlib.sha256(f"{n_rows}x{n_cols}:".encode())
+    digest.update(np.ascontiguousarray(indptr, dtype="<i8"))
+    digest.update(np.ascontiguousarray(indices, dtype="<i8"))
     return digest.hexdigest()
 
 
-def cache_key(bm: BitMatrix, plan: PreprocessPlan) -> str:
-    """Content address of the artefact ``plan`` would produce for ``bm``."""
+def cache_key(graph: Graph | BitMatrix, plan: PreprocessPlan) -> str:
+    """Content address of the artefact ``plan`` would produce for ``graph``."""
+    if isinstance(graph, Graph):
+        structure = graph.csr(add_self_loops=plan.add_self_loops)
+    else:
+        structure = _reorder_target(graph, plan)
     payload = {
-        "adjacency": adjacency_fingerprint(bm),
+        "adjacency": adjacency_fingerprint(structure),
         "format_version": serialize._FORMAT_VERSION,
         **plan.key_fields(),
     }

@@ -206,13 +206,11 @@ def preprocess(
     """Execute ``plan`` on one graph, going through ``cache`` when given."""
     plan = plan or PreprocessPlan()
     with obs_trace.span("preprocess", backend=plan.backend) as sp:
-        bm = _reorder_target(graph, plan)
-
         key = None
         if cache is not None and plan.backend in _CACHEABLE_BACKENDS:
             from .cache import cache_key
 
-            key = cache_key(bm, plan)
+            key = cache_key(graph, plan)
             with obs_trace.span("preprocess.cache_lookup"):
                 hit = cache.load(key)
             if hit is not None:
@@ -225,7 +223,7 @@ def preprocess(
                     plan=_plan_operand(operand, key, cache, stored=False),
                 )
 
-        pattern, perm, summary = _search_or_reorder(bm, plan)
+        pattern, perm, summary = _search_or_reorder(_reorder_target(graph, plan), plan)
         with obs_trace.span("preprocess.compress", backend=plan.backend):
             csr = _operator_csr(graph, perm, plan)
             operand = registry.compress(csr, plan.backend, pattern)
@@ -277,7 +275,7 @@ def preprocess_many(
                 if cache is not None and plan.backend in _CACHEABLE_BACKENDS:
                     from .cache import cache_key
 
-                    key = cache_key(_reorder_target(graph, plan), plan)
+                    key = cache_key(graph, plan)
                     keys[i] = key
                     hit = cache.load(key)
                     if hit is not None:

@@ -95,9 +95,8 @@ class TestHitMissInvalidate:
         assert first.cache_key not in cache  # corrupt entry was dropped
 
     def test_compressed_stream_damage_is_a_miss(self, cache):
-        # Scribbling mid-file keeps the zip structure readable but damages
-        # a stored (uncompressed, format v3) member: the read surfaces as a
-        # crc32 BadZipFile, or a ValueError when it hits an npy header.
+        # Scribbling mid-file keeps the magic intact but breaks the sha256
+        # the file carries over everything after it: ArtifactCorruptError.
         bm = make_bm()
         plan = PreprocessPlan(pattern=PATTERN)
         first = preprocess(bm, plan, cache=cache)

@@ -303,11 +303,13 @@ class TestCacheIntegrity:
     def test_checksum_catches_silent_bit_rot(self, cache, tmp_path):
         result = preprocess(make_bm(), PreprocessPlan(pattern=PATTERN), cache=cache)
         path = cache.path(result.cache_key)
-        with np.load(path) as data:
-            arrays = {name: data[name].copy() for name in data.files}
-        arrays["values"] = -arrays["values"]  # flip payload, keep old checksum
-        with open(path, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
+        raw = np.fromfile(path, dtype=np.uint8)
+        header, data_start = serialize._header(raw)
+        spec = header["arrays"]["values"]
+        start = data_start + spec["offset"]
+        values = raw[start:start + 8 * int(np.prod(spec["shape"]))].view("<f8")
+        values *= -1  # flip payload in place, keep old checksum
+        raw.tofile(path)
         with pytest.raises(ArtifactCorruptError):
             serialize.load_preprocessed(path)
         # Through the cache it is a quarantined miss, not a crash.

@@ -1,24 +1,28 @@
-"""Artefact format v3: one read per array, ordinary arrays, required checksum.
+"""Artefact format v4: one read, one digest, verified before anything is parsed.
 
-Also pins the two content digests (payload checksum and adjacency
-fingerprint) byte for byte, and fuzzes truncated and bit-flipped files
-through both :func:`load_preprocessed` and :meth:`ArtifactCache.load`.
+The file keeps its format-v3 name so the test ids of the cases that carry
+over stay stable.  It covers the round trip (bit-equal, ordinary aligned
+writeable arrays, one ``readinto``), pins the two content digests (the file
+digest and the adjacency fingerprint), and fuzzes single-byte flips,
+truncations and crafted headers through both :func:`load_preprocessed` and
+:meth:`ArtifactCache.load`.  Leftover zip-based artefacts of formats 2 and 3
+are quarantined like any other corrupt file.
 """
 
+import hashlib
 import itertools
-import struct
-import zipfile
+import json
 
 import numpy as np
 import pytest
 
-from repro.core import BitMatrix, VNMPattern, reorder
+from repro.core import BitMatrix, Permutation, VNMPattern, reorder
 from repro.pipeline import ArtifactCache, ServingSession
 from repro.pipeline import cache as cache_mod
 from repro.pipeline.resilience import ArtifactCorruptError
-from repro.sptc import CSRMatrix, HybridVNM
+from repro.sptc import CSRMatrix, HybridVNM, VNMCompressed
 from repro.sptc import serialize
-from repro.sptc.serialize import load_preprocessed, payload_checksum, save_preprocessed
+from repro.sptc.serialize import file_digest, load_preprocessed, save_preprocessed
 
 PATTERN = VNMPattern(1, 2, 4)
 
@@ -62,23 +66,73 @@ def _serves_like_scipy(operand, perm, adj) -> bool:
     return np.array_equal(ServingSession(operand, perm).spmm(x), adj @ x)
 
 
+def _layout(raw: bytes) -> tuple[dict, int]:
+    """The header and data start of an intact file."""
+    return serialize._header(np.frombuffer(raw, dtype=np.uint8))
+
+
+def _array_ranges(raw: bytes) -> dict[str, range]:
+    """The file offsets of every array's bytes."""
+    header, data_start = _layout(raw)
+    ranges = {}
+    for name, spec in header["arrays"].items():
+        start = data_start + spec["offset"]
+        nbytes = int(np.prod(spec["shape"])) * np.dtype(spec["dtype"]).itemsize
+        ranges[name] = range(start, start + nbytes)
+    return ranges
+
+
+def _redigest(raw) -> bytes:
+    """``raw`` with its digest field recomputed, so the checksum passes."""
+    raw = bytearray(raw)
+    raw[8:40] = file_digest(raw)
+    return bytes(raw)
+
+
+def _rewrite_header(raw: bytes, mutate) -> bytes:
+    """A re-digested copy of ``raw`` whose header went through ``mutate``.
+
+    Array offsets count from the data start, so the data region is carried
+    over unchanged after the new header and its padding.
+    """
+    header, data_start = _layout(raw)
+    mutate(header)
+    blob = json.dumps(header).encode()
+    start = serialize._aligned(48 + len(blob))
+    out = raw[:40] + len(blob).to_bytes(8, "little") + blob
+    out += bytes(start - len(out)) + raw[data_start:]
+    return _redigest(out)
+
+
 class TestLoadPath:
     def test_each_member_read_once(self, case, tmp_path, monkeypatch):
+        """The whole file arrives by one ``readinto``; nothing else reads it."""
         _, perm, hybrid = case
         path = tmp_path / "a.npz"
         save_preprocessed(path, operand=hybrid, permutation=perm)
-        reads: list[str] = []
-        getitem = np.lib.npyio.NpzFile.__getitem__
+        calls: list[int] = []
 
-        def spy(self, key):
-            reads.append(key)
-            return getitem(self, key)
+        class Spy:
+            def __init__(self, fh):
+                self._fh = fh
 
-        monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", spy)
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self._fh.close()
+
+            def fileno(self):
+                return self._fh.fileno()
+
+            def readinto(self, view):
+                calls.append(len(view))
+                return self._fh.readinto(view)
+
+        monkeypatch.setattr(serialize, "open", lambda *a, **k: Spy(open(*a, **k)),
+                            raising=False)
         load_preprocessed(path)
-        with zipfile.ZipFile(path) as zf:
-            members = sorted(name.removesuffix(".npy") for name in zf.namelist())
-        assert sorted(reads) == members
+        assert calls == [path.stat().st_size]
 
     @pytest.mark.parametrize("kind", ["hybrid", "hybrid-no-residual", "vnm"])
     @pytest.mark.parametrize("with_perm", [True, False], ids=["perm", "no-perm"])
@@ -93,17 +147,20 @@ class TestLoadPath:
         loaded, loaded_perm = load_preprocessed(path)
 
         assert type(loaded) is type(operand)
+        main = loaded.main if isinstance(loaded, HybridVNM) else loaded
+        assert (main.pattern, main.shape, main.n_live_cols) == (
+            hybrid.main.pattern, hybrid.main.shape, hybrid.main.n_live_cols)
         if kind == "hybrid-no-residual":
             assert loaded.residual is None
         expect, got = _operand_arrays(operand), _operand_arrays(loaded)
         assert got.keys() == expect.keys()
         for name, arr in got.items():
             _assert_bit_equal(arr, expect[name])
-            # Ordinary memory: not a read-only mapping or a misaligned view into one buffer.
+            # Aligned, writeable views: usable like freshly allocated arrays.
             assert arr.flags.c_contiguous and arr.flags.aligned and arr.flags.writeable, name
         if with_perm:
             _assert_bit_equal(loaded_perm.order, perm.order)
-            # Permutation freezes its order itself; the buffer is still ordinary.
+            # Permutation freezes its order itself; the view is still aligned.
             assert loaded_perm.order.flags.c_contiguous and loaded_perm.order.flags.aligned
         else:
             assert loaded_perm is None
@@ -111,60 +168,120 @@ class TestLoadPath:
             assert _serves_like_scipy(loaded, loaded_perm,
                                       adj if with_perm else perm.apply_to_matrix(adj))
 
+    def test_arrays_start_on_64_byte_boundaries(self, case, tmp_path):
+        _, perm, hybrid = case
+        path = tmp_path / "a.npz"
+        save_preprocessed(path, operand=hybrid, permutation=perm)
+        raw = path.read_bytes()
+        assert raw[:8] == b"\x93SOGRE" + serialize._FORMAT_VERSION.to_bytes(2, "little")
+        assert raw[8:40] == hashlib.sha256(raw[40:]).digest()
+        ranges = _array_ranges(raw)
+        assert len(ranges) == 9
+        assert all(r.start % 64 == 0 for r in ranges.values())
+
+    def test_digest_checked_before_header_is_parsed(self, case, tmp_path, monkeypatch):
+        _, perm, hybrid = case
+        path = tmp_path / "a.npz"
+        save_preprocessed(path, operand=hybrid, permutation=perm)
+        raw = bytearray(path.read_bytes())
+        raw[-1] ^= 0x01
+        path.write_bytes(bytes(raw))
+        parsed = []
+        monkeypatch.setattr(serialize, "_header", lambda buf: parsed.append(buf))
+        with pytest.raises(ArtifactCorruptError, match="checksum"):
+            load_preprocessed(path)
+        assert parsed == []
+
 
 class TestChecksumRequired:
+    """Only an intact format-4 file loads; leftovers of older formats are corrupt."""
+
+    @staticmethod
+    def _zip_arrays(hybrid, perm, version: int) -> dict:
+        """The member arrays a zip-based (format 2 or 3) artefact held."""
+        arrays = {"format_version": np.array([version]), "is_hybrid": np.array([1]),
+                  "pattern": np.array([1, 2, 4, PATTERN.k]),
+                  "shape": np.array(hybrid.shape),
+                  "n_live_cols": np.array([hybrid.main.n_live_cols]),
+                  "permutation": perm.order, **_operand_arrays(hybrid)}
+        arrays["checksum"] = np.frombuffer(hashlib.sha256(b"old").digest(), np.uint8)
+        return arrays
+
     def test_v3_artefact_without_checksum_is_quarantined(self, case, tmp_path):
         _, perm, hybrid = case
         cache = ArtifactCache(tmp_path / "cache")
         path = cache.store("k", hybrid, perm)
-        with np.load(path) as npz:
-            arrays = {name: npz[name] for name in npz.files if name != "checksum"}
-        assert int(arrays["format_version"][0]) == serialize._FORMAT_VERSION
+        arrays = self._zip_arrays(hybrid, perm, 3)
+        del arrays["checksum"]
         with open(path, "wb") as fh:
             np.savez(fh, **arrays)
-        with pytest.raises(ArtifactCorruptError):
+        with pytest.raises(ArtifactCorruptError, match="bad magic"):
             load_preprocessed(path)
         assert cache.load("k") is None
         assert cache.stats.quarantined == 1
         assert [p.name for p in cache.quarantined()] == ["k.npz"]
 
+    def test_v3_artefact_is_quarantined_by_fsck_and_load(self, case, tmp_path):
+        _, perm, hybrid = case
+        cache = ArtifactCache(tmp_path / "cache")
+        for key in ("a", "b"):
+            with open(cache.store(key, hybrid, perm), "wb") as fh:
+                np.savez(fh, **self._zip_arrays(hybrid, perm, 3))
+        cache.store("ok", hybrid, perm)
+        assert cache.load("a") is None
+        report = cache.fsck()
+        assert report["corrupt"] == ["b"] and report["ok"] == ["ok"]
+        assert sorted(p.name for p in cache.quarantined()) == ["a.npz", "b.npz"]
+
     def test_compressed_v2_artefact_is_quarantined_by_fsck(self, case, tmp_path):
         _, perm, hybrid = case
         cache = ArtifactCache(tmp_path / "cache")
         path = cache.store("k", hybrid, perm)
-        with np.load(path) as npz:
-            arrays = {name: npz[name] for name in npz.files}
-        arrays["format_version"] = np.array([2])
-        arrays["checksum"] = payload_checksum(arrays)
         with open(path, "wb") as fh:
-            np.savez_compressed(fh, **arrays)
+            np.savez_compressed(fh, **self._zip_arrays(hybrid, perm, 2))
         report = cache.fsck()
         assert report["corrupt"] == ["k"] and report["ok"] == []
         assert [p.name for p in cache.quarantined()] == ["k.npz"]
 
+    def test_zeroed_digest_is_rejected(self, case, tmp_path):
+        _, perm, hybrid = case
+        path = tmp_path / "a.npz"
+        save_preprocessed(path, operand=hybrid, permutation=perm)
+        raw = bytearray(path.read_bytes())
+        raw[8:40] = bytes(32)
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ArtifactCorruptError, match="checksum"):
+            load_preprocessed(path)
+
 
 class TestDigestPins:
-    """Both digests must match the ``tobytes()`` formulas they replaced."""
+    """Both digests are part of the format: a change re-addresses or rejects
+    every stored artefact, so each is pinned byte for byte."""
 
     def test_adjacency_fingerprint_pinned(self):
         i, j = np.indices((5, 70))
-        bm = BitMatrix.from_dense(((i * 7 + j * 3) % 5 == 0).astype(np.uint8))
-        assert cache_mod.adjacency_fingerprint(bm) == (
-            "b2676a6c0a7d3c08769771508e13b0fc472d75a690da9af6f1161a1ae68cf73f"
-        )
+        dense = ((i * 7 + j * 3) % 5 == 0).astype(np.uint8)
+        expect = "d32c79481cc1adecd4ad8e244eca4d2a54da3307819d05d38544f0c6468d8434"
+        assert cache_mod.adjacency_fingerprint(BitMatrix.from_dense(dense)) == expect
+        assert cache_mod.adjacency_fingerprint(CSRMatrix.from_dense(dense)) == expect
 
-    def test_payload_checksum_pinned(self):
-        arrays = {
-            "format_version": np.array([3]),
-            "shape": np.array([3, 4]),
-            "tile_ptr": np.array([0, 2, 3], dtype=np.int64),
-            "values": np.arange(12, dtype=np.float64).reshape(3, 4) / 8,
-            "meta": np.arange(6, dtype=np.uint8).reshape(3, 2).T,  # non-contiguous
-            "permutation": np.array([2, 0, 1], dtype=np.int64),
-            "checksum": np.zeros(32, dtype=np.uint8),
-        }
-        assert payload_checksum(arrays).tobytes().hex() == (
-            "32d456d86d179fe4afe17fff5b40c58c30e646ed1b2d7a683ccaef010658090c"
+    def test_payload_checksum_pinned(self, tmp_path):
+        operand = VNMCompressed(
+            PATTERN, (3, 8),
+            np.array([0, 2, 3, 3], dtype=np.int64),
+            np.array([0, 1, 0], dtype=np.int64),
+            np.arange(12, dtype=np.int64).reshape(3, 4) % 8,
+            np.arange(6, dtype=np.float64).reshape(3, 1, 2) / 8,
+            np.arange(12, dtype=np.uint8).reshape(3, 1, 4)[:, :, ::2],
+            n_live_cols=7,
+        )
+        assert not operand.meta.flags.c_contiguous  # stored through a contiguous copy
+        path = tmp_path / "pin.npz"
+        save_preprocessed(path, operand=HybridVNM(operand, None),
+                          permutation=Permutation(np.array([2, 0, 1], dtype=np.int64)))
+        raw = path.read_bytes()
+        assert raw[8:40].hex() == (
+            "9c5f2deb875fb54dd770102750f8119d9a3c8aa002b93f7ccd19d6be77e243c8"
         )
 
 
@@ -177,24 +294,9 @@ class TestCorruptionFuzz:
         return cache, path, path.read_bytes()
 
     @staticmethod
-    def _array_ranges(path, raw: bytes) -> dict[str, range]:
-        """The file offsets of every member's array bytes (after its npy header)."""
-        ranges = {}
-        with zipfile.ZipFile(path) as zf:
-            for info in zf.infolist():
-                with zf.open(info) as member:
-                    np.lib.format.read_magic(member)
-                    np.lib.format.read_array_header_1_0(member)
-                    npy_header = member.tell()
-                # Local file header: 30 fixed bytes, then name and extra field.
-                name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
-                start = info.header_offset + 30 + name_len + extra_len + npy_header
-                ranges[info.filename] = range(start, start + info.file_size - npy_header)
-        return ranges
-
-    def _assert_rejected(self, cache, path, raw: bytes) -> None:
+    def _assert_rejected(cache, path, raw: bytes) -> None:
         path.write_bytes(raw)
-        with pytest.raises(cache_mod._CORRUPT_ERRORS):
+        with pytest.raises(ArtifactCorruptError):
             load_preprocessed(path)
         before = cache.stats.quarantined
         assert cache.load("k") is None
@@ -202,49 +304,112 @@ class TestCorruptionFuzz:
 
     def test_truncation_is_a_quarantined_miss(self, stored):
         cache, path, raw = stored
-        for length in (0, 1, 30, 200, len(raw) // 3, len(raw) // 2, len(raw) - 22, len(raw) - 1):
+        header, data_start = _layout(raw)
+        header_end = 48 + int.from_bytes(raw[40:48], "little")
+        cuts = {0, 1, 5, 6, 7, 8, 39, 40, 47, 48, header_end - 1, header_end,
+                data_start - 1, data_start, len(raw) - 1}
+        for arr in _array_ranges(raw).values():
+            cuts |= {arr.start, arr.start + 1, arr.stop - 1}
+        for length in sorted(c for c in cuts if 0 <= c < len(raw)):
             self._assert_rejected(cache, path, raw[:length])
 
     def test_payload_bit_flip_is_a_quarantined_miss(self, stored):
         cache, path, raw = stored
-        ranges = self._array_ranges(path, raw)
-        assert len(ranges) == 15  # every member of a hybrid artefact with a permutation
+        ranges = _array_ranges(raw)
+        assert len(ranges) == 9  # every array of a hybrid artefact with a permutation
         for arr in ranges.values():
             flipped = bytearray(raw)
             flipped[arr[len(arr) // 2]] ^= 0x01
             self._assert_rejected(cache, path, bytes(flipped))
 
-    def test_structure_byte_flip_is_rejected_or_harmless(self, case, stored):
-        """Flip each header byte of one member and of the central directory.
-
-        A load either fails as corrupt or returns the stored artefact
-        exactly.  The member is ``col_ids``, larger than zipfile's 4 KiB
-        first read, so its npy header is parsed before the crc32 is
-        checked.  Members share one layout, so one stands for all; array
-        bytes are left to the test above, the crc32 covers them.
-        """
-        adj, perm, hybrid = case
+    def test_structure_byte_flip_is_rejected(self, stored):
+        """Every magic, version, digest, header and padding byte, flipped by
+        0x01 and by 0xFF, is rejected: nothing outside the arrays is left
+        unchecked.  The arrays' own bytes are the test above."""
         cache, path, raw = stored
-        expect = _operand_arrays(hybrid)
-        with zipfile.ZipFile(path) as zf:
-            info = zf.getinfo("col_ids.npy")
-            assert info.file_size > 4096
-            central_directory = range(zf.start_dir, len(raw))
-        col_ids = self._array_ranges(path, raw)["col_ids.npy"]
-        structure = [*range(info.header_offset, col_ids.start), *central_directory]
+        inside = set()
+        for arr in _array_ranges(raw).values():
+            inside.update(arr)
+        structure = [i for i in range(len(raw)) if i not in inside]
+        assert structure[:48] == list(range(48))
         for offset, mask in itertools.product(structure, (0x01, 0xFF)):
             flipped = bytearray(raw)
             flipped[offset] ^= mask
-            path.write_bytes(bytes(flipped))
-            try:
-                loaded, loaded_perm = load_preprocessed(path)
-            except cache_mod._CORRUPT_ERRORS:
-                continue
-            got = _operand_arrays(loaded)
-            assert got.keys() == expect.keys(), (offset, mask)
-            for name, arr in got.items():
-                _assert_bit_equal(arr, expect[name])
-            _assert_bit_equal(loaded_perm.order, perm.order)
-        path.write_bytes(raw)
+            self._assert_rejected(cache, path, bytes(flipped))
+
+
+class TestCraftedHeader:
+    """Headers that pass the checksum (the file is re-digested) but describe
+    arrays the loader must not build."""
+
+    @pytest.fixture
+    def stored(self, case, tmp_path):
+        _, perm, hybrid = case
+        cache = ArtifactCache(tmp_path / "cache")
+        path = cache.store("k", hybrid, perm)
+        return cache, path, path.read_bytes()
+
+    def test_identity_rewrite_still_loads(self, case, stored):
+        adj, _, _ = case
+        cache, path, raw = stored
+        path.write_bytes(_rewrite_header(raw, lambda header: None))
         loaded = cache.load("k")
         assert loaded is not None and _serves_like_scipy(*loaded, adj)
+
+    @pytest.mark.parametrize("mutation", [
+        "object-dtype", "big-endian-dtype", "void-dtype", "negative-shape", "huge-shape",
+        "offset-past-end", "misaligned-offset", "overlapping-offset", "negative-offset",
+        "missing-array", "not-an-object", "bool-shape",
+    ])
+    def test_crafted_header_is_rejected(self, stored, mutation):
+        cache, path, raw = stored
+
+        def mutate(header):
+            arrays = header["arrays"]
+            if mutation == "object-dtype":
+                arrays["values"]["dtype"] = "|O"
+            elif mutation == "big-endian-dtype":
+                arrays["values"]["dtype"] = ">f8"
+            elif mutation == "void-dtype":
+                arrays["values"]["dtype"] = "|V8"
+            elif mutation == "negative-shape":
+                arrays["col_ids"]["shape"][0] = -1
+            elif mutation == "huge-shape":
+                arrays["col_ids"]["shape"][0] = 2**62
+            elif mutation == "offset-past-end":
+                arrays["permutation"]["offset"] = 2**40
+            elif mutation == "misaligned-offset":
+                arrays["permutation"]["offset"] += 8
+            elif mutation == "overlapping-offset":
+                arrays["col_ids"]["offset"] = arrays["tile_seg"]["offset"]
+            elif mutation == "negative-offset":
+                arrays["tile_ptr"]["offset"] = -64
+            elif mutation == "missing-array":
+                del arrays["tile_ptr"]
+            elif mutation == "not-an-object":
+                header["arrays"] = [1, 2]
+            elif mutation == "bool-shape":
+                arrays["tile_ptr"]["shape"] = [True]
+
+        path.write_bytes(_rewrite_header(raw, mutate))
+        with pytest.raises(ArtifactCorruptError):
+            load_preprocessed(path)
+        assert cache.load("k") is None and cache.stats.quarantined == 1
+
+    def test_header_that_does_not_parse_is_rejected(self, stored):
+        cache, path, raw = stored
+        size = int.from_bytes(raw[40:48], "little")
+        broken = bytearray(raw)
+        broken[48:48 + size] = b"{" * size
+        path.write_bytes(_redigest(broken))
+        with pytest.raises(ArtifactCorruptError, match="header"):
+            load_preprocessed(path)
+        assert cache.load("k") is None and cache.stats.quarantined == 1
+
+    def test_header_length_past_the_end_is_rejected(self, stored):
+        cache, path, raw = stored
+        broken = bytearray(raw)
+        broken[40:48] = (len(raw)).to_bytes(8, "little")
+        path.write_bytes(_redigest(broken))
+        with pytest.raises(ArtifactCorruptError, match="header"):
+            load_preprocessed(path)

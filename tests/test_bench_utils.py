@@ -68,3 +68,16 @@ def test_bench_stage2_json_names_its_script():
     tracked = json.loads((root / "BENCH_stage2.json").read_text())
     script = (root / "benchmarks" / "bench_stage2.py").read_bytes()
     assert tracked["benchmark_sha256"] == hashlib.sha256(script).hexdigest()
+
+
+def test_bench_artifact_json_names_its_script():
+    # Same provenance rule for the artefact benchmark: regenerate
+    # BENCH_artifact.json whenever benchmarks/bench_artifact.py changes.
+    import hashlib
+    import json
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    tracked = json.loads((root / "BENCH_artifact.json").read_text())
+    script = (root / "benchmarks" / "bench_artifact.py").read_bytes()
+    assert tracked["benchmark_sha256"] == hashlib.sha256(script).hexdigest()
