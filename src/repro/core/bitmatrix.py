@@ -105,6 +105,11 @@ class BitMatrix:
         else:
             self.words[i, j // _WORD] &= ~mask
 
+    def set_diagonal(self) -> None:
+        """Set every bit ``(i, i)`` in one pass (each row owns one word)."""
+        i = np.arange(min(self.n_rows, self.n_cols))
+        self.words[i, i // _WORD] |= np.uint64(1) << (i % _WORD).astype(np.uint64)
+
     # -- conversions -------------------------------------------------------
     def to_dense(self, dtype=np.uint8) -> np.ndarray:
         out = np.zeros((self.n_rows, self.n_cols), dtype=dtype)

@@ -113,8 +113,7 @@ def reorder_for_graph(
     one permutation serves all four models.
     """
     bm = graph.bitmatrix().copy()
-    for i in range(graph.n):
-        bm.set(i, i, 1)
+    bm.set_diagonal()
     return reorder(bm, pattern, max_iter=max_iter).permutation
 
 

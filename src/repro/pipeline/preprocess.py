@@ -111,8 +111,7 @@ def _reorder_target(graph: Graph | BitMatrix, plan: PreprocessPlan) -> BitMatrix
     bm = graph.bitmatrix() if isinstance(graph, Graph) else graph
     if plan.add_self_loops:
         bm = bm.copy()
-        for i in range(bm.n_rows):
-            bm.set(i, i, 1)
+        bm.set_diagonal()
     return bm
 
 
@@ -124,8 +123,7 @@ def _operator_csr(graph: Graph | BitMatrix, perm: Permutation, plan: PreprocessP
         )
     reordered = graph.permute_rows(perm.order).permute_columns(perm.order)
     if plan.add_self_loops:
-        for i in range(reordered.n_rows):
-            reordered.set(i, i, 1)
+        reordered.set_diagonal()
     return CSRMatrix.from_scipy(reordered.to_scipy())
 
 

@@ -76,9 +76,7 @@ def venom_spmm_fp16(a: VNMCompressed, b: np.ndarray) -> np.ndarray:
         padded_b[: b.shape[0]] = b
     if a.n_tiles == 0:
         return np.zeros((a.shape[0], h), dtype=np.float64)
-    gather_cols = np.take_along_axis(
-        a.col_ids[:, None, :].repeat(v, axis=1), a.meta.astype(np.int64), axis=2
-    )
+    gather_cols = a.slot_columns(np.arange(a.values.size)).reshape(a.values.shape)
     vals16 = quantize_fp16(a.values).astype(np.float32)
     b16 = quantize_fp16(padded_b[gather_cols]).astype(np.float32)
     # fp16 products are exact in fp32; the einsum accumulates in fp32.

@@ -8,7 +8,7 @@ the bare :class:`VNMCompressed` operand and the lossless :class:`HybridVNM`
 (V:N:M main part + CSR residual) round-trip; the artifact cache in
 :mod:`repro.pipeline.cache` is layered on this format.
 
-Format version 4 is one raw file, read whole and verified once::
+Format version 5 is one raw file, read whole and verified once::
 
     offset   bytes  field
     0        6      magic  b"\\x93SOGRE"
@@ -21,9 +21,12 @@ Format version 4 is one raw file, read whole and verified once::
 
 The header holds the operand's scalars (``is_hybrid``, ``pattern``,
 ``shape``, ``n_live_cols``) and, per array, its dtype string, shape and
-offset.  :func:`save_preprocessed` streams the header and the arrays to the
-file while it updates the digest, then writes the digest into its slot: no
-whole-file staging buffer.  :func:`load_preprocessed` reads the file with
+offset.  Arrays are stored in their in-memory dtypes: ``col_ids`` and
+``tile_seg`` in the narrowest signed integer that holds ``n_segs * m``
+(:func:`repro.sptc.venom.index_dtype`; int16 while that is below 32768),
+where version 4 stored int64.  :func:`save_preprocessed` streams the header
+and the arrays to the file while it updates the digest, then writes the
+digest into its slot: no whole-file staging buffer.  :func:`load_preprocessed` reads the file with
 one ``readinto`` into an ``np.empty`` byte buffer, checks the magic and
 version, verifies the digest *before* it parses the header, and only then
 builds the arrays as aligned, writeable views into that buffer: no second
@@ -31,12 +34,15 @@ read, no copy, nothing unpickled.
 
 Integrity: a truncated file, a bad magic or version, a digest mismatch, a
 header that does not parse, a dtype outside the plain little-endian numeric
-whitelist, or an array shape or offset outside the file all raise
+whitelist, an index array (tile pointers, segments, column ids, metadata,
+the residual's ``indptr``/``indices``, the permutation) whose dtype is not
+an integer, or an array shape or offset outside the file all raise
 :class:`repro.pipeline.resilience.ArtifactCorruptError` — a ``ValueError``
 subclass, so pre-taxonomy callers keep working — turning silent bit-rot
 into a classified, quarantinable fault.  Older artefacts (the zip-based
-``.npz`` of versions 2 and 3) fail the magic check the same way; the
-artefact cache keys on the version, so it rebuilds rather than reads them.
+``.npz`` of versions 2 and 3) fail the magic check the same way, and a
+version-4 file fails the version check; the artefact cache keys on the
+version, so it rebuilds rather than reads them.
 """
 
 from __future__ import annotations
@@ -57,7 +63,7 @@ from .venom import VNMCompressed
 
 __all__ = ["save_preprocessed", "load_preprocessed", "file_digest"]
 
-_FORMAT_VERSION = 4
+_FORMAT_VERSION = 5
 _MAGIC = b"\x93SOGRE"
 _DIGEST_AT = 8          # the sha256 occupies [8, 40)
 _COVERED_FROM = 40      # the digest covers [40, end)
@@ -67,6 +73,9 @@ _ALIGN = 64
 # big-endian, strings) is a corrupt header.
 _DTYPES = frozenset({"|b1", "|i1", "|u1", "<i2", "<u2", "<i4", "<u4", "<i8", "<u8",
                      "<f2", "<f4", "<f8"})
+# Arrays that index other arrays: a float or bool dtype here is corrupt.
+_INDEX_ARRAYS = ("tile_ptr", "tile_seg", "col_ids", "meta", "residual_indptr",
+                 "residual_indices", "permutation")
 
 
 def _aligned(offset: int) -> int:
@@ -74,7 +83,7 @@ def _aligned(offset: int) -> int:
 
 
 def file_digest(buf) -> bytes:
-    """The v4 sha256 over a whole artefact file's bytes (digest field excluded)."""
+    """The sha256 over a whole artefact file's bytes (digest field excluded)."""
     return hashlib.sha256(memoryview(buf)[_COVERED_FROM:]).digest()
 
 
@@ -191,7 +200,7 @@ def load_preprocessed(path) -> tuple[VNMCompressed | HybridVNM, Permutation | No
     if buf.size < _PREAMBLE:
         raise corrupt(f"truncated ({buf.size} bytes)")
     if buf[:6].tobytes() != _MAGIC:
-        raise corrupt("not a format-4 artefact (bad magic)")
+        raise corrupt(f"not a format-{_FORMAT_VERSION} artefact (bad magic)")
     version = int.from_bytes(buf[6:8].tobytes(), "little")
     if version != _FORMAT_VERSION:
         raise corrupt(f"unsupported format version {version}")
@@ -200,6 +209,10 @@ def load_preprocessed(path) -> tuple[VNMCompressed | HybridVNM, Permutation | No
     try:
         header, data_start = _header(buf)
         arrays = _array_views(buf, header["arrays"], data_start)
+        for name in _INDEX_ARRAYS:
+            if name in arrays and arrays[name].dtype.kind not in "iu":
+                raise ValueError(f"index array {name!r} has non-integer dtype "
+                                 f"{arrays[name].dtype}")
         v, n, m, k = (int(x) for x in header["pattern"])
         operand: VNMCompressed | HybridVNM = VNMCompressed(
             VNMPattern(v, n, m, k),

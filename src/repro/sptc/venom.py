@@ -19,7 +19,19 @@ import numpy as np
 from ..core.patterns import VNMPattern
 from .csr import coo_to_dense
 
-__all__ = ["VNMCompressed", "VNMFormatError", "vnm_storage_bytes"]
+__all__ = ["VNMCompressed", "VNMFormatError", "index_dtype", "vnm_storage_bytes"]
+
+
+def index_dtype(bound: int) -> np.dtype:
+    """Smallest signed integer dtype holding every value in ``[0, bound]``.
+
+    ``tile_seg`` and ``col_ids`` share the bound ``n_segs * m``, so both
+    the ids and ``tile_seg * m`` stay in range of the narrow dtype.
+    """
+    for dtype in (np.int16, np.int32):
+        if bound <= np.iinfo(dtype).max:
+            return np.dtype(dtype)
+    return np.dtype(np.int64)
 
 
 def vnm_storage_bytes(pattern: VNMPattern, n_tile_rows: int, n_tiles: int,
@@ -56,6 +68,7 @@ class VNMCompressed:
     col_ids:
         ``(n_tiles, k)`` — global column ids of each tile's live columns,
         padded with the tile's first column (padding slots carry zero values).
+        Both are stored in :func:`index_dtype` of ``n_segs * m``.
     values / meta:
         ``(n_tiles, V, N)`` — compressed value panel and, per value, its
         position within the tile's ``col_ids`` (the 2-bit metadata).
@@ -119,12 +132,13 @@ class VNMCompressed:
         meta = pos_order.astype(np.uint8)
         values = np.take_along_axis(condensed, pos_order, axis=2)
 
+        ids = index_dtype(n_segs * m)
         return cls(
             pattern,
             (n_rows, n_cols),
             tile_ptr,
-            ts_idx.astype(np.int64),
-            col_ids.astype(np.int64),
+            ts_idx.astype(ids),
+            col_ids.astype(ids),
             values,
             meta,
             n_live_cols=int(live_kept.sum()),
@@ -145,13 +159,14 @@ class VNMCompressed:
         v, n, m, k = pattern.v, pattern.n, pattern.m, pattern.k
         n_trows = (n_rows + v - 1) // v
         n_segs = (n_cols + m - 1) // m
+        ids = index_dtype(n_segs * m)
         rows, cols, data = csr.to_coo()
         if rows.size == 0:
             return cls(
                 pattern, (n_rows, n_cols),
                 np.zeros(n_trows + 1, dtype=np.int64),
-                np.zeros(0, dtype=np.int64),
-                np.zeros((0, k), dtype=np.int64),
+                np.zeros(0, dtype=ids),
+                np.zeros((0, k), dtype=ids),
                 np.zeros((0, v, n)),
                 np.zeros((0, v, n), dtype=np.uint8),
                 n_live_cols=0,
@@ -179,7 +194,7 @@ class VNMCompressed:
         n_tiles = tiles_keys.size
         ts_idx = tiles_keys % n_segs
         tr_idx = tiles_keys // n_segs
-        col_ids = np.broadcast_to((ts_idx * m)[:, None], (n_tiles, k)).copy()
+        col_ids = np.broadcast_to((ts_idx * m).astype(ids)[:, None], (n_tiles, k)).copy()
         col_ids[tile_index1[pair_start], rank1[pair_start]] = (
             ts_idx[tile_index1[pair_start]] * m + lc1[pair_start])
 
@@ -220,7 +235,7 @@ class VNMCompressed:
         np.add.at(tile_ptr, tr_idx + 1, 1)
         np.cumsum(tile_ptr, out=tile_ptr)
         return cls(
-            pattern, (n_rows, n_cols), tile_ptr, ts_idx.astype(np.int64),
+            pattern, (n_rows, n_cols), tile_ptr, ts_idx.astype(ids),
             col_ids, values, meta, n_live_cols=int(pair_start.sum()),
         )
 
@@ -239,8 +254,19 @@ class VNMCompressed:
                                  value_bytes, meta_bits, col_id_bytes)
 
     # -- numerics --------------------------------------------------------------
+    def slot_columns(self, slots: np.ndarray) -> np.ndarray:
+        """Column id of each value slot, one flat gather from each array.
+
+        ``slots`` index ``values.ravel()``; slot ``s`` lies in tile
+        ``t = s // (V·N)`` and holds column ``col_ids[t, meta.flat[s]]``.
+        The ids come back in ``col_ids``' dtype.
+        """
+        p = self.pattern
+        tile = slots // (p.v * p.n)
+        return self.col_ids.ravel()[tile * p.k + self.meta.ravel()[slots]]
+
     def to_coo(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``(rows, cols, values)`` of the stored non-zeros, tile-major.
+        """``(rows, cols, values)`` of the stored non-zeros, tile-major, int64 ids.
 
         Value ``(t, r, j)`` sits at row ``tile_row(t)*V + r`` and column
         ``col_ids[t, meta[t, r, j]]``.  Padding slots hold zero values at
@@ -248,14 +274,14 @@ class VNMCompressed:
         coordinates are distinct.
         """
         v = self.pattern.v
-        cols = np.take_along_axis(
-            self.col_ids[:, None, :].repeat(v, axis=1), self.meta.astype(np.int64), axis=2
-        )  # (n_tiles, v, n)
-        tile_rows = np.repeat(np.arange(self.n_tile_rows, dtype=np.int64), np.diff(self.tile_ptr))
-        rows = np.broadcast_to(tile_rows[:, None, None] * v + np.arange(v)[None, :, None],
-                               cols.shape)
-        live = self.values != 0.0
-        return rows[live], cols[live], self.values[live]
+        live = np.flatnonzero(self.values.ravel() != 0.0)
+        tile_rows = np.repeat(np.arange(self.n_tile_rows, dtype=np.int64) * v,
+                              np.diff(self.tile_ptr))
+        # Row of each (tile, r) panel; slot s lies in panel s // N.
+        panel_rows = (tile_rows[:, None] + np.arange(v)).ravel()
+        rows = panel_rows[live // self.pattern.n]
+        cols = self.slot_columns(live).astype(np.int64)
+        return rows, cols, self.values.ravel()[live]
 
     def decompress(self) -> np.ndarray:
         return coo_to_dense(self.shape, *self.to_coo())

@@ -84,6 +84,17 @@ class TestElementOps:
         bm.set(0, 0, 1)
         assert bm.nnz() == 1
 
+    @pytest.mark.parametrize("shape", [(0, 0), (1, 1), (63, 63), (64, 64), (65, 65),
+                                       (130, 70), (70, 130), (3, 200)])
+    def test_set_diagonal_matches_per_element_loop(self, shape, rng):
+        a = (rng.random(shape) < 0.2).astype(np.uint8)
+        fast, loop = BitMatrix.from_dense(a), BitMatrix.from_dense(a)
+        fast.set_diagonal()
+        for i in range(min(shape)):
+            loop.set(i, i, 1)
+        assert fast == loop
+        assert np.array_equal(fast.words, loop.words)
+
     def test_columns(self, small_sym_dense):
         bm = BitMatrix.from_dense(small_sym_dense)
         for j in (0, 31, 63):

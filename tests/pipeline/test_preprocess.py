@@ -57,6 +57,24 @@ class TestPreprocess:
             normalized=True, add_self_loops=True)
         assert np.allclose(res.operand.decompress(), ref)
 
+    def test_self_loops_match_per_element_loop(self):
+        """The vectorised diagonal set gives the bits the per-row loop gave."""
+        from repro.core import Permutation
+        from repro.pipeline.preprocess import _operator_csr, _reorder_target
+
+        bm = make_bms(1, n=70)[0]
+        plan = PreprocessPlan(pattern=PATTERN, add_self_loops=True)
+        looped = bm.copy()
+        for i in range(looped.n_rows):
+            looped.set(i, i, 1)
+        assert _reorder_target(bm, plan) == looped
+        assert bm.get(5, 5) == 0  # the caller's matrix is left alone
+
+        perm = Permutation(np.random.default_rng(2).permutation(bm.n_rows))
+        reordered = looped.permute_rows(perm.order).permute_columns(perm.order)
+        got = _operator_csr(bm, perm, plan)
+        assert np.array_equal(got.to_dense(), reordered.to_dense().astype(np.float64))
+
     def test_backend_choice(self):
         g = make_graph()
         res = preprocess(g, PreprocessPlan(pattern=PATTERN, backend="vnm"))

@@ -69,3 +69,61 @@ class TestHybridProperties:
         hy = HybridVNM.compress(a, pattern)
         # decompressed main part must satisfy the pattern's constraints
         VNMCompressed.compress(hy.main.decompress(), pattern)
+
+
+def reference_to_coo(a: VNMCompressed):
+    """The ``take_along_axis`` formulation ``VNMCompressed.to_coo`` replaced."""
+    v = a.pattern.v
+    cols = np.take_along_axis(
+        a.col_ids.astype(np.int64)[:, None, :].repeat(v, axis=1),
+        a.meta.astype(np.int64), axis=2)
+    tile_rows = np.repeat(np.arange(a.n_tile_rows, dtype=np.int64), np.diff(a.tile_ptr))
+    rows = np.broadcast_to(tile_rows[:, None, None] * v + np.arange(v)[None, :, None],
+                           cols.shape)
+    live = a.values != 0.0
+    return rows[live], cols[live], a.values[live]
+
+
+@st.composite
+def vnm_operands(draw):
+    """Tile arrays built directly: empty tile rows, all-zero tiles, and
+    padding slots (zero values whose ``meta`` repeats a live position)."""
+    v = draw(st.sampled_from([1, 2, 4, 8]))
+    n = draw(st.sampled_from([1, 2, 4]))
+    m = draw(st.sampled_from([m for m in (4, 8, 16) if m > n]))
+    pattern = VNMPattern(v, n, m)
+    n_trows = draw(st.integers(min_value=0, max_value=6))
+    n_segs = draw(st.integers(min_value=1, max_value=5))
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    per_row = rng.integers(0, n_segs + 1, size=n_trows)
+    per_row[rng.random(n_trows) < 0.3] = 0
+    tile_ptr = np.concatenate([[0], np.cumsum(per_row)]).astype(np.int64)
+    tile_seg = np.concatenate(
+        [np.sort(rng.choice(n_segs, size=c, replace=False)) for c in per_row]
+        + [np.zeros(0, dtype=np.int64)])
+    n_tiles = tile_seg.size
+    k = pattern.k
+    col_ids = (tile_seg[:, None] * m
+               + np.sort(rng.integers(0, m, size=(n_tiles, k)), axis=1))
+    meta = rng.integers(0, k, size=(n_tiles, v, n)).astype(np.uint8)
+    values = rng.integers(-3, 4, size=(n_tiles, v, n)).astype(np.float64)
+    values[rng.random(n_tiles) < 0.2] = 0.0  # zero tiles
+    ids = draw(st.sampled_from([np.int16, np.int32, np.int64]))
+    return VNMCompressed(pattern, (max(n_trows, 1) * v, n_segs * m), tile_ptr,
+                         tile_seg.astype(ids), col_ids.astype(ids), values, meta)
+
+
+class TestVnmToCoo:
+    @settings(max_examples=150, deadline=None)
+    @given(vnm_operands())
+    def test_bitwise_equal_to_take_along_axis(self, a):
+        got, ref = a.to_coo(), reference_to_coo(a)
+        for x, y in zip(got, ref):
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(vnm_operands())
+    def test_slot_columns_match_every_slot(self, a):
+        cols = a.slot_columns(np.arange(a.values.size)).reshape(a.values.shape)
+        t, r, j = np.indices(a.values.shape)
+        assert np.array_equal(cols, a.col_ids[t, a.meta[t, r, j]])

@@ -1,12 +1,13 @@
-"""Artefact format v4: one read, one digest, verified before anything is parsed.
+"""Artefact format v5: one read, one digest, verified before anything is parsed.
 
 The file keeps its format-v3 name so the test ids of the cases that carry
 over stay stable.  It covers the round trip (bit-equal, ordinary aligned
-writeable arrays, one ``readinto``), pins the two content digests (the file
-digest and the adjacency fingerprint), and fuzzes single-byte flips,
-truncations and crafted headers through both :func:`load_preprocessed` and
-:meth:`ArtifactCache.load`.  Leftover zip-based artefacts of formats 2 and 3
-are quarantined like any other corrupt file.
+writeable arrays, narrow index arrays as views, one ``readinto``), pins the
+two content digests (the file digest and the adjacency fingerprint), and
+fuzzes single-byte flips, truncations and crafted headers through both
+:func:`load_preprocessed` and :meth:`ArtifactCache.load`.  Leftover
+zip-based artefacts of formats 2 and 3, and format-4 files, are quarantined
+like any other corrupt file.
 """
 
 import hashlib
@@ -168,6 +169,36 @@ class TestLoadPath:
             assert _serves_like_scipy(loaded, loaded_perm,
                                       adj if with_perm else perm.apply_to_matrix(adj))
 
+    def test_narrow_index_arrays_load_as_views_of_one_buffer(self, case, tmp_path):
+        """``col_ids`` and ``tile_seg`` stay int16 on disk and in memory: the
+        load neither copies nor widens them."""
+        _, perm, hybrid = case
+        assert hybrid.main.col_ids.dtype == hybrid.main.tile_seg.dtype == np.int16
+        path = tmp_path / "a.npz"
+        save_preprocessed(path, operand=hybrid, permutation=perm)
+        loaded, _ = load_preprocessed(path)
+
+        def root(arr):
+            while isinstance(arr.base, np.ndarray):
+                arr = arr.base
+            return arr
+
+        main = loaded.main
+        buffer = root(main.values)
+        assert buffer.dtype == np.uint8 and buffer.size == path.stat().st_size
+        for arr in (main.col_ids, main.tile_seg):
+            assert arr.dtype == np.int16 and root(arr) is buffer
+
+    def test_format_4_file_is_rejected(self, case, tmp_path):
+        _, perm, hybrid = case
+        path = tmp_path / "a.npz"
+        save_preprocessed(path, operand=hybrid, permutation=perm)
+        raw = bytearray(path.read_bytes())
+        raw[6:8] = (4).to_bytes(2, "little")
+        path.write_bytes(bytes(raw))
+        with pytest.raises(ArtifactCorruptError, match="version 4"):
+            load_preprocessed(path)
+
     def test_arrays_start_on_64_byte_boundaries(self, case, tmp_path):
         _, perm, hybrid = case
         path = tmp_path / "a.npz"
@@ -194,7 +225,7 @@ class TestLoadPath:
 
 
 class TestChecksumRequired:
-    """Only an intact format-4 file loads; leftovers of older formats are corrupt."""
+    """Only an intact current-format file loads; leftovers of older formats are corrupt."""
 
     @staticmethod
     def _zip_arrays(hybrid, perm, version: int) -> dict:
@@ -393,6 +424,22 @@ class TestCraftedHeader:
 
         path.write_bytes(_rewrite_header(raw, mutate))
         with pytest.raises(ArtifactCorruptError):
+            load_preprocessed(path)
+        assert cache.load("k") is None and cache.stats.quarantined == 1
+
+    @pytest.mark.parametrize("name", serialize._INDEX_ARRAYS)
+    def test_non_integer_index_array_is_rejected(self, stored, name):
+        """A float (or bool) dtype of the same width passes the whitelist and
+        the bounds, but an index array must hold integers."""
+        cache, path, raw = stored
+        same_width = {1: "|b1", 2: "<f2", 4: "<f4", 8: "<f8"}
+
+        def mutate(header):
+            spec = header["arrays"][name]
+            spec["dtype"] = same_width[np.dtype(spec["dtype"]).itemsize]
+
+        path.write_bytes(_rewrite_header(raw, mutate))
+        with pytest.raises(ArtifactCorruptError, match="non-integer"):
             load_preprocessed(path)
         assert cache.load("k") is None and cache.stats.quarantined == 1
 

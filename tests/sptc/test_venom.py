@@ -7,6 +7,7 @@ from repro.core import VNMPattern
 from repro.perf import engine
 from repro.pipeline.resilience import BackendExecutionError
 from repro.sptc import CSRMatrix, VNMCompressed, VNMFormatError
+from repro.sptc.venom import index_dtype
 
 
 def conforming_vnm_dense(n_rows, n_cols, pattern, rng, tile_fill=0.5):
@@ -136,3 +137,33 @@ class TestStorage:
         a = conforming_vnm_dense(128, 128, pat, rng, tile_fill=0.2)
         c = VNMCompressed.compress(a, pat)
         assert c.storage_bytes() < a.size * 2  # fp16 dense
+
+
+class TestIndexDtype:
+    @pytest.mark.parametrize("bound, dtype", [
+        (0, np.int16), (32767, np.int16), (32768, np.int32), (2**31 - 1, np.int32),
+        (2**31, np.int64), (2**40, np.int64),
+    ])
+    def test_boundaries(self, bound, dtype):
+        assert index_dtype(bound) == np.dtype(dtype)
+
+    @pytest.mark.parametrize("n_cols, dtype", [(32764, np.int16), (32768, np.int32)])
+    def test_compressors_store_the_bound_dtype(self, n_cols, dtype):
+        """Both arrays take the dtype of ``n_segs * m`` (here 4 * ceil(n_cols / 4))."""
+        pat = VNMPattern(1, 2, 4)
+        csr = CSRMatrix.from_coo([0, 0], [1, n_cols - 1], [1.0, 2.0], (1, n_cols))
+        c = VNMCompressed.compress_csr(csr, pat)
+        assert c.col_ids.dtype == c.tile_seg.dtype == np.dtype(dtype)
+        rows, cols, vals = c.to_coo()
+        assert cols.dtype == rows.dtype == np.int64
+        assert cols.tolist() == [1, n_cols - 1] and vals.tolist() == [1.0, 2.0]
+
+    def test_dense_and_csr_paths_agree_on_dtype(self, rng):
+        pat = VNMPattern(4, 2, 8)
+        a = conforming_vnm_dense(32, 40, pat, rng)
+        d = VNMCompressed.compress(a, pat)
+        c = VNMCompressed.compress_csr(CSRMatrix.from_dense(a), pat)
+        assert d.col_ids.dtype == c.col_ids.dtype == np.int16
+        assert d.tile_seg.dtype == c.tile_seg.dtype == np.int16
+        empty = VNMCompressed.compress_csr(CSRMatrix.from_coo([], [], [], (8, 8)), pat)
+        assert empty.col_ids.dtype == empty.tile_seg.dtype == np.int16
