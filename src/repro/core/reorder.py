@@ -96,21 +96,28 @@ def reorder(
         with obs_trace.span("reorder.scores", phase="initial"):
             init_invalid = total_pscore(current, nm)
             init_mb = mbscore(current, pattern)
-            prev = init_invalid + init_mb
         trace: list[dict] = []
         iterations = 0
 
         deadline = None if time_budget is None else t0 + time_budget
-        best = (prev, perm, current)
+        # Every state is scored once: each stage reports the score of the
+        # matrix it returns, and ``best`` carries its own two scores.
+        pscore_now, mb_now = init_invalid, init_mb
+        prev = init_invalid + init_mb
+        best = (prev, init_invalid, init_mb, perm, current)
         while prev > 0 and iterations < max_iter:
             if deadline is not None and time.perf_counter() > deadline:
                 break
             with obs_trace.span("reorder.iteration", index=iterations) as it_span:
                 if use_stage1:
                     s1 = stage1_reorder(
-                        current, pattern, max_iter=stage_max_iter, taint_invalid=taint_invalid
+                        current, pattern, max_iter=stage_max_iter,
+                        taint_invalid=taint_invalid, initial_mbscore=mb_now,
                     )
-                    current, perm = s1.matrix, perm.then(s1.permutation)
+                    if s1.matrix is not current:
+                        current, perm = s1.matrix, perm.then(s1.permutation)
+                        pscore_now = None
+                    mb_now = s1.final_mbscore
                     trace.append(
                         {"stage": 1, "mbscore": s1.final_mbscore, "iters": s1.iterations}
                     )
@@ -121,14 +128,20 @@ def reorder(
                         max_iter=stage_max_iter,
                         require_positive_gain=require_positive_gain,
                         deadline=deadline,
+                        initial_pscore=pscore_now,
                     )
-                    current, perm = s2.matrix, perm.then(s2.permutation)
+                    if s2.matrix is not current:
+                        current, perm = s2.matrix, perm.then(s2.permutation)
+                        mb_now = None
+                    pscore_now = s2.final_pscore
                     trace.append(
                         {"stage": 2, "pscore": s2.final_pscore, "iters": s2.iterations}
                     )
                 with obs_trace.span("reorder.scores", phase="iteration"):
-                    pscore_now = total_pscore(current, nm)
-                    mb_now = mbscore(current, pattern)
+                    if pscore_now is None:
+                        pscore_now = total_pscore(current, nm)
+                    if mb_now is None:
+                        mb_now = mbscore(current, pattern)
                     now = pscore_now + mb_now
                 it_span.set(violations=now)
             iterations += 1
@@ -141,7 +154,7 @@ def reorder(
                 improvement_rate=improvement_rate(init_invalid, pscore_now),
             )
             if now < best[0]:
-                best = (now, perm, current)
+                best = (now, pscore_now, mb_now, perm, current)
             # Diminishing-returns cutoff: alternating further is not worth it
             # once an iteration recovers less than ~2% of the remaining
             # violations.
@@ -150,10 +163,7 @@ def reorder(
             prev = now
 
         # A late non-improving alternation never degrades the returned state.
-        _, perm, current = best
-        with obs_trace.span("reorder.scores", phase="final"):
-            final_invalid = total_pscore(current, nm)
-            final_mb = mbscore(current, pattern)
+        _, final_invalid, final_mb, perm, current = best
         root.set(iterations=iterations, final_invalid=final_invalid)
         return ReorderResult(
             pattern=pattern,

@@ -9,6 +9,12 @@
   the reordering removed.  The paper writes it as
   ``(final ω − initial ω) / initial ω`` but reports positive percentages, so
   we return the magnitude of the reduction.
+
+``total_pscore`` and ``mbscore`` are bit counts on the packed words
+(:mod:`repro.core.patterns`), with no per-segment copy of the matrix;
+``pscore_per_segment`` goes through the boolean segment mask.  ``reorder``
+takes each state's scores from the stage that produced it, so a matrix is
+scored once.
 """
 
 from __future__ import annotations

@@ -85,11 +85,13 @@ def stage1_reorder(
     *,
     max_iter: int = 10,
     taint_invalid: bool = True,
+    initial_mbscore: int | None = None,
 ) -> Stage1Result:
     """Iterate encode → sort → symmetric reorder until MBScore stops improving.
 
     Returns the composed permutation, the reordered matrix, and the MBScore
-    trace.  The matrix argument is not modified.
+    trace.  The matrix argument is not modified.  ``initial_mbscore`` is
+    ``mbscore(bm, pattern)`` when the caller already holds it.
     """
     registry = obs_metrics.default_registry()
     sorts = registry.counter(
@@ -101,7 +103,7 @@ def stage1_reorder(
     with obs_trace.span("stage1", n=bm.n_rows) as sp:
         current = bm
         perm = Permutation.identity(bm.n_rows)
-        history = [mbscore(current, pattern)]
+        history = [mbscore(current, pattern) if initial_mbscore is None else initial_mbscore]
         iterations = 0
         while history[-1] > 0 and iterations < max_iter:
             with obs_trace.span("stage1.encode"):

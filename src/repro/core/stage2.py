@@ -22,13 +22,16 @@ the score only when ``A[r,u] != A[r,v]``:
 * ``A[r,u]=0, A[r,v]=1`` (moves T→P): fixes T iff ``cnt_T(r)=N+1``, breaks P
   iff ``cnt_P(r)=N``.
 
-All M×M pair gains therefore reduce to six small ``(rows × M)ᵀ @ (rows × M)``
-matrix products — two each for the primary's PScore gain, the target's
-PScore gain and the excess gain — over the rows where any of these indicator
-weights is non-zero.  The products run in float64 so NumPy hands them to
-BLAS, the host stand-in for the paper's warp-level CUDA enumeration; they
-stay exact because every entry is a sum of at most ``rows`` terms in
-{−1, 0, 1}, far below 2^53.  ``_freshtop`` then picks the best fresh pair
+All M×M pair gains therefore reduce to sums ``Σ_r w·xu(1−xv)`` and
+``Σ_r w·(1−xu)xv`` over the rows where any of these indicator weights ``w``
+is non-zero.  Each equals a weighted column sum minus ``Σ_r w·xu·xv``, so
+the three gains (the primary's PScore gain, the target's PScore gain and
+the excess gain) need two ``(M × 6)`` weighted column sums and three cross
+products ``xpᵀ @ (w·xt)``, run as one stacked ``(M × 3M)`` product.  The
+products run in float64 so NumPy hands them to BLAS, the host stand-in for
+the paper's warp-level CUDA enumeration; they stay exact because every
+entry is a sum of at most ``rows`` terms in {−2, …, 2}, far below 2^53.
+``_freshtop`` then picks the best fresh pair
 with one masked ``argmax``, whose first-maximum rule breaks ties in
 row-major (u, then v) order.
 """
@@ -46,7 +49,7 @@ from ..obs import trace as obs_trace
 from .bitmatrix import BitMatrix
 from .patterns import NMPattern
 from .permutation import Permutation
-from .scores import pscore_per_segment
+from .scores import total_pscore
 
 __all__ = ["Stage2Result", "stage2_reorder", "plan_swaps"]
 
@@ -70,6 +73,13 @@ class Stage2Result:
         # The returned matrix is the best state seen, which is the minimum of
         # the trace (a late non-improving pass never degrades the result).
         return min(self.pscore_history)
+
+
+def _unpack_columns(vals: np.ndarray, m: int) -> np.ndarray:
+    """``(len(vals), m)`` float64 0/1 matrix: entry ``[r, j]`` is bit ``j`` of ``vals[r]``."""
+    as_bytes = vals.astype(vals.dtype.newbyteorder("<"), copy=False).view(np.uint8)
+    bits = np.unpackbits(as_bytes.reshape(vals.size, -1), axis=1, count=m, bitorder="little")
+    return bits.astype(np.float64)
 
 
 class _WorkingState:
@@ -132,25 +142,31 @@ class _WorkingState:
         boundary = np.int16(self.n)
         cp = self.counts_t[p, rows]
         ct = self.counts_t[t, rows]
-        shifts = np.arange(m, dtype=self._seg_vals_t.dtype)
-        one = self._seg_vals_t.dtype.type(1)
         # float64 so the products run through BLAS; exact (see module docs).
-        xp = ((self._seg_vals_t[p, rows][:, None] >> shifts) & one).astype(np.float64)
-        xt = ((self._seg_vals_t[t, rows][:, None] >> shifts) & one).astype(np.float64)
-        nxp, nxt = 1.0 - xp, 1.0 - xt
+        xp = _unpack_columns(self._seg_vals_t[p, rows], m)
+        xt = _unpack_columns(self._seg_vals_t[t, rows], m)
         fp = (cp == boundary + 1).astype(np.float64)
         bp = (cp == boundary).astype(np.float64)
         ft = (ct == boundary + 1).astype(np.float64)
         bt = (ct == boundary).astype(np.float64)
-        # Gp[u, v] = Σ_r xu(1-xv)·fix_p − (1-xu)xv·brk_p
-        gp = (xp * fp[:, None]).T @ nxt - (nxp * bp[:, None]).T @ xt
-        # Gt[u, v] = Σ_r (1-xu)xv·fix_t − xu(1-xv)·brk_t
-        gt = (nxp * ft[:, None]).T @ xt - (xp * bt[:, None]).T @ nxt
         # Excess deltas: moving a non-zero p→t lowers excess iff cp > N and
         # raises it iff ct >= N (and symmetrically for t→p).
-        a2 = (cp > boundary).astype(np.float64) - (ct >= boundary).astype(np.float64)
-        b2 = (ct > boundary).astype(np.float64) - (cp >= boundary).astype(np.float64)
-        ge = (xp * a2[:, None]).T @ nxt + (nxp * b2[:, None]).T @ xt
+        a2 = (cp > boundary).astype(np.float64) - (ct >= boundary)
+        b2 = (ct > boundary).astype(np.float64) - (cp >= boundary)
+        # Σ_r w·xu(1−xv) = Σ_r w·xu − Σ_r w·xu·xv (and likewise for (1−xu)xv),
+        # so the three gains need the weighted column sums of xp and xt and
+        # three cross products, which run as one stacked product.
+        weights = np.stack([fp, bp, ft, bt, a2, b2], axis=1)
+        sp, st = xp.T @ weights, xt.T @ weights
+        cross_w = np.stack([fp - bp, ft - bt, a2 + b2], axis=1)
+        cross = xp.T @ np.einsum("rk,rv->rkv", cross_w, xt).reshape(rows.size, 3 * m)
+        cross = cross.reshape(m, 3, m)
+        # Gp[u, v] = Σ_r xu(1-xv)·fix_p − (1-xu)xv·brk_p
+        gp = sp[:, 0:1] - st[:, 1] - cross[:, 0]
+        # Gt[u, v] = Σ_r (1-xu)xv·fix_t − xu(1-xv)·brk_t
+        gt = st[:, 2] - sp[:, 3:4] - cross[:, 1]
+        # Ge[u, v] = Σ_r xu(1-xv)·Δexcess_p→t + (1-xu)xv·Δexcess_t→p
+        ge = sp[:, 4:5] + st[:, 5] - cross[:, 2]
         return gp.astype(np.int64), gt.astype(np.int64), ge.astype(np.int64)
 
     def apply_swap(self, p: int, u: int, t: int, v: int) -> None:
@@ -341,6 +357,7 @@ def stage2_reorder(
     require_positive_gain: bool = False,
     min_relative_improvement: float = 0.02,
     deadline: float | None = None,
+    initial_pscore: int | None = None,
 ) -> Stage2Result:
     """Iterate plan-and-apply passes until the PScore stops improving.
 
@@ -349,7 +366,9 @@ def stage2_reorder(
     ``min_relative_improvement`` of the current score ends the loop — on
     heavily-skewed matrices the greedy's tail gains are tiny and not worth
     the quadratic grind.  ``deadline`` (a ``time.perf_counter`` value) stops
-    the loop between passes once exceeded.  The input matrix is not modified.
+    the loop between passes once exceeded.  ``initial_pscore`` is
+    ``total_pscore(bm, pattern)`` when the caller already holds it.  The
+    input matrix is not modified.
     """
     registry = obs_metrics.default_registry()
     swap_counter = registry.counter(
@@ -361,7 +380,7 @@ def stage2_reorder(
     with obs_trace.span("stage2", n=bm.n_rows) as sp:
         current = bm
         perm = Permutation.identity(bm.n_rows)
-        history = [int(pscore_per_segment(current, pattern).sum())]
+        history = [total_pscore(current, pattern) if initial_pscore is None else initial_pscore]
         swaps_per_iter: list[int] = []
         best = (history[0], perm, current)
         iterations = 0
@@ -379,7 +398,7 @@ def stage2_reorder(
                 step = Permutation.from_swaps(bm.n_rows, swaps)
                 current = current.permute_symmetric(step.order)
                 perm = perm.then(step)
-                score = int(pscore_per_segment(current, pattern).sum())
+                score = total_pscore(current, pattern)
             history.append(score)
             swaps_per_iter.append(len(swaps))
             swap_counter.inc(len(swaps))

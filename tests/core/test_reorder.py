@@ -1,5 +1,7 @@
 """Dual-level reordering (Alg. 1) end-to-end properties."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -78,3 +80,52 @@ class TestReorder:
         res = reorder(small_sym_bitmatrix, VNMPattern(v, 2, m), max_iter=3)
         assert res.matrix.is_symmetric()
         assert res.final_invalid_vectors <= res.initial_invalid_vectors
+
+
+class TestScoresEachStateOnce:
+    """``reorder`` scores its input once and reuses what each stage reports."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        module = importlib.import_module("repro.core.reorder")
+        counts = {"total_pscore": 0, "mbscore": 0}
+        for name in counts:
+            real = getattr(module, name)
+
+            def counted(*args, _real=real, _name=name):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        return counts
+
+    @staticmethod
+    def graph(seed=5, n=96, density=0.1):
+        rng = np.random.default_rng(seed)
+        a = rng.random((n, n)) < density
+        a = a | a.T
+        np.fill_diagonal(a, False)
+        return BitMatrix.from_dense(a.astype(np.uint8))
+
+    def test_both_stages_one_mbscore_per_alternation(self, calls):
+        # Every Stage-2 run on this input moves the matrix, so each
+        # alternation needs exactly one fresh MBScore and nothing else.
+        res = reorder(self.graph(), VNMPattern(4, 2, 8))
+        assert res.iterations >= 2
+        assert calls == {"total_pscore": 1, "mbscore": 1 + res.iterations}
+
+    def test_both_stages_never_rescore_pscore(self, calls):
+        for seed in range(3):
+            calls.update(total_pscore=0, mbscore=0)
+            res = reorder(self.graph(seed), VNMPattern(2, 2, 8))
+            assert calls["total_pscore"] == 1
+            assert calls["mbscore"] <= 1 + res.iterations
+
+    def test_stage1_only_scores_pscore_after_each_move(self, calls):
+        res = reorder(self.graph(), VNMPattern(4, 2, 8), use_stage2=False)
+        moved = sum(1 for e in res.stage_trace if e["iters"] > 0)
+        assert calls == {"total_pscore": 1 + moved, "mbscore": 1}
+
+    def test_nothing_scored_without_alternations(self, calls):
+        reorder(self.graph(), VNMPattern(4, 2, 8), max_iter=0)
+        assert calls == {"total_pscore": 1, "mbscore": 1}

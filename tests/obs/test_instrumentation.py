@@ -44,7 +44,7 @@ class TestReorderSpans:
         assert root.name == "reorder"
         assert root.attrs["pattern"] == "1:2:4"
         assert "iterations" in root.attrs and "final_invalid" in root.attrs
-        # Scored at least twice (initial + final), stages inside iterations.
+        # Scored at least twice (initial + per-iteration), stages inside iterations.
         assert len(root.find("reorder.scores")) >= 2
 
     def test_stage_timings_cover_the_root(self):

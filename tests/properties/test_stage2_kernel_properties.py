@@ -151,7 +151,8 @@ class TestFreshtopMatchesLoop:
 @st.composite
 def swapped_state(draw):
     n = draw(st.integers(min_value=8, max_value=96))
-    m = draw(st.sampled_from([4, 8, 16, 32]))
+    # Widths that are not a byte multiple exercise the bit unpacking's count.
+    m = draw(st.sampled_from([3, 4, 5, 8, 12, 16, 32, 64]))
     density = draw(st.sampled_from([0.05, 0.2, 0.5]))
     seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
     rng = np.random.default_rng(seed)
