@@ -10,11 +10,25 @@ permutation — are whole-array word operations rather than per-element Python.
 
 from __future__ import annotations
 
+import sys
+
 import numpy as np
 
-__all__ = ["BitMatrix", "min_uint_dtype"]
+__all__ = ["BitMatrix", "min_uint_dtype", "reduce_row_groups"]
 
 _WORD = 64
+_LITTLE = sys.byteorder == "little"
+# Segment widths whose fields a plain reinterpret of the words lines up with:
+# with LSB-first packing on a little-endian host, a ``uint<m>`` view of the
+# word array *is* the segment array.
+_FIELD_DTYPES = (
+    {8: np.uint8, 16: np.uint16, 32: np.uint32, 64: np.uint64}
+    if _LITTLE else {64: np.uint64}
+)
+_PAIRS = np.uint64(0x5555555555555555)
+_NIBBLE_PAIRS = np.uint64(0x3333333333333333)
+_NIBBLE_ONES = 0x1111111111111111
+_NIBBLE_TOPS = np.uint64(0x8888888888888888)
 
 
 def min_uint_dtype(bits: int) -> np.dtype:
@@ -28,6 +42,18 @@ def min_uint_dtype(bits: int) -> np.dtype:
     if bits <= 64:
         return np.dtype(np.uint64)
     raise ValueError(f"cannot pack {bits} bits into a single integer")
+
+
+def reduce_row_groups(a: np.ndarray, v: int, ufunc: np.ufunc) -> np.ndarray:
+    """Reduce each run of ``v`` rows of ``a`` with ``ufunc``; a short last run reduces alone."""
+    if v == 1:
+        return a
+    full = a.shape[0] // v
+    out = np.empty((-(-a.shape[0] // v),) + a.shape[1:], dtype=a.dtype)
+    ufunc.reduce(a[: full * v].reshape((full, v) + a.shape[1:]), axis=1, out=out[:full])
+    if full < out.shape[0]:
+        ufunc.reduce(a[full * v:], axis=0, out=out[full])
+    return out
 
 
 class BitMatrix:
@@ -192,16 +218,10 @@ class BitMatrix:
         """
         if m > _WORD:
             raise ValueError(f"segment width {m} exceeds word size")
-        import sys
-
         n_segs = self.n_segments(m)
-        little = sys.byteorder == "little"
-        if little and m in (8, 16, 32, 64):
-            # LSB-first bit layout means a plain little-endian reinterpret of
-            # the word array *is* the segment array.
-            out = self.words.view(min_uint_dtype(m))
-            return np.ascontiguousarray(out[:, :n_segs])
-        if little and m == 4:
+        if m in _FIELD_DTYPES:
+            return np.ascontiguousarray(self.words.view(_FIELD_DTYPES[m])[:, :n_segs])
+        if _LITTLE and m == 4:
             b = self.words.view(np.uint8)
             out = np.empty((self.n_rows, b.shape[1] * 2), dtype=np.uint8)
             out[:, 0::2] = b & 0x0F
@@ -251,6 +271,41 @@ class BitMatrix:
         """Non-zeros per segment vector, shape ``(n_rows, n_segs)``, uint8."""
         vals = self.segment_values(m)
         return np.bitwise_count(vals).astype(np.uint8)
+
+    def count_segments_above(self, m: int, limit: int) -> int:
+        """Number of ``m``-bit segment vectors with more than ``limit`` non-zeros.
+
+        Counted on the packed words: padding bits past ``n_cols`` are zero,
+        so fields past the last segment never count.
+        """
+        if limit >= m:
+            return 0
+        words = self.words
+        if m in _FIELD_DTYPES:
+            return int(np.count_nonzero(np.bitwise_count(words.view(_FIELD_DTYPES[m])) > limit))
+        if m == 4:
+            # Per-nibble bit counts (0..4), then add 7 - limit: bit 3 of a nibble
+            # is set exactly when its count exceeds ``limit``, and the sum stays
+            # below 16, so no carry crosses into the next nibble.
+            x = words >> np.uint64(1)
+            x &= _PAIRS
+            np.subtract(words, x, out=x)
+            y = x >> np.uint64(2)
+            y &= _NIBBLE_PAIRS
+            x &= _NIBBLE_PAIRS
+            x += y
+            x += np.uint64((7 - limit) * _NIBBLE_ONES)
+            x &= _NIBBLE_TOPS
+            return int(np.bitwise_count(x).sum())
+        return int(np.count_nonzero(self.segment_counts(m) > limit))
+
+    def group_or(self, v: int) -> "BitMatrix":
+        """Row ``g`` holds the union of rows ``g*v`` to ``g*v + v - 1``; ``self`` when ``v == 1``."""
+        if v == 1:
+            return self
+        return BitMatrix(
+            reduce_row_groups(self.words, v, np.bitwise_or), -(-self.n_rows // v), self.n_cols
+        )
 
     def segment_column_bits(self, seg: int, m: int) -> np.ndarray:
         """Boolean ``(n_rows, m)`` view of one segment's columns (zero-padded)."""

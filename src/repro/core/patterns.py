@@ -10,82 +10,25 @@ A **V:N:M** pattern (VENOM) constrains every V×M *meta-block* (tile) to
 *horizontal constraint*).  N:M is the special case V = 1, where the vertical
 constraint is implied whenever ``N <= k``.
 
-The violation counts are read straight off :class:`BitMatrix`'s packed
-words, as bit counts on segment vectors (the paper's Listing 1): for
-M ∈ {8, 16, 32, 64} a ``uint<M>`` view of the words *is* the segment array,
-and for M = 4 a SWAR nibble count does the same inside each word.  Padding
-bits past ``n_cols`` are zero, so fields past the last segment never count.
-A V-row group is the OR of its rows' words.  Any other M, and the boolean
-masks, go through :meth:`BitMatrix.segment_counts`, the reference the word
-kernels are tested against.
+The violation counts are bit counts on segment vectors read straight off
+the packed words (the paper's Listing 1), through
+:meth:`BitMatrix.count_segments_above`; a V-row group is the OR of its rows'
+words (:meth:`BitMatrix.group_or`).  The boolean masks go through
+:meth:`BitMatrix.segment_counts`, the reference the word counts are tested
+against.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bitmatrix import BitMatrix
+from .bitmatrix import BitMatrix, reduce_row_groups
 
 __all__ = ["NMPattern", "VNMPattern", "DEFAULT_K", "parse_pattern"]
 
 DEFAULT_K = 4
-
-# Segment widths whose fields a plain little-endian reinterpret of the words
-# lines up with (LSB-first packing, see bitmatrix.py).
-_FIELD_DTYPES = (
-    {8: np.uint8, 16: np.uint16, 32: np.uint32, 64: np.uint64}
-    if sys.byteorder == "little" else {64: np.uint64}
-)
-_PAIRS = np.uint64(0x5555555555555555)
-_NIBBLE_PAIRS = np.uint64(0x3333333333333333)
-_NIBBLE_ONES = 0x1111111111111111
-_NIBBLE_TOPS = np.uint64(0x8888888888888888)
-
-
-def _count_segments_above(bm: BitMatrix, m: int, limit: int) -> int:
-    """Number of ``m``-wide segment vectors of ``bm`` with more than ``limit`` non-zeros."""
-    if limit >= m:
-        return 0
-    words = bm.words
-    if m in _FIELD_DTYPES:
-        return int(np.count_nonzero(np.bitwise_count(words.view(_FIELD_DTYPES[m])) > limit))
-    if m == 4:
-        # Per-nibble bit counts (0..4), then add 7 - limit: bit 3 of a nibble
-        # is set exactly when its count exceeds ``limit``, and the sum stays
-        # below 16, so no carry crosses into the next nibble.
-        x = words >> np.uint64(1)
-        x &= _PAIRS
-        np.subtract(words, x, out=x)
-        y = x >> np.uint64(2)
-        y &= _NIBBLE_PAIRS
-        x &= _NIBBLE_PAIRS
-        x += y
-        x += np.uint64((7 - limit) * _NIBBLE_ONES)
-        x &= _NIBBLE_TOPS
-        return int(np.bitwise_count(x).sum())
-    return int(np.count_nonzero(bm.segment_counts(m) > limit))
-
-
-def _group_reduce(a: np.ndarray, v: int, ufunc: np.ufunc) -> np.ndarray:
-    """Reduce each run of ``v`` rows of ``a`` with ``ufunc``; a short last run reduces alone."""
-    if v == 1:
-        return a
-    full = a.shape[0] // v
-    out = np.empty((-(-a.shape[0] // v),) + a.shape[1:], dtype=a.dtype)
-    ufunc.reduce(a[: full * v].reshape((full, v) + a.shape[1:]), axis=1, out=out[:full])
-    if full < out.shape[0]:
-        ufunc.reduce(a[full * v:], axis=0, out=out[full])
-    return out
-
-
-def _group_or(bm: BitMatrix, v: int) -> BitMatrix:
-    """Row ``g`` holds the union of rows ``g*v`` to ``g*v + v - 1`` of ``bm``."""
-    if v == 1:
-        return bm
-    return BitMatrix(_group_reduce(bm.words, v, np.bitwise_or), -(-bm.n_rows // v), bm.n_cols)
 
 
 @dataclass(frozen=True)
@@ -114,7 +57,7 @@ class NMPattern:
 
     def count_invalid_vectors(self, bm: BitMatrix) -> int:
         """Total horizontal-constraint violations, the paper's ``F_p(φ)``."""
-        return _count_segments_above(bm, self.m, self.n)
+        return bm.count_segments_above(self.m, self.n)
 
     def matrix_conforms(self, bm: BitMatrix) -> bool:
         return self.count_invalid_vectors(bm) == 0
@@ -153,16 +96,11 @@ class VNMPattern:
     def tile_column_masks(self, bm: BitMatrix) -> np.ndarray:
         """OR of segment values over each V-row group.
 
-        Returns an ``(n_tiles_v, n_segs)`` unsigned array, read-only, whose
-        entry is the M-bit union of non-zero columns inside that meta-block;
-        rows beyond ``n_rows`` pad as zero.
+        Returns an ``(n_tiles_v, n_segs)`` unsigned array whose entry is the
+        M-bit union of non-zero columns inside that meta-block; rows beyond
+        ``n_rows`` pad as zero.
         """
-        grouped = _group_or(bm, self.v)
-        if self.m not in _FIELD_DTYPES:
-            return grouped.segment_values(self.m)
-        masks = grouped.words.view(_FIELD_DTYPES[self.m])[:, : bm.n_segments(self.m)]
-        masks.flags.writeable = False  # may view ``bm``'s own words
-        return masks
+        return bm.group_or(self.v).segment_values(self.m)
 
     def vertical_violation_mask(self, bm: BitMatrix) -> np.ndarray:
         """Boolean ``(n_tiles_v, n_segs)`` mask of meta-blocks with > k live columns."""
@@ -171,12 +109,12 @@ class VNMPattern:
 
     def count_vertical_violations(self, bm: BitMatrix) -> int:
         """The paper's MBScore ``F_MB(φ)``: meta-blocks breaking the vertical constraint."""
-        return _count_segments_above(_group_or(bm, self.v), self.m, self.k)
+        return bm.group_or(self.v).count_segments_above(self.m, self.k)
 
     # -- combined conformity ---------------------------------------------------
     def tile_violation_mask(self, bm: BitMatrix) -> np.ndarray:
         """Meta-blocks violating either constraint."""
-        horizontal = _group_reduce(self.nm.invalid_vector_mask(bm), self.v, np.logical_or)
+        horizontal = reduce_row_groups(self.nm.invalid_vector_mask(bm), self.v, np.logical_or)
         return self.vertical_violation_mask(bm) | horizontal
 
     def count_tile_violations(self, bm: BitMatrix) -> int:

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import BitMatrix, NMPattern, VNMPattern
-from repro.core.patterns import _count_segments_above, _group_or
 
 M_VALUES = [2, 3, 4, 5, 8, 12, 16, 32, 64]
 V_VALUES = [1, 2, 3, 8, 16]
@@ -68,7 +67,7 @@ class TestWordCountsMatchMasks:
         bm = BitMatrix.from_dense(a)
         limit = data.draw(st.integers(min_value=0, max_value=m + 1))
         want = int((segment_bits(a, m).sum(axis=2) > limit).sum())
-        assert _count_segments_above(bm, m, limit) == want
+        assert bm.count_segments_above(m, limit) == want
         assert int((bm.segment_counts(m) > limit).sum()) == want
 
     @settings(max_examples=200, deadline=None)
@@ -85,7 +84,7 @@ class TestWordCountsMatchMasks:
         bm = BitMatrix.from_dense(a)
         live = group_bits(a, m, v).sum(axis=2)
         limit = data.draw(st.integers(min_value=0, max_value=m + 1))
-        assert _count_segments_above(_group_or(bm, v), m, limit) == int((live > limit).sum())
+        assert bm.group_or(v).count_segments_above(m, limit) == int((live > limit).sum())
         n = data.draw(st.integers(min_value=1, max_value=m))
         k = data.draw(st.integers(min_value=n, max_value=m + 1))
         pat = VNMPattern(v, n, m, k)
@@ -124,9 +123,3 @@ class TestWordMasksMatchMasks:
         assert np.array_equal(pat.tile_violation_mask(bm), vertical | horizontal)
         assert pat.count_tile_violations(bm) == int((vertical | horizontal).sum())
 
-    def test_masks_do_not_alias_writable_words(self):
-        bm = BitMatrix.from_dense(np.ones((3, 70), dtype=np.uint8))
-        masks = VNMPattern(1, 2, 8).tile_column_masks(bm)
-        assert not masks.flags.writeable
-        bm.set(0, 0, 0)  # the matrix itself stays writable
-        assert bm.get(0, 0) == 0
